@@ -27,8 +27,8 @@ from .protocols import (PROTOCOL_IDS, ROUND_COUNTS, EveView, ProtocolError,
                         eve_average_view, noninteractive_view,
                         peak_live_width, run_noninteractive, run_protocol1,
                         run_protocol2, run_protocol3, run_protocol4,
-                        run_protocol5, run_protocol6, run_two_round,
-                        sample_draws, sample_shared_keys)
+                        run_protocol5, run_protocol6, run_session,
+                        run_two_round, sample_draws, sample_shared_keys)
 from .qstate import (ATOL_DENSITY, ATOL_SCALAR, ATOL_STATE, DEFAULT_QUBIT_CAP,
                      CompositeState, DensityMatrix, EntangledRegisterError,
                      Holder, Register, RegisterError, hermitian_eigenvalues,
@@ -55,7 +55,7 @@ __all__ = [
     "party_streams", "passive_snapshot", "peak_live_width", "read_table",
     "run_experiment", "run_noninteractive", "run_protocol1", "run_protocol2",
     "run_protocol3", "run_protocol4", "run_protocol5", "run_protocol6",
-    "run_two_round", "sample_draws", "sample_function", "sample_pad",
+    "run_session", "run_two_round", "sample_draws", "sample_function", "sample_pad",
     "sample_permutation", "sample_shared_keys", "save_table",
     "shipped_experiments", "trace_distance", "verify_report",
 ]

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import protocols as proto
-from .oracles import make_rng, party_streams, sample_function, sample_permutation, sample_pad
-from .qstate import CompositeState, DensityMatrix, Holder, Register, init_basis_state, trace_distance
+from .oracles import make_rng, party_streams, sample_function
+from .qstate import CompositeState, DensityMatrix, trace_distance
 
 
 class AttackSpecError(ValueError):
@@ -242,11 +242,6 @@ class ImpersonationTrial:
     alice_accepts: bool
 
 
-def _eve_fake_keys(n: int, l: int, rng) -> tuple:
-    """Plausible-looking substitutes for the tag functions Eve lacks."""
-    return sample_function(n, l, rng), sample_function(n, l, rng)
-
-
 def impersonate_echo_stage(
     protocol: str,
     x: int,
@@ -273,118 +268,30 @@ def impersonate_echo_stage(
 
     # Stage one, honest parties, Eve measuring on the line.
     tap = MeasureResendAttack()
-    if protocol == "p3":
-        stage1 = proto.run_protocol2(x, n, l, keys, rng=stage1_rng, attack=tap,
-                                     snapshots=False, qubit_cap=qubit_cap)
-    else:
-        stage1 = proto.run_protocol4(x, n, l, keys, rng=stage1_rng, attack=tap,
-                                     snapshots=False, qubit_cap=qubit_cap)
+    stage1 = proto.run_session({"p3": "p2", "p5": "p4"}[protocol], x, n, l, 0, keys,
+                               rng=stage1_rng, attack=tap, snapshots=False,
+                               qubit_cap=qubit_cap)
 
     # Eve's guess: the message-register value she measured first. It is
     # uniform, so her success floor is 2**-n regardless of the tap.
     guess = next(ev["outcome"] for ev in stage1.attack_events
                  if ev.get("register") == "R1")
 
-    fake_sender_tag, fake_receiver_strip = _eve_fake_keys(n, l, eve_rng)
-    if protocol == "p3":
-        trial = _hijack_tagged_echo(x, guess, n, l, keys, fake_sender_tag,
-                                    fake_receiver_strip, eve_rng, alice_rng, qubit_cap)
-    else:
-        trial = _hijack_inverted_echo(x, guess, n, l, keys, fake_sender_tag,
-                                      fake_receiver_strip, eve_rng, alice_rng, qubit_cap)
-    echo, = trial
+    # The echo stage with Eve in Bob's seat. Alice runs her genuine side,
+    # stripping with the real shared functions; on Eve's fake tags that
+    # leaves a residue entangled with the message register, and her
+    # measurement collapses part of the superposition. Eve tags and
+    # strips with plausible-looking substitutes for the functions she
+    # lacks, wherever Bob would use a shared secret.
+    fake_tag, fake_strip = sample_function(n, l, eve_rng), sample_function(n, l, eve_rng)
+    echo_stage = proto.STAGES[protocol][1]
+    eve = proto.Party(proto.EVE, eve_rng, fake_tag, fake_strip)
+    alice = proto.Party(proto.ALICE, alice_rng, keys.alice_tag, keys.bob_tag)
+    draws = echo_stage.exchange.sample(n, l, eve_rng, alice_rng)
+    channel = proto.Channel(proto.Transcript(protocol, n, l, 0, guess), None, None, False,
+                            qubit_cap)
+    echo = echo_stage.exchange.run(channel, guess, n, l, eve, alice, draws)
     return ImpersonationTrial(protocol, x, guess, echo, alice_accepts=(echo == x))
-
-
-def _hijack_tagged_echo(x, guess, n, l, keys, fake_tag, fake_strip,
-                        eve_rng, alice_rng, qubit_cap):
-    """Echo stage of the tagged three-pass family with Eve as sender.
-
-    Alice performs her genuine receiver role (stripping with the real
-    shared functions); Eve substitutes her own tables wherever the real
-    Bob would have used a shared secret.
-    """
-    eve_perm = sample_permutation(n, eve_rng)
-    alice_perm = sample_permutation(n, alice_rng)
-    pad1 = sample_pad(l, eve_rng).value
-    pad_reply = sample_pad(l, alice_rng).value
-    pad3 = sample_pad(l, eve_rng).value
-
-    state = init_basis_state([Register("R1", n, Holder.EVE)], {"R1": guess},
-                             qubit_cap=qubit_cap)
-    state = state.apply_hadamard("R1")
-    state = state.extend("R2", n, Holder.EVE)
-    state = state.apply_xor_oracle("R1", "R2", eve_perm.table)
-    state = state.extend("R3", l, Holder.EVE)
-    state = state.apply_xor_oracle("R1", "R3", fake_tag.table, pad=pad1)
-
-    # Alice strips with the real counterparty function; on Eve's fake
-    # tag that leaves a residue entangled with the message register,
-    # and her measurement collapses part of the superposition.
-    state = state.apply_xor_oracle("R1", "R3", keys.bob_tag.table)
-    _, state = state.measure("R3", alice_rng)
-    state = state.discard("R3")
-    state = state.extend("R4", n, Holder.ALICE)
-    state = state.apply_xor_oracle("R1", "R4", alice_perm.table)
-    state = state.extend("R5", l, Holder.ALICE)
-    state = state.apply_xor_oracle("R1", "R5", keys.alice_tag.table, pad=pad_reply)
-
-    # Eve: undo her permutation; fake-strip the tag she cannot read.
-    state = state.apply_xor_oracle("R1", "R2", eve_perm.table)
-    state = state.discard("R2")
-    state = state.apply_xor_oracle("R1", "R5", fake_strip.table)
-    _, state = state.measure("R5", eve_rng)
-    state = state.discard("R5")
-    state = state.extend("R6", l, Holder.EVE)
-    state = state.apply_xor_oracle("R1", "R6", fake_tag.table, pad=pad3)
-
-    # Alice: undo her permutation, strip with the real function, decode.
-    state = state.apply_xor_oracle("R1", "R4", alice_perm.table)
-    state = state.discard("R4")
-    state = state.apply_xor_oracle("R1", "R6", keys.bob_tag.table)
-    _, state = state.measure("R6", alice_rng)
-    state = state.discard("R6")
-    state = state.apply_hadamard("R1")
-    echo, state = state.measure("R1", alice_rng)
-    return (echo,)
-
-
-def _hijack_inverted_echo(x, guess, n, l, keys, fake_tag, fake_strip,
-                          eve_rng, alice_rng, qubit_cap):
-    """Echo stage of the receiver-initiated family with Eve as sender.
-
-    Alice initiates honestly; Eve fake-strips Alice's tag, imprints her
-    guess as phases, and tags with her own substitute function.
-    """
-    alice_perm = sample_permutation(n, alice_rng)
-    pad_alice = sample_pad(l, alice_rng).value
-    pad_eve = sample_pad(l, eve_rng).value
-
-    state = init_basis_state([Register("R1", n, Holder.ALICE)], None,
-                             qubit_cap=qubit_cap)
-    state = state.apply_hadamard("R1")
-    state = state.extend("R2", n, Holder.ALICE)
-    state = state.apply_xor_oracle("R1", "R2", alice_perm.table)
-    state = state.extend("R3", l, Holder.ALICE)
-    state = state.apply_xor_oracle("R1", "R3", keys.alice_tag.table, pad=pad_alice)
-
-    # Eve: fake-strip, measure the residue, write her guess as phases.
-    state = state.apply_xor_oracle("R1", "R3", fake_strip.table)
-    _, state = state.measure("R3", eve_rng)
-    state = state.discard("R3")
-    state = state.apply_phase_flip("R1", guess)
-    state = state.extend("R4", l, Holder.EVE)
-    state = state.apply_xor_oracle("R1", "R4", fake_tag.table, pad=pad_eve)
-
-    # Alice: strip with the real counterparty function, decode.
-    state = state.apply_xor_oracle("R1", "R4", keys.bob_tag.table)
-    _, state = state.measure("R4", alice_rng)
-    state = state.discard("R4")
-    state = state.apply_xor_oracle("R1", "R2", alice_perm.table)
-    state = state.discard("R2")
-    state = state.apply_hadamard("R1")
-    echo, state = state.measure("R1", alice_rng)
-    return (echo,)
 
 
 @dataclass
@@ -462,15 +369,16 @@ def passive_snapshot(
     Draws are held identical across messages so the comparison isolates
     the message dependence.
     """
-    run = proto._runner(protocol)
     t = keys.mac_key.t if (keys is not None and keys.mac_key is not None) else 0
-    base = run(messages[0], n, l, t, keys, rng=rng if rng is not None else 0,
-               attack=PassiveAttack(), snapshots=True, qubit_cap=qubit_cap)
+    base = proto.run_session(protocol, messages[0], n, l, t, keys,
+                             rng=rng if rng is not None else 0,
+                             attack=PassiveAttack(), snapshots=True, qubit_cap=qubit_cap)
     rounds = proto.ROUND_COUNTS[protocol]
     views: dict[int, list[DensityMatrix]] = {}
     for x in messages:
-        redo = run(x, n, l, t, keys, rng=0, draws=base.draws,
-                   attack=PassiveAttack(), snapshots=True, qubit_cap=qubit_cap)
+        redo = proto.run_session(protocol, x, n, l, t, keys, rng=0, draws=base.draws,
+                                 attack=PassiveAttack(), snapshots=True,
+                                 qubit_cap=qubit_cap)
         if averaged:
             views[x] = [
                 proto.eve_average_view(redo, r, keys=keys).rho

@@ -81,6 +81,13 @@ class ExperimentConfig:
         if any((self.fa_file, self.fb_file, self.sa_file, self.sb_file)) and \
                 self.protocol in ("p3", "p5", "p6"):
             raise ConfigError("table pinning applies to single-exchange protocols only")
+        # Refuse pins the protocol has no secret for before anything runs.
+        if self.protocol == "p1" and (self.sa_file or self.sb_file):
+            raise ConfigError("the untagged protocol has no tag functions to pin")
+        if self.protocol == "nonint" and (self.fa_file or self.fb_file):
+            raise ConfigError("the one-shot protocol has no permutations to pin")
+        if self.protocol in ("p4", "two-round") and self.fa_file:
+            raise ConfigError(f"{self.protocol} has no sender permutation; use --fb-file")
 
     def message_set(self) -> tuple[int, ...]:
         if self.messages is not None:
@@ -205,16 +212,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(body=body, meta=meta)
 
 
-def _runner_kwargs(config: ExperimentConfig) -> dict:
-    return {"snapshots": config.snapshots, "qubit_cap": config.qubit_cap}
-
-
-def _run_once(config: ExperimentConfig, x, keys, rng, draws=None, attack=None):
-    run = proto._runner(config.protocol)
-    return run(x, config.n, config.l, config.t, keys, rng=rng, draws=draws,
-               attack=attack, **_runner_kwargs(config))
-
-
 def _session_results(config: ExperimentConfig) -> dict:
     """Honest or in-transit-attacked sessions over a message grid."""
     attack = adversary.parse_attack(config.attack)
@@ -251,7 +248,9 @@ def _session_results(config: ExperimentConfig) -> dict:
         )
         trial_views: dict[int, list[DensityMatrix]] = {}
         for x in messages:
-            tr = _run_once(config, x, keys, run_rng, draws=shared_draws, attack=attack)
+            tr = proto.run_session(config.protocol, x, config.n, config.l, config.t, keys,
+                                   rng=run_rng, draws=shared_draws, attack=attack,
+                                   snapshots=config.snapshots, qubit_cap=config.qubit_cap)
             entry = {
                 "trial": trial, "message": x, "recovered": tr.recovered,
                 "alice_accepts": tr.alice_accepts, "bob_accepts": tr.bob_accepts,
@@ -381,8 +380,6 @@ def _pin_draws(config: ExperimentConfig, draws):
     if not (config.fa_file or config.fb_file):
         return draws
     protocol = config.protocol
-    if protocol == "nonint":
-        raise ConfigError("the one-shot protocol has no permutations to pin")
     if protocol == "p1":
         updates = {}
         if config.fa_file:
@@ -401,9 +398,8 @@ def _pin_draws(config: ExperimentConfig, draws):
             updates["receiver_perm"] = _load_pin(config.fb_file, True, config.n, 0,
                                                  "--fb-file")
         return replace(draws, **updates)
-    # Receiver-initiated exchanges only scramble on the receiver side.
-    if config.fa_file:
-        raise ConfigError(f"{protocol} has no sender permutation; use --fb-file")
+    # Receiver-initiated exchanges only scramble on the receiver side, so
+    # the config has already refused --fa-file.
     return replace(draws, receiver_perm=_load_pin(config.fb_file, True, config.n, 0,
                                                   "--fb-file"))
 
@@ -511,15 +507,53 @@ def _mac_attack_results(config: ExperimentConfig) -> dict:
     }
 
 
+def _first_difference(stored, fresh, path: str = "body"):
+    """(JSON path, stored value, fresh value) where two documents first differ.
+
+    Dict keys are walked in sorted order, as canonical_json writes them,
+    so the path is the first difference in the canonical bytes' order.
+    """
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        for key in sorted(set(stored) | set(fresh)):
+            if key not in stored or key not in fresh:
+                return f"{path}.{key}", stored.get(key, "<absent>"), fresh.get(key, "<absent>")
+            found = _first_difference(stored[key], fresh[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(stored, list) and isinstance(fresh, list):
+        for i, (a, b) in enumerate(zip(stored, fresh)):
+            found = _first_difference(a, b, f"{path}[{i}]")
+            if found:
+                return found
+        if len(stored) != len(fresh):
+            return f"{path} length", len(stored), len(fresh)
+        return None
+    if canonical_json(stored) != canonical_json(fresh):
+        return path, stored, fresh
+    return None
+
+
 def verify_report(path) -> tuple[bool, str]:
-    """Re-run a report's embedded config and compare bodies bytewise."""
+    """Re-run a report's embedded config and compare bodies bytewise.
+
+    On a mismatch the detail names the first differing JSON path with
+    the stored and the fresh value.
+    """
     stored = ExperimentReport.read(path)
     config = ExperimentConfig.from_dict(stored.body["config"])
     fresh = run_experiment(config)
     a, b = canonical_json(stored.body), fresh.body_bytes()
     if a == b:
         return True, "report reproduced byte-identically"
-    return False, f"bodies differ: stored {len(a)} bytes, fresh {len(b)} bytes"
+    where, was, now = _first_difference(stored.body, json.loads(b))
+
+    def shown(value) -> str:
+        text = json.dumps(value)
+        return text if len(text) <= 80 else text[:77] + "..."
+
+    return False, (f"bodies differ at {where}: stored {shown(was)}, fresh {shown(now)} "
+                   f"(stored {len(a)} bytes, fresh {len(b)} bytes)")
 
 
 def shipped_experiments() -> list[ExperimentConfig]:

@@ -23,6 +23,15 @@ The family:
 * one-shot broadcast (run_noninteractive): a single transmission of the
   phase-encoded message with a tag register; exploratory only.
 
+The keyed protocols are built from two exchanges, the tagged
+three-pass and the receiver-initiated two-pass. STAGES lists each
+protocol's stages once: the exchange, the sending party, the message
+width (n+t and t in p6) and the tag functions used. The runners,
+sample_draws and the averaging lookup all read it. An exchange takes
+its parties as Party(name, rng, tags_with, strips_with) values, so an
+adversary can play a side with substitute tables. run_session runs
+any protocol by id, looking its public run_* name up at each call.
+
 Channel views: per-run snapshots are what an eavesdropper sees in one
 session; eve_average_view computes the exact mixture over enumerated
 one-time values (and optionally over the tag-function family), which is
@@ -35,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,20 +73,10 @@ from .qstate import (
 
 PROTOCOL_IDS = ("p1", "p2", "p3", "p4", "p5", "p6", "nonint", "two-round")
 
-ROUND_COUNTS = {
-    "p1": 3,
-    "p2": 3,
-    "p3": 9,
-    "p4": 2,
-    "p5": 6,
-    "p6": 4,
-    "nonint": 1,
-    "two-round": 2,
-}
-
 ALICE = Holder.ALICE.value
 BOB = Holder.BOB.value
 EVE = Holder.EVE.value
+_PEER = {ALICE: BOB, BOB: ALICE}
 
 
 class ProtocolError(ValueError):
@@ -266,83 +265,88 @@ class StagedDraws:
     stages: tuple
 
 
+@dataclass(frozen=True)
+class NonintDraws:
+    pad: int
+
+
 def sample_draws(protocol: str, n: int, l: int, t: int, rng):
     """Materialise a session's random choices without running it.
 
-    Mirrors the stream discipline of the runners exactly (same party
-    substreams, same draw order), so passing the result back in via
-    `draws=` reproduces the session the same seed would have produced.
+    Splits the same party substreams as the runners and hands them to
+    the same sampler, so passing the result back in via `draws=`
+    reproduces the session the same seed would have produced.
     """
     alice_rng, bob_rng, _ = party_streams(rng if rng is not None else 0, 3)
-    if protocol == "p1":
-        return P1Draws(sample_permutation(n, alice_rng), sample_permutation(n, bob_rng))
-    if protocol == "p2":
-        return _p2_draws(n, l, alice_rng, bob_rng)
-    if protocol == "p3":
-        return StagedDraws((
-            _p2_draws(n, l, alice_rng, bob_rng),
-            _p2_draws(n, l, bob_rng, alice_rng),
-            _p2_draws(n, l, alice_rng, bob_rng),
-        ))
-    if protocol in ("p4", "two-round"):
-        return _p4_draws(n, l, bob_rng, alice_rng)
-    if protocol == "p5":
-        return StagedDraws((
-            _p4_draws(n, l, bob_rng, alice_rng),
-            _p4_draws(n, l, alice_rng, bob_rng),
-            _p4_draws(n, l, bob_rng, alice_rng),
-        ))
-    if protocol == "p6":
-        return StagedDraws((
-            _p4_draws(n + t, l, bob_rng, alice_rng),
-            _p4_draws(t, l, alice_rng, bob_rng),
-        ))
-    if protocol == "nonint":
-        return NonintDraws(sample_pad(l, alice_rng).value)
-    raise ProtocolError(f"unknown protocol {protocol!r}")
+    return _sample_draws(protocol, n, l, t, {ALICE: alice_rng, BOB: bob_rng})
 
 
 # ---------------------------------------------------------------------------
-# Transmission plumbing
+# Parties and the channel
 # ---------------------------------------------------------------------------
 
 
-def _transmit(
-    state: CompositeState,
-    transcript: Transcript,
-    round_index: int,
-    names: Sequence[str],
-    sender: str,
-    receiver: str,
-    attack,
-    eve_rng: np.random.Generator,
-    snapshots: bool,
-) -> CompositeState:
-    """Move registers across the channel, applying any interposition.
+class Party(NamedTuple):
+    """One side of an exchange: it tags what it sends with `tags_with`
+    and strips what it receives with `strips_with`. An honest party tags
+    with its own shared function and strips with its counterparty's."""
 
-    The snapshot records the state actually travelling toward the
-    receiver, i.e. after the adversary touched it.
-    """
-    state = state.with_holder(names, Holder.CHANNEL)
-    if attack is not None:
-        state = attack.on_transmission(state, round_index, tuple(names), eve_rng,
-                                       transcript.attack_events)
-    snap = None
-    if snapshots:
-        snap = state.reduced_density_matrix(names)
-    regs = tuple((name, state.register(name).width) for name in names)
-    transcript.transmissions.append(
-        Transmission(round_index, sender, receiver, regs, snap)
-    )
-    return state.with_holder(names, Holder(receiver))
+    name: str
+    rng: np.random.Generator
+    tags_with: BooleanFunction | None = None
+    strips_with: BooleanFunction | None = None
+
+    def tag(self, state: CompositeState, register: str, l: int, pad: int) -> CompositeState:
+        """Attach a fresh register holding this party's padded tag of R1."""
+        state = state.extend(register, l, Holder(self.name))
+        return state.apply_xor_oracle("R1", register, self.tags_with.table, pad=pad)
 
 
-def _measure(state, transcript, owner, name, rng):
-    outcome, state = state.measure(name, rng)
-    transcript.measurements.append(
-        MeasurementRecord(owner, name, state.register(name).width, outcome)
-    )
-    return outcome, state
+class Channel(NamedTuple):
+    """The line of one session: what crosses it is logged in the
+    transcript, and `attack` (if any) touches it with `eve_rng`."""
+
+    transcript: Transcript
+    attack: object
+    eve_rng: np.random.Generator | None
+    snapshots: bool
+    qubit_cap: int
+
+    def send(self, state: CompositeState, names: tuple[str, ...],
+             sender: Party, receiver: Party) -> CompositeState:
+        """Move registers across the channel, applying any interposition.
+
+        Rounds are numbered in the order they are sent. The snapshot
+        records the state actually travelling toward the receiver, i.e.
+        after the adversary touched it.
+        """
+        tr = self.transcript
+        round_index = len(tr.transmissions) + 1
+        if self.attack is not None:
+            state = self.attack.on_transmission(state, round_index, names, self.eve_rng,
+                                                tr.attack_events)
+        snap = None
+        if self.snapshots:
+            snap = state.reduced_density_matrix(names)
+        regs = tuple((name, state.register(name).width) for name in names)
+        tr.transmissions.append(
+            Transmission(round_index, sender.name, receiver.name, regs, snap)
+        )
+        return state.with_holder(names, Holder(receiver.name))
+
+    def measure(self, state: CompositeState, party: Party, name: str):
+        outcome, state = state.measure(name, party.rng)
+        self.transcript.measurements.append(
+            MeasurementRecord(party.name, name, state.register(name).width, outcome)
+        )
+        return outcome, state
+
+    def strip(self, state: CompositeState, party: Party, register: str) -> CompositeState:
+        """`party` strips the tag off a received register, measures and
+        logs the bare pad left there, and drops the register."""
+        state = state.apply_xor_oracle("R1", register, party.strips_with.table)
+        _, state = self.measure(state, party, register)
+        return state.discard(register)
 
 
 # ---------------------------------------------------------------------------
@@ -368,34 +372,33 @@ def run_protocol1(
     later uncomputed. Bob's final Hadamard-and-measure recovers x with
     certainty in an honest run.
     """
-    _check_message(x, n)
-    _check_cap("p1", n, 0, 0, qubit_cap)
-    alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
-    if draws is None:
-        draws = P1Draws(sample_permutation(n, alice_rng), sample_permutation(n, bob_rng))
+    channel, rngs, _ = _open_session("p1", x, n, 0, 0, None, rng, draws, attack,
+                                     snapshots, qubit_cap)
+    tr = channel.transcript
+    draws = tr.draws
     if draws.alice_perm.n != n or draws.bob_perm.n != n:
         raise ProtocolError("permutation width does not match the message width")
-    tr = Transcript("p1", n, 0, 0, x, draws=draws)
+    alice, bob = Party(ALICE, rngs[ALICE]), Party(BOB, rngs[BOB])
 
     state = init_basis_state([Register("R1", n, Holder.ALICE)], {"R1": x},
                              qubit_cap=qubit_cap)
     state = state.apply_hadamard("R1")
     state = state.extend("R2", n, Holder.ALICE)
     state = state.apply_xor_oracle("R1", "R2", draws.alice_perm.table)
-    state = _transmit(state, tr, 1, ["R1"], ALICE, BOB, attack, eve_rng, snapshots)
+    state = channel.send(state, ("R1",), alice, bob)
 
     state = state.extend("R3", n, Holder.BOB)
     state = state.apply_xor_oracle("R1", "R3", draws.bob_perm.table)
-    state = _transmit(state, tr, 2, ["R1"], BOB, ALICE, attack, eve_rng, snapshots)
+    state = channel.send(state, ("R1",), bob, alice)
 
     state = state.apply_xor_oracle("R1", "R2", draws.alice_perm.table)  # uncompute
     state = state.discard("R2")
-    state = _transmit(state, tr, 3, ["R1"], ALICE, BOB, attack, eve_rng, snapshots)
+    state = channel.send(state, ("R1",), alice, bob)
 
     state = state.apply_xor_oracle("R1", "R3", draws.bob_perm.table)  # uncompute
     state = state.discard("R3")
     state = state.apply_hadamard("R1")
-    tr.recovered, state = _measure(state, tr, BOB, "R1", bob_rng)
+    tr.recovered, state = channel.measure(state, bob, "R1")
     return tr
 
 
@@ -422,22 +425,13 @@ def _check_tag_fn(fn: BooleanFunction, n: int, l: int, who: str) -> None:
 
 
 def _run_tagged_three_pass(
-    tr: Transcript,
+    channel: Channel,
     x: int,
     n: int,
     l: int,
-    sender: str,
-    receiver: str,
-    sender_tag: BooleanFunction,
-    receiver_tag: BooleanFunction,
+    sender: Party,
+    receiver: Party,
     draws: P2Draws,
-    sender_rng,
-    receiver_rng,
-    eve_rng,
-    attack,
-    round_offset: int,
-    snapshots: bool,
-    qubit_cap: int,
 ) -> int:
     """One tagged three-pass exchange; returns the receiver's value.
 
@@ -446,50 +440,218 @@ def _run_tagged_three_pass(
     with a freshly padded sender tag. Tags are stripped by the party
     that knows them, leaving the bare pad, which is measured and logged.
     """
-    _check_tag_fn(sender_tag, n, l, sender)
-    _check_tag_fn(receiver_tag, n, l, receiver)
-    sh, rh = Holder(sender), Holder(receiver)
+    _check_tag_fn(sender.tags_with, n, l, sender.name)
+    _check_tag_fn(receiver.tags_with, n, l, receiver.name)
+    sh, rh = Holder(sender.name), Holder(receiver.name)
 
-    state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=qubit_cap)
+    state = init_basis_state([Register("R1", n, sh)], {"R1": x},
+                             qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
     state = state.extend("R2", n, sh)
     state = state.apply_xor_oracle("R1", "R2", draws.sender_perm.table)
-    state = state.extend("R3", l, sh)
-    state = state.apply_xor_oracle("R1", "R3", sender_tag.table, pad=draws.first_pad)
-    state = _transmit(state, tr, round_offset + 1, ["R1", "R3"], sender, receiver,
-                      attack, eve_rng, snapshots)
+    state = sender.tag(state, "R3", l, draws.first_pad)
+    state = channel.send(state, ("R1", "R3"), sender, receiver)
 
     # Receiver: expose and log the sender's pad, then bind own secrets.
-    state = state.apply_xor_oracle("R1", "R3", sender_tag.table)
-    _, state = _measure(state, tr, receiver, "R3", receiver_rng)
-    state = state.discard("R3")
+    state = channel.strip(state, receiver, "R3")
     state = state.extend("R4", n, rh)
     state = state.apply_xor_oracle("R1", "R4", draws.receiver_perm.table)
-    state = state.extend("R5", l, rh)
-    state = state.apply_xor_oracle("R1", "R5", receiver_tag.table, pad=draws.reply_pad)
-    state = _transmit(state, tr, round_offset + 2, ["R1", "R5"], receiver, sender,
-                      attack, eve_rng, snapshots)
+    state = receiver.tag(state, "R5", l, draws.reply_pad)
+    state = channel.send(state, ("R1", "R5"), receiver, sender)
 
     # Sender: detach own permutation, expose the receiver's pad, re-tag.
     state = state.apply_xor_oracle("R1", "R2", draws.sender_perm.table)
     state = state.discard("R2")
-    state = state.apply_xor_oracle("R1", "R5", receiver_tag.table)
-    _, state = _measure(state, tr, sender, "R5", sender_rng)
-    state = state.discard("R5")
-    state = state.extend("R6", l, sh)
-    state = state.apply_xor_oracle("R1", "R6", sender_tag.table, pad=draws.final_pad)
-    state = _transmit(state, tr, round_offset + 3, ["R1", "R6"], sender, receiver,
-                      attack, eve_rng, snapshots)
+    state = channel.strip(state, sender, "R5")
+    state = sender.tag(state, "R6", l, draws.final_pad)
+    state = channel.send(state, ("R1", "R6"), sender, receiver)
 
     # Receiver: detach own permutation, expose the final pad, decode.
     state = state.apply_xor_oracle("R1", "R4", draws.receiver_perm.table)
     state = state.discard("R4")
-    state = state.apply_xor_oracle("R1", "R6", sender_tag.table)
-    _, state = _measure(state, tr, receiver, "R6", receiver_rng)
-    state = state.discard("R6")
+    state = channel.strip(state, receiver, "R6")
     state = state.apply_hadamard("R1")
-    outcome, state = _measure(state, tr, receiver, "R1", receiver_rng)
+    outcome, state = channel.measure(state, receiver, "R1")
     return outcome
+
+
+# ---------------------------------------------------------------------------
+# Inverted two-pass exchange (shared by the receiver-initiated protocols)
+# ---------------------------------------------------------------------------
+
+
+def _p4_draws(n: int, l: int, sender_rng, receiver_rng) -> P4Draws:
+    return P4Draws(
+        receiver_perm=sample_permutation(n, receiver_rng),
+        receiver_pad=sample_pad(l, receiver_rng).value,
+        sender_pad=sample_pad(l, sender_rng).value,
+    )
+
+
+def _run_inverted_two_pass(
+    channel: Channel,
+    x: int,
+    n: int,
+    l: int,
+    sender: Party,
+    receiver: Party,
+    draws: P4Draws,
+) -> int:
+    """One receiver-initiated exchange; returns the receiver's value.
+
+    The receiver sends a blank scrambled superposition with its tag;
+    the sender imprints the message purely as phase flips and re-tags.
+    Only two passes total, and the message never appears in any
+    computational-basis population.
+    """
+    _check_tag_fn(sender.tags_with, n, l, sender.name)
+    _check_tag_fn(receiver.tags_with, n, l, receiver.name)
+    rh = Holder(receiver.name)
+
+    state = init_basis_state([Register("R1", n, rh)], None, qubit_cap=channel.qubit_cap)
+    state = state.apply_hadamard("R1")
+    state = state.extend("R2", n, rh)
+    state = state.apply_xor_oracle("R1", "R2", draws.receiver_perm.table)
+    state = receiver.tag(state, "R3", l, draws.receiver_pad)
+    state = channel.send(state, ("R1", "R3"), receiver, sender)
+
+    # Sender: expose the receiver's pad, write the message into phases.
+    state = channel.strip(state, sender, "R3")
+    state = state.apply_phase_flip("R1", x)
+    state = sender.tag(state, "R4", l, draws.sender_pad)
+    state = channel.send(state, ("R1", "R4"), sender, receiver)
+
+    # Receiver: expose the sender's pad, unscramble, decode the phases.
+    state = channel.strip(state, receiver, "R4")
+    state = state.apply_xor_oracle("R1", "R2", draws.receiver_perm.table)
+    state = state.discard("R2")
+    state = state.apply_hadamard("R1")
+    outcome, state = channel.measure(state, receiver, "R1")
+    return outcome
+
+
+# ---------------------------------------------------------------------------
+# The stage table of the keyed protocols
+# ---------------------------------------------------------------------------
+
+
+class Exchange(NamedTuple):
+    """A two-party exchange: `run` returns the receiver's value, `sample`
+    draws its permutations and pads, and `pads` names each pass's pad
+    field and whether the tag under it is the sender's."""
+
+    run: Callable
+    sample: Callable
+    pads: tuple[tuple[str, bool], ...]
+
+
+TAGGED_THREE_PASS = Exchange(_run_tagged_three_pass, _p2_draws,
+                             (("first_pad", True), ("reply_pad", False), ("final_pad", True)))
+INVERTED_TWO_PASS = Exchange(_run_inverted_two_pass, _p4_draws,
+                             (("receiver_pad", False), ("sender_pad", True)))
+
+
+class Stage(NamedTuple):
+    """One exchange of a keyed protocol: `width(n, t)` is its message
+    width, and `keys` the suffix of the SharedKeys tag attributes it
+    uses ("_echo" for the echo stage of the authenticated protocol)."""
+
+    exchange: Exchange
+    sender: str
+    width: Callable[[int, int], int] = lambda n, t: n
+    keys: str = ""
+
+
+# p3 and p5 send the message, echo it back with the roles swapped, and
+# send it again; p6 sends message and MAC tag together, then echoes the
+# tag it received under the second pair of tag functions.
+STAGES: dict[str, tuple[Stage, ...]] = {
+    "p2": (Stage(TAGGED_THREE_PASS, ALICE),),
+    "p3": (Stage(TAGGED_THREE_PASS, ALICE),
+           Stage(TAGGED_THREE_PASS, BOB),
+           Stage(TAGGED_THREE_PASS, ALICE)),
+    "p4": (Stage(INVERTED_TWO_PASS, ALICE),),
+    "p5": (Stage(INVERTED_TWO_PASS, ALICE),
+           Stage(INVERTED_TWO_PASS, BOB),
+           Stage(INVERTED_TWO_PASS, ALICE)),
+    "p6": (Stage(INVERTED_TWO_PASS, ALICE, lambda n, t: n + t),
+           Stage(INVERTED_TWO_PASS, BOB, lambda n, t: t, "_echo")),
+    "two-round": (Stage(INVERTED_TWO_PASS, ALICE),),
+}
+
+ROUND_COUNTS = {
+    "p1": 3,
+    "nonint": 1,
+    **{protocol: sum(len(stage.exchange.pads) for stage in stages)
+       for protocol, stages in STAGES.items()},
+}
+
+
+def _staged(protocol: str) -> bool:
+    """Whether a protocol's draws are a StagedDraws, one record a stage."""
+    return len(STAGES.get(protocol, ())) > 1
+
+
+def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict):
+    """Every random choice of a session, drawn from the parties' streams."""
+    if protocol == "p1":
+        return P1Draws(sample_permutation(n, rngs[ALICE]), sample_permutation(n, rngs[BOB]))
+    if protocol == "nonint":
+        return NonintDraws(sample_pad(l, rngs[ALICE]).value)
+    if protocol not in STAGES:
+        raise ProtocolError(f"unknown protocol {protocol!r}")
+    stages = tuple(
+        stage.exchange.sample(stage.width(n, t), l, rngs[stage.sender],
+                              rngs[_PEER[stage.sender]])
+        for stage in STAGES[protocol]
+    )
+    return StagedDraws(stages) if _staged(protocol) else stages[0]
+
+
+def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit_cap):
+    """Check a session's parameters and open it.
+
+    Returns the channel, the parties' streams and `stage(i, message)`,
+    which runs stage i of STAGES[protocol] between the honest parties
+    and returns the value its receiver decoded. Draws left as None come
+    from `_sample_draws`, on the streams the session measures with.
+    """
+    _check_message(x, n)
+    _check_cap(protocol, n, l, t, qubit_cap)
+    alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
+    rngs = {ALICE: alice_rng, BOB: bob_rng}
+    if draws is None:
+        draws = _sample_draws(protocol, n, l, t, rngs)
+    tr = Transcript(protocol, n, l, t, x, draws=draws)
+    channel = Channel(tr, attack, eve_rng, snapshots, qubit_cap)
+    stages = STAGES.get(protocol, ())
+    stage_draws = draws.stages if _staged(protocol) else (draws,)
+
+    def stage(i: int, message: int) -> int:
+        s, r = stages[i].sender, _PEER[stages[i].sender]
+        tag = {p: getattr(keys, f"{p}_tag{stages[i].keys}") for p in (s, r)}
+        sender = Party(s, rngs[s], tag[s], tag[r])
+        receiver = Party(r, rngs[r], tag[r], tag[s])
+        return stages[i].exchange.run(channel, message, stages[i].width(n, t), l,
+                                      sender, receiver, stage_draws[i])
+
+    return channel, rngs, stage
+
+
+def _run_stages(protocol, x, n, l, keys, rng, draws, attack, snapshots, qubit_cap):
+    """Send x in the one stage, or send it, echo it back, send it again.
+
+    With the echo, Alice accepts when it matches what she sent and Bob
+    accepts when both of his receptions agree.
+    """
+    channel, _, stage = _open_session(protocol, x, n, l, 0, keys, rng, draws, attack,
+                                      snapshots, qubit_cap)
+    tr = channel.transcript
+    tr.recovered = stage(0, x)
+    if len(STAGES[protocol]) == 3:
+        tr.alice_accepts = stage(1, tr.recovered) == x
+        tr.bob_accepts = stage(2, x) == tr.recovered
+    return tr
 
 
 def run_protocol2(
@@ -505,17 +667,7 @@ def run_protocol2(
     qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> Transcript:
     """Single tagged three-pass exchange from Alice to Bob."""
-    _check_message(x, n)
-    _check_cap("p2", n, l, 0, qubit_cap)
-    alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
-    if draws is None:
-        draws = _p2_draws(n, l, alice_rng, bob_rng)
-    tr = Transcript("p2", n, l, 0, x, draws=draws)
-    tr.recovered = _run_tagged_three_pass(
-        tr, x, n, l, ALICE, BOB, keys.alice_tag, keys.bob_tag, draws,
-        alice_rng, bob_rng, eve_rng, attack, 0, snapshots, qubit_cap,
-    )
-    return tr
+    return _run_stages("p2", x, n, l, keys, rng, draws, attack, snapshots, qubit_cap)
 
 
 def run_protocol3(
@@ -538,105 +690,7 @@ def run_protocol3(
     the echo matches what she sent; Bob accepts when both of his
     receptions agree.
     """
-    _check_message(x, n)
-    _check_cap("p3", n, l, 0, qubit_cap)
-    alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
-    if draws is None:
-        draws = StagedDraws((
-            _p2_draws(n, l, alice_rng, bob_rng),
-            _p2_draws(n, l, bob_rng, alice_rng),
-            _p2_draws(n, l, alice_rng, bob_rng),
-        ))
-    tr = Transcript("p3", n, l, 0, x, draws=draws)
-
-    first = _run_tagged_three_pass(
-        tr, x, n, l, ALICE, BOB, keys.alice_tag, keys.bob_tag, draws.stages[0],
-        alice_rng, bob_rng, eve_rng, attack, 0, snapshots, qubit_cap,
-    )
-    echo = _run_tagged_three_pass(
-        tr, first, n, l, BOB, ALICE, keys.bob_tag, keys.alice_tag, draws.stages[1],
-        bob_rng, alice_rng, eve_rng, attack, 3, snapshots, qubit_cap,
-    )
-    second = _run_tagged_three_pass(
-        tr, x, n, l, ALICE, BOB, keys.alice_tag, keys.bob_tag, draws.stages[2],
-        alice_rng, bob_rng, eve_rng, attack, 6, snapshots, qubit_cap,
-    )
-    tr.recovered = first
-    tr.alice_accepts = echo == x
-    tr.bob_accepts = first == second
-    return tr
-
-
-# ---------------------------------------------------------------------------
-# Inverted two-pass exchange (shared by the receiver-initiated protocols)
-# ---------------------------------------------------------------------------
-
-
-def _p4_draws(n: int, l: int, receiver_rng, sender_rng) -> P4Draws:
-    return P4Draws(
-        receiver_perm=sample_permutation(n, receiver_rng),
-        receiver_pad=sample_pad(l, receiver_rng).value,
-        sender_pad=sample_pad(l, sender_rng).value,
-    )
-
-
-def _run_inverted_two_pass(
-    tr: Transcript,
-    x: int,
-    n: int,
-    l: int,
-    sender: str,
-    receiver: str,
-    sender_tag: BooleanFunction,
-    receiver_tag: BooleanFunction,
-    draws: P4Draws,
-    sender_rng,
-    receiver_rng,
-    eve_rng,
-    attack,
-    round_offset: int,
-    snapshots: bool,
-    qubit_cap: int,
-) -> int:
-    """One receiver-initiated exchange; returns the receiver's value.
-
-    The receiver sends a blank scrambled superposition with its tag;
-    the sender imprints the message purely as phase flips and re-tags.
-    Only two passes total, and the message never appears in any
-    computational-basis population.
-    """
-    _check_tag_fn(sender_tag, n, l, sender)
-    _check_tag_fn(receiver_tag, n, l, receiver)
-    sh, rh = Holder(sender), Holder(receiver)
-
-    state = init_basis_state([Register("R1", n, rh)], None, qubit_cap=qubit_cap)
-    state = state.apply_hadamard("R1")
-    state = state.extend("R2", n, rh)
-    state = state.apply_xor_oracle("R1", "R2", draws.receiver_perm.table)
-    state = state.extend("R3", l, rh)
-    state = state.apply_xor_oracle("R1", "R3", receiver_tag.table, pad=draws.receiver_pad)
-    state = _transmit(state, tr, round_offset + 1, ["R1", "R3"], receiver, sender,
-                      attack, eve_rng, snapshots)
-
-    # Sender: expose the receiver's pad, write the message into phases.
-    state = state.apply_xor_oracle("R1", "R3", receiver_tag.table)
-    _, state = _measure(state, tr, sender, "R3", sender_rng)
-    state = state.discard("R3")
-    state = state.apply_phase_flip("R1", x)
-    state = state.extend("R4", l, sh)
-    state = state.apply_xor_oracle("R1", "R4", sender_tag.table, pad=draws.sender_pad)
-    state = _transmit(state, tr, round_offset + 2, ["R1", "R4"], sender, receiver,
-                      attack, eve_rng, snapshots)
-
-    # Receiver: expose the sender's pad, unscramble, decode the phases.
-    state = state.apply_xor_oracle("R1", "R4", sender_tag.table)
-    _, state = _measure(state, tr, receiver, "R4", receiver_rng)
-    state = state.discard("R4")
-    state = state.apply_xor_oracle("R1", "R2", draws.receiver_perm.table)
-    state = state.discard("R2")
-    state = state.apply_hadamard("R1")
-    outcome, state = _measure(state, tr, receiver, "R1", receiver_rng)
-    return outcome
+    return _run_stages("p3", x, n, l, keys, rng, draws, attack, snapshots, qubit_cap)
 
 
 def run_protocol4(
@@ -650,20 +704,9 @@ def run_protocol4(
     attack=None,
     snapshots: bool = True,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
-    _label: str = "p4",
 ) -> Transcript:
     """Single receiver-initiated exchange from Alice to Bob."""
-    _check_message(x, n)
-    _check_cap("p4", n, l, 0, qubit_cap)
-    alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
-    if draws is None:
-        draws = _p4_draws(n, l, bob_rng, alice_rng)
-    tr = Transcript(_label, n, l, 0, x, draws=draws)
-    tr.recovered = _run_inverted_two_pass(
-        tr, x, n, l, ALICE, BOB, keys.alice_tag, keys.bob_tag, draws,
-        alice_rng, bob_rng, eve_rng, attack, 0, snapshots, qubit_cap,
-    )
-    return tr
+    return _run_stages("p4", x, n, l, keys, rng, draws, attack, snapshots, qubit_cap)
 
 
 def run_two_round(
@@ -684,8 +727,8 @@ def run_two_round(
     because on its own it permits permanent key reuse, which the
     experiments certify separately.
     """
-    return run_protocol4(x, n, l, keys, rng=rng, draws=draws, attack=attack,
-                         snapshots=snapshots, qubit_cap=qubit_cap, _label="two-round")
+    return _run_stages("two-round", x, n, l, keys, rng, draws, attack, snapshots,
+                       qubit_cap)
 
 
 def run_protocol5(
@@ -701,33 +744,7 @@ def run_protocol5(
     qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> Transcript:
     """Message, echo, message over the receiver-initiated exchange."""
-    _check_message(x, n)
-    _check_cap("p5", n, l, 0, qubit_cap)
-    alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
-    if draws is None:
-        draws = StagedDraws((
-            _p4_draws(n, l, bob_rng, alice_rng),
-            _p4_draws(n, l, alice_rng, bob_rng),
-            _p4_draws(n, l, bob_rng, alice_rng),
-        ))
-    tr = Transcript("p5", n, l, 0, x, draws=draws)
-
-    first = _run_inverted_two_pass(
-        tr, x, n, l, ALICE, BOB, keys.alice_tag, keys.bob_tag, draws.stages[0],
-        alice_rng, bob_rng, eve_rng, attack, 0, snapshots, qubit_cap,
-    )
-    echo = _run_inverted_two_pass(
-        tr, first, n, l, BOB, ALICE, keys.bob_tag, keys.alice_tag, draws.stages[1],
-        bob_rng, alice_rng, eve_rng, attack, 2, snapshots, qubit_cap,
-    )
-    second = _run_inverted_two_pass(
-        tr, x, n, l, ALICE, BOB, keys.alice_tag, keys.bob_tag, draws.stages[2],
-        alice_rng, bob_rng, eve_rng, attack, 4, snapshots, qubit_cap,
-    )
-    tr.recovered = first
-    tr.alice_accepts = echo == x
-    tr.bob_accepts = first == second
-    return tr
+    return _run_stages("p5", x, n, l, keys, rng, draws, attack, snapshots, qubit_cap)
 
 
 def run_protocol6(
@@ -751,36 +768,23 @@ def run_protocol6(
     the one-time key. Stage two returns the tag he received through a
     second exchange; Alice accepts when it equals the tag she computed.
     """
-    _check_message(x, n)
     if keys.mac_key is None:
         raise ProtocolError("p6 needs a one-time authentication key")
     if keys.mac_key.t != t:
         raise ProtocolError(f"authentication key width {keys.mac_key.t} != t={t}")
     if keys.alice_tag_echo is None or keys.bob_tag_echo is None:
         raise ProtocolError("p6 needs tag functions for the echo stage")
-    _check_cap("p6", n, l, t, qubit_cap)
-    alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
-    if draws is None:
-        draws = StagedDraws((
-            _p4_draws(n + t, l, bob_rng, alice_rng),
-            _p4_draws(t, l, alice_rng, bob_rng),
-        ))
-    tr = Transcript("p6", n, l, t, x, draws=draws)
+    channel, _, stage = _open_session("p6", x, n, l, t, keys, rng, draws, attack,
+                                      snapshots, qubit_cap)
+    tr = channel.transcript
 
     auth_tag = mac_tag(keys.mac_key, x, n)
-    packed = (x << t) | auth_tag
-    received = _run_inverted_two_pass(
-        tr, packed, n + t, l, ALICE, BOB, keys.alice_tag, keys.bob_tag,
-        draws.stages[0], alice_rng, bob_rng, eve_rng, attack, 0, snapshots, qubit_cap,
-    )
+    received = stage(0, (x << t) | auth_tag)
     got_message = received >> t
     got_tag = received & ((1 << t) - 1)
     tr.mac_accepts = mac_verify(keys.mac_key, got_message, n, got_tag)
 
-    echoed = _run_inverted_two_pass(
-        tr, got_tag, t, l, BOB, ALICE, keys.bob_tag_echo, keys.alice_tag_echo,
-        draws.stages[1], bob_rng, alice_rng, eve_rng, attack, 2, snapshots, qubit_cap,
-    )
+    echoed = stage(1, got_tag)
     tr.recovered = got_message
     tr.alice_accepts = echoed == auth_tag
     tr.bob_accepts = tr.mac_accepts
@@ -790,11 +794,6 @@ def run_protocol6(
 # ---------------------------------------------------------------------------
 # One-shot broadcast (exploratory)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NonintDraws:
-    pad: int
 
 
 def run_noninteractive(
@@ -815,26 +814,39 @@ def run_noninteractive(
     certifies security of this variant, and the experiments treat its
     channel views purely as regression data.
     """
-    _check_message(x, n)
-    _check_cap("nonint", n, l, 0, qubit_cap)
-    alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
-    if draws is None:
-        draws = NonintDraws(sample_pad(l, alice_rng).value)
-    tr = Transcript("nonint", n, l, 0, x, draws=draws)
+    channel, rngs, _ = _open_session("nonint", x, n, l, 0, keys, rng, draws, attack,
+                                     snapshots, qubit_cap)
+    tr = channel.transcript
+    alice = Party(ALICE, rngs[ALICE], keys.alice_tag)
+    bob = Party(BOB, rngs[BOB], None, keys.alice_tag)
 
     state = init_basis_state([Register("R1", n, Holder.ALICE)], {"R1": x},
                              qubit_cap=qubit_cap)
     state = state.apply_hadamard("R1")
-    state = state.extend("R2", l, Holder.ALICE)
-    state = state.apply_xor_oracle("R1", "R2", keys.alice_tag.table, pad=draws.pad)
-    state = _transmit(state, tr, 1, ["R1", "R2"], ALICE, BOB, attack, eve_rng, snapshots)
+    state = alice.tag(state, "R2", l, tr.draws.pad)
+    state = channel.send(state, ("R1", "R2"), alice, bob)
 
-    state = state.apply_xor_oracle("R1", "R2", keys.alice_tag.table)
-    _, state = _measure(state, tr, BOB, "R2", bob_rng)
-    state = state.discard("R2")
+    state = channel.strip(state, bob, "R2")
     state = state.apply_hadamard("R1")
-    tr.recovered, state = _measure(state, tr, BOB, "R1", bob_rng)
+    tr.recovered, state = channel.measure(state, bob, "R1")
     return tr
+
+
+def run_session(protocol: str, x: int, n: int, l: int, t: int, keys, **kw) -> Transcript:
+    """Run one session of any protocol, passing each runner the widths it takes.
+
+    The runner is looked up by its public name on every call, so a
+    rebound `run_*` name (a tracing wrapper, say) is the one that runs.
+    """
+    if protocol not in PROTOCOL_IDS:
+        raise ProtocolError(f"unknown protocol {protocol!r}")
+    special = {"nonint": "run_noninteractive", "two-round": "run_two_round"}
+    run = globals()[special.get(protocol, f"run_protocol{protocol[1:]}")]
+    if protocol == "p1":
+        return run(x, n, **kw)
+    if protocol == "p6":
+        return run(x, n, l, t, keys, **kw)
+    return run(x, n, l, keys, **kw)
 
 
 def noninteractive_view(
@@ -888,24 +900,6 @@ class EveView:
     runs: int
 
 
-_RUNNERS: dict[str, Callable] = {}
-
-
-def _runner(protocol: str) -> Callable:
-    if not _RUNNERS:
-        _RUNNERS.update({
-            "p1": lambda x, n, l, t, keys, **kw: run_protocol1(x, n, **kw),
-            "p2": lambda x, n, l, t, keys, **kw: run_protocol2(x, n, l, keys, **kw),
-            "p3": lambda x, n, l, t, keys, **kw: run_protocol3(x, n, l, keys, **kw),
-            "p4": lambda x, n, l, t, keys, **kw: run_protocol4(x, n, l, keys, **kw),
-            "p5": lambda x, n, l, t, keys, **kw: run_protocol5(x, n, l, keys, **kw),
-            "p6": lambda x, n, l, t, keys, **kw: run_protocol6(x, n, l, t, keys, **kw),
-            "nonint": lambda x, n, l, t, keys, **kw: run_noninteractive(x, n, l, keys, **kw),
-            "two-round": lambda x, n, l, t, keys, **kw: run_two_round(x, n, l, keys, **kw),
-        })
-    return _RUNNERS[protocol]
-
-
 def _round_secrets(protocol: str, round_index: int):
     """Which pad field and which party's tag function a round carries.
 
@@ -919,25 +913,11 @@ def _round_secrets(protocol: str, round_index: int):
         raise ValueError("the untagged protocol has no secrets to average over")
     if protocol == "nonint":
         return 0, "pad", ALICE, "alice_tag"
-    if protocol in ("p2", "p3"):
-        stage = (round_index - 1) // 3
-        sub = (round_index - 1) % 3 + 1
-        sender = ALICE if stage != 1 else BOB
-        receiver = BOB if stage != 1 else ALICE
-        field_name = {1: "first_pad", 2: "reply_pad", 3: "final_pad"}[sub]
-        owner = sender if sub in (1, 3) else receiver
-        return stage, field_name, owner, f"{owner}_tag"
-    # Receiver-initiated family.
-    stage = (round_index - 1) // 2
-    sub = (round_index - 1) % 2 + 1
-    sender = ALICE if stage != 1 else BOB
-    receiver = BOB if stage != 1 else ALICE
-    field_name = "receiver_pad" if sub == 1 else "sender_pad"
-    owner = receiver if sub == 1 else sender
-    attr = f"{owner}_tag"
-    if protocol == "p6" and stage == 1:
-        attr += "_echo"
-    return stage, field_name, owner, attr
+    passes = [(index, stage, pad) for index, stage in enumerate(STAGES[protocol])
+              for pad in stage.exchange.pads]
+    index, stage, (field_name, senders_tag) = passes[round_index - 1]
+    owner = stage.sender if senders_tag else _PEER[stage.sender]
+    return index, field_name, owner, f"{owner}_tag{stage.keys}"
 
 
 def eve_average_view(
@@ -988,18 +968,15 @@ def eve_average_view(
                                         f"{base_fn.n}-to-{base_fn.l}-bit tag functions")
         fn_values = list(enumerate_functions(base_fn.n, base_fn.l, enum_limit))
     else:
-        fn_values = [getattr(keys, tag_attr)] if keys is not None else [None]
+        fn_values = [getattr(keys, tag_attr)]
 
-    run = _runner(protocol)
     rho_sum = None
     runs = 0
     for pad_value, fn in itertools.product(pad_values, fn_values):
         new_draws = _set_pad(transcript.draws, protocol, stage, pad_field, pad_value)
-        new_keys = keys
-        if keys is not None and fn is not None:
-            new_keys = replace(keys, **{tag_attr: fn})
-        redo = run(
-            transcript.message, transcript.n, l, transcript.t, new_keys,
+        new_keys = replace(keys, **{tag_attr: fn})
+        redo = run_session(
+            protocol, transcript.message, transcript.n, l, transcript.t, new_keys,
             rng=0, draws=new_draws, attack=None, snapshots=True,
             qubit_cap=qubit_cap,
         )
@@ -1016,13 +993,11 @@ def eve_average_view(
 
 
 def _get_pad(draws, protocol: str, stage: int, field_name: str) -> int:
-    if protocol in ("p3", "p5", "p6"):
-        return getattr(draws.stages[stage], field_name)
-    return getattr(draws, field_name)
+    return getattr(draws.stages[stage] if _staged(protocol) else draws, field_name)
 
 
 def _set_pad(draws, protocol: str, stage: int, field_name: str, value: int):
-    if protocol in ("p3", "p5", "p6"):
+    if _staged(protocol):
         stages = list(draws.stages)
         stages[stage] = replace(stages[stage], **{field_name: value})
         return StagedDraws(tuple(stages))

@@ -57,12 +57,11 @@ class EntangledRegisterError(RuntimeError):
 
 
 class Holder(str, enum.Enum):
-    """Who currently holds a register. Channel means in transit."""
+    """Who currently holds a register."""
 
     ALICE = "alice"
     BOB = "bob"
     EVE = "eve"
-    CHANNEL = "channel"
 
 
 @dataclass(frozen=True)

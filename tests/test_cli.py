@@ -121,6 +121,21 @@ def test_pinned_table_flags_flow_through(tmp_path):
     assert ExperimentReport.read(out).body["config"]["sa_file"] == str(sa)
 
 
+def test_pins_without_a_matching_secret_exit_two(tmp_path, capsys):
+    out = tmp_path / "refused.json"
+    rc = run_cli("run", "--protocol", "p1", "--n", "2", "--sa-file", str(tmp_path / "f.tbl"),
+                 "--sb-file", str(tmp_path / "nonexistent"), "--out", str(out))
+    assert rc == 2
+    assert "no tag functions to pin" in capsys.readouterr().err
+    perm = tmp_path / "perm.txt"
+    assert run_cli("tables", "sample", "--kind", "perm", "--n", "2", "--out", str(perm)) == 0
+    rc = run_cli("run", "--protocol", "nonint", "--n", "2", "--l", "1",
+                 "--fa-file", str(perm), "--out", str(out))
+    assert rc == 2
+    assert "no permutations to pin" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_writes_grid_and_skips_invalid(tmp_path, capsys):
     rc = run_cli("sweep", "--protocols", "p1,p2", "--n", "1,2", "--l", "1",
                  "--seed", "3", "--out-dir", str(tmp_path))

@@ -1,6 +1,7 @@
 """Experiment driver: configs, reports, reproduction, attack paths."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ def test_config_rejects_bad_fields():
         ExperimentConfig("p2", n=2, l=1, exhaustive_keys=True)
     with pytest.raises(ConfigError, match="table pinning"):
         ExperimentConfig("p3", n=2, l=1, fa_file="whatever")
+    with pytest.raises(ConfigError, match="no tag functions"):
+        ExperimentConfig("p1", n=2, sb_file="whatever")
+    with pytest.raises(ConfigError, match="no permutations"):
+        ExperimentConfig("nonint", n=2, l=1, fb_file="whatever")
+    with pytest.raises(ConfigError, match="no sender permutation"):
+        ExperimentConfig("two-round", n=2, l=1, fa_file="whatever")
 
 
 def test_config_inherits_protocol_validation():
@@ -306,6 +313,27 @@ def test_verify_detects_tampering(tmp_path):
     ok, detail = verify_report(path)
     assert not ok
     assert "differ" in detail
+
+
+GOLDEN_REPORT = Path(__file__).resolve().parent.parent / "docs" / "golden_report.json"
+
+
+def test_golden_report_reproduces():
+    ok, detail = verify_report(GOLDEN_REPORT)
+    assert ok, detail
+
+
+def test_verify_names_the_first_differing_field(tmp_path):
+    doc = json.loads(GOLDEN_REPORT.read_text())
+    record = doc["results"]["runs"][0]["measurements"][1]
+    fresh = record["outcome"]
+    record["outcome"] = fresh ^ 1
+    path = tmp_path / "golden_edited.json"
+    path.write_text(json.dumps(doc))
+    ok, detail = verify_report(path)
+    assert not ok
+    assert detail.startswith(f"bodies differ at body.results.runs[0].measurements[1].outcome: "
+                             f"stored {fresh ^ 1}, fresh {fresh} ")
 
 
 def test_meta_excluded_from_body_bytes(tmp_path):

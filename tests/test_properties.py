@@ -26,7 +26,7 @@ SESSIONS = st.tuples(
 
 def _session(protocol, x, n, l, t, keys, **kw):
     try:
-        return proto._runner(protocol)(x, n, l, t, keys, snapshots=False, **kw)
+        return proto.run_session(protocol, x, n, l, t, keys, snapshots=False, **kw)
     except EntangledRegisterError as exc:
         raise AssertionError(f"{protocol} n={n} l={l} t={t}: {exc}") from exc
 

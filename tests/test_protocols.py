@@ -20,37 +20,22 @@ from qnokey.protocols import (
     eve_average_view,
     noninteractive_view,
     peak_live_width,
-    run_noninteractive,
     run_protocol1,
     run_protocol2,
-    run_protocol3,
-    run_protocol4,
-    run_protocol5,
     run_protocol6,
+    run_session,
     run_two_round,
     sample_draws,
     sample_shared_keys,
 )
 from qnokey.qstate import is_maximally_mixed, trace_distance
 
-RUNNERS = {
-    "p1": lambda x, n, l, t, keys, **kw: run_protocol1(x, n, **kw),
-    "p2": lambda x, n, l, t, keys, **kw: run_protocol2(x, n, l, keys, **kw),
-    "p3": lambda x, n, l, t, keys, **kw: run_protocol3(x, n, l, keys, **kw),
-    "p4": lambda x, n, l, t, keys, **kw: run_protocol4(x, n, l, keys, **kw),
-    "p5": lambda x, n, l, t, keys, **kw: run_protocol5(x, n, l, keys, **kw),
-    "p6": lambda x, n, l, t, keys, **kw: run_protocol6(x, n, l, t, keys, **kw),
-    "two-round": lambda x, n, l, t, keys, **kw: run_two_round(x, n, l, keys, **kw),
-    "nonint": lambda x, n, l, t, keys, **kw: run_noninteractive(x, n, l, keys, **kw),
-}
-
-
-def run_session(protocol, x, n, l=0, t=0, seed=0, **kw):
+def seeded_session(protocol, x, n, l=0, t=0, seed=0, **kw):
     rng = make_rng(seed)
     keys = None
     if protocol != "p1":
         keys = sample_shared_keys(protocol, n, l, t, rng.spawn(1)[0])
-    return RUNNERS[protocol](x, n, l, t, keys, rng=rng, **kw), keys
+    return run_session(protocol, x, n, l, t, keys, rng=rng, **kw), keys
 
 
 # -- honest correctness and round counts ---------------------------------------
@@ -61,7 +46,7 @@ def test_honest_run_recovers_message_and_counts_rounds(protocol):
     n, l, t = 2, 1, 2
     for seed in range(3):
         for x in range(1 << n):
-            tr, _ = run_session(protocol, x, n, l, t, seed=seed)
+            tr, _ = seeded_session(protocol, x, n, l, t, seed=seed)
             assert tr.recovered == x
             assert tr.rounds == ROUND_COUNTS[protocol]
             assert [tx.round_index for tx in tr.transmissions] == \
@@ -75,7 +60,7 @@ def test_round_count_table_matches_contract():
 
 def test_three_stage_protocols_set_verdicts():
     for protocol in ("p3", "p5"):
-        tr, _ = run_session(protocol, 1, 2, 2, seed=5)
+        tr, _ = seeded_session(protocol, 1, 2, 2, seed=5)
         assert tr.alice_accepts is True
         assert tr.bob_accepts is True
 
@@ -94,9 +79,9 @@ def test_p1_known_seed_case():
 
 
 def test_p2_and_p4_smallest_cases():
-    tr, _ = run_session("p2", 0, 1, 1, seed=9)
+    tr, _ = seeded_session("p2", 0, 1, 1, seed=9)
     assert tr.recovered == 0
-    tr, _ = run_session("p4", 1, 1, 1, seed=9)
+    tr, _ = seeded_session("p4", 1, 1, 1, seed=9)
     assert tr.recovered == 1
 
 
@@ -104,7 +89,7 @@ def test_p2_measurement_log_owners():
     # Pads come off in a fixed ownership order: the receiver reads the
     # sender's first pad, the sender reads the reply pad, the receiver
     # reads the final pad and then decodes.
-    tr, _ = run_session("p2", 3, 2, 2, seed=1)
+    tr, _ = seeded_session("p2", 3, 2, 2, seed=1)
     owners = [(m.owner, m.register) for m in tr.measurements]
     assert owners == [("bob", "R3"), ("alice", "R5"), ("bob", "R6"), ("bob", "R1")]
 
@@ -172,7 +157,7 @@ def test_p2_per_run_snapshots_are_tag_graphs():
     # so the channel state is diagonal, uniform over the graph of the
     # padded tag map active that round.
     n, l = 2, 2
-    tr, keys = run_session("p2", 3, n, l, seed=7)
+    tr, keys = seeded_session("p2", 3, n, l, seed=7)
     d = tr.draws
     graphs = [
         (keys.alice_tag, d.first_pad),
@@ -188,7 +173,7 @@ def test_p2_per_run_snapshots_are_tag_graphs():
 
 
 def test_p2_per_run_snapshot_is_not_maximally_mixed():
-    tr, _ = run_session("p2", 1, 2, 1, seed=3)
+    tr, _ = seeded_session("p2", 1, 2, 1, seed=3)
     ok, dev = is_maximally_mixed(tr.snapshot(1))
     assert not ok
     assert dev >= 1 / 8  # a diagonal graph state sits far from I/2^(n+l)
@@ -196,7 +181,7 @@ def test_p2_per_run_snapshot_is_not_maximally_mixed():
 
 def test_p4_per_run_snapshots_are_tag_graphs():
     n, l = 2, 2
-    tr, keys = run_session("p4", 2, n, l, seed=11)
+    tr, keys = seeded_session("p4", 2, n, l, seed=11)
     d = tr.draws
     graphs = [(keys.bob_tag, d.receiver_pad), (keys.alice_tag, d.sender_pad)]
     for r, (fn, pad) in enumerate(graphs, start=1):
@@ -208,7 +193,7 @@ def test_p4_per_run_snapshots_are_tag_graphs():
 
 
 def test_snapshot_accessor_errors():
-    tr, _ = run_session("p2", 1, 2, 1, seed=0, snapshots=False)
+    tr, _ = seeded_session("p2", 1, 2, 1, seed=0, snapshots=False)
     assert tr.recovered == 1
     with pytest.raises(ValueError, match="without snapshots"):
         tr.snapshot(1)
@@ -221,7 +206,7 @@ def test_snapshot_accessor_errors():
 
 def test_p2_pad_average_is_maximally_mixed():
     for n, l in ((2, 1), (2, 2)):
-        tr, keys = run_session("p2", 3, n, l, seed=13)
+        tr, keys = seeded_session("p2", 3, n, l, seed=13)
         for r in (1, 2, 3):
             view = eve_average_view(tr, r, keys=keys, average_over=("pads",))
             ok, dev = is_maximally_mixed(view.rho, tol=1e-9)
@@ -230,7 +215,7 @@ def test_p2_pad_average_is_maximally_mixed():
 
 
 def test_p4_pad_average_is_maximally_mixed():
-    tr, keys = run_session("p4", 2, 2, 2, seed=14)
+    tr, keys = seeded_session("p4", 2, 2, 2, seed=14)
     for r in (1, 2):
         view = eve_average_view(tr, r, keys=keys, average_over=("pads",))
         ok, dev = is_maximally_mixed(view.rho, tol=1e-9)
@@ -238,7 +223,7 @@ def test_p4_pad_average_is_maximally_mixed():
 
 
 def test_pad_and_key_average_matches_pad_only_result():
-    tr, keys = run_session("p2", 1, 2, 1, seed=15)
+    tr, keys = seeded_session("p2", 1, 2, 1, seed=15)
     pads_only = eve_average_view(tr, 1, keys=keys, average_over=("pads",))
     both = eve_average_view(tr, 1, keys=keys, average_over=("pads", "keys"))
     assert both.runs == 2 * 16
@@ -246,7 +231,7 @@ def test_pad_and_key_average_matches_pad_only_result():
 
 
 def test_empty_average_returns_per_run_snapshot():
-    tr, keys = run_session("p2", 1, 2, 1, seed=16)
+    tr, keys = seeded_session("p2", 1, 2, 1, seed=16)
     view = eve_average_view(tr, 1, keys=keys, average_over=())
     assert view.runs == 1
     assert view.averaged_over == ()
@@ -254,7 +239,7 @@ def test_empty_average_returns_per_run_snapshot():
 
 
 def test_average_rejects_unknown_kind_and_limits():
-    tr, keys = run_session("p2", 1, 2, 1, seed=17)
+    tr, keys = seeded_session("p2", 1, 2, 1, seed=17)
     with pytest.raises(ValueError, match="unknown averaging"):
         eve_average_view(tr, 1, keys=keys, average_over=("noise",))
     with pytest.raises(EnumerationLimitError):
@@ -302,9 +287,9 @@ def test_sample_draws_mirrors_runner_streams():
         n, l, t = 2, 1, 2
         keys = sample_shared_keys(protocol, n, l, t, make_rng(99)) \
             if protocol != "p1" else None
-        a = RUNNERS[protocol](1, n, l, t, keys, rng=make_rng(33))
+        a = run_session(protocol, 1, n, l, t, keys, rng=make_rng(33))
         pre = sample_draws(protocol, n, l, t, make_rng(33))
-        b = RUNNERS[protocol](1, n, l, t, keys, rng=make_rng(33), draws=pre)
+        b = run_session(protocol, 1, n, l, t, keys, rng=make_rng(33), draws=pre)
         assert a.draws == b.draws
         assert [m.outcome for m in a.measurements] == \
             [m.outcome for m in b.measurements]
@@ -320,7 +305,7 @@ def test_p1_draw_width_validated():
 
 
 def test_p6_honest_verdicts():
-    tr, _ = run_session("p6", 2, 2, 2, t=3, seed=21)
+    tr, _ = seeded_session("p6", 2, 2, 2, t=3, seed=21)
     assert tr.recovered == 2
     assert tr.mac_accepts is True
     assert tr.bob_accepts is True
@@ -345,7 +330,7 @@ def test_p6_rejects_key_width_mismatch():
 
 def test_noninteractive_decodes_for_key_holder():
     for x in range(4):
-        tr, _ = run_session("nonint", x, 2, 1, seed=23)
+        tr, _ = seeded_session("nonint", x, 2, 1, seed=23)
         assert tr.recovered == x
         assert tr.rounds == 1
 
