@@ -77,6 +77,7 @@ ALICE = Holder.ALICE.value
 BOB = Holder.BOB.value
 EVE = Holder.EVE.value
 _PEER = {ALICE: BOB, BOB: ALICE}
+_HOLDERS = {holder.value: holder for holder in Holder}  # cheaper than Holder(name)
 
 
 class ProtocolError(ValueError):
@@ -298,13 +299,14 @@ class Party(NamedTuple):
 
     def tag(self, state: CompositeState, register: str, l: int, pad: int) -> CompositeState:
         """Attach a fresh register holding this party's padded tag of R1."""
-        state = state.extend(register, l, Holder(self.name))
+        state = state.extend(register, l, _HOLDERS[self.name])
         return state.apply_xor_oracle("R1", register, self.tags_with.table, pad=pad)
 
 
 class Channel(NamedTuple):
-    """The line of one session: what crosses it is logged in the
-    transcript, and `attack` (if any) touches it with `eve_rng`."""
+    """One session's line: passes and measurements are logged in the
+    transcript, `attack` (if any) touches each pass with `eve_rng`, and
+    the exchanges start their states under `qubit_cap`."""
 
     transcript: Transcript
     attack: object
@@ -332,7 +334,7 @@ class Channel(NamedTuple):
         tr.transmissions.append(
             Transmission(round_index, sender.name, receiver.name, regs, snap)
         )
-        return state.with_holder(names, Holder(receiver.name))
+        return state.with_holder(names, _HOLDERS[receiver.name])
 
     def measure(self, state: CompositeState, party: Party, name: str):
         outcome, state = state.measure(name, party.rng)
@@ -442,7 +444,7 @@ def _run_tagged_three_pass(
     """
     _check_tag_fn(sender.tags_with, n, l, sender.name)
     _check_tag_fn(receiver.tags_with, n, l, receiver.name)
-    sh, rh = Holder(sender.name), Holder(receiver.name)
+    sh, rh = _HOLDERS[sender.name], _HOLDERS[receiver.name]
 
     state = init_basis_state([Register("R1", n, sh)], {"R1": x},
                              qubit_cap=channel.qubit_cap)
@@ -506,7 +508,7 @@ def _run_inverted_two_pass(
     """
     _check_tag_fn(sender.tags_with, n, l, sender.name)
     _check_tag_fn(receiver.tags_with, n, l, receiver.name)
-    rh = Holder(receiver.name)
+    rh = _HOLDERS[receiver.name]
 
     state = init_basis_state([Register("R1", n, rh)], None, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
