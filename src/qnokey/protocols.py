@@ -297,11 +297,6 @@ class Party(NamedTuple):
     tags_with: BooleanFunction | None = None
     strips_with: BooleanFunction | None = None
 
-    def tag(self, state: CompositeState, register: str, l: int, pad: int) -> CompositeState:
-        """Attach a fresh register holding this party's padded tag of R1."""
-        state = state.extend(register, l, _HOLDERS[self.name])
-        return state.apply_xor_oracle("R1", register, self.tags_with.table, pad=pad)
-
 
 class Channel(NamedTuple):
     """One session's line: passes and measurements are logged in the
@@ -342,13 +337,6 @@ class Channel(NamedTuple):
             MeasurementRecord(party.name, name, state.register(name).width, outcome)
         )
         return outcome, state
-
-    def strip(self, state: CompositeState, party: Party, register: str) -> CompositeState:
-        """`party` strips the tag off a received register, measures and
-        logs the bare pad left there, and drops the register."""
-        state = state.apply_xor_oracle("R1", register, party.strips_with.table)
-        _, state = self.measure(state, party, register)
-        return state.discard(register)
 
 
 # ---------------------------------------------------------------------------
@@ -451,27 +439,36 @@ def _run_tagged_three_pass(
     state = state.apply_hadamard("R1")
     state = state.extend("R2", n, sh)
     state = state.apply_xor_oracle("R1", "R2", draws.sender_perm.table)
-    state = sender.tag(state, "R3", l, draws.first_pad)
+    state = state.extend("R3", l, sh)
+    state = state.apply_xor_oracle("R1", "R3", sender.tags_with.table, pad=draws.first_pad)
     state = channel.send(state, ("R1", "R3"), sender, receiver)
 
     # Receiver: expose and log the sender's pad, then bind own secrets.
-    state = channel.strip(state, receiver, "R3")
+    state = state.apply_xor_oracle("R1", "R3", receiver.strips_with.table)
+    _, state = channel.measure(state, receiver, "R3")
+    state = state.discard("R3")
     state = state.extend("R4", n, rh)
     state = state.apply_xor_oracle("R1", "R4", draws.receiver_perm.table)
-    state = receiver.tag(state, "R5", l, draws.reply_pad)
+    state = state.extend("R5", l, rh)
+    state = state.apply_xor_oracle("R1", "R5", receiver.tags_with.table, pad=draws.reply_pad)
     state = channel.send(state, ("R1", "R5"), receiver, sender)
 
     # Sender: detach own permutation, expose the receiver's pad, re-tag.
     state = state.apply_xor_oracle("R1", "R2", draws.sender_perm.table)
     state = state.discard("R2")
-    state = channel.strip(state, sender, "R5")
-    state = sender.tag(state, "R6", l, draws.final_pad)
+    state = state.apply_xor_oracle("R1", "R5", sender.strips_with.table)
+    _, state = channel.measure(state, sender, "R5")
+    state = state.discard("R5")
+    state = state.extend("R6", l, sh)
+    state = state.apply_xor_oracle("R1", "R6", sender.tags_with.table, pad=draws.final_pad)
     state = channel.send(state, ("R1", "R6"), sender, receiver)
 
     # Receiver: detach own permutation, expose the final pad, decode.
     state = state.apply_xor_oracle("R1", "R4", draws.receiver_perm.table)
     state = state.discard("R4")
-    state = channel.strip(state, receiver, "R6")
+    state = state.apply_xor_oracle("R1", "R6", receiver.strips_with.table)
+    _, state = channel.measure(state, receiver, "R6")
+    state = state.discard("R6")
     state = state.apply_hadamard("R1")
     outcome, state = channel.measure(state, receiver, "R1")
     return outcome
@@ -508,23 +505,30 @@ def _run_inverted_two_pass(
     """
     _check_tag_fn(sender.tags_with, n, l, sender.name)
     _check_tag_fn(receiver.tags_with, n, l, receiver.name)
-    rh = _HOLDERS[receiver.name]
+    sh, rh = _HOLDERS[sender.name], _HOLDERS[receiver.name]
 
     state = init_basis_state([Register("R1", n, rh)], None, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
     state = state.extend("R2", n, rh)
     state = state.apply_xor_oracle("R1", "R2", draws.receiver_perm.table)
-    state = receiver.tag(state, "R3", l, draws.receiver_pad)
+    state = state.extend("R3", l, rh)
+    state = state.apply_xor_oracle("R1", "R3", receiver.tags_with.table,
+                                   pad=draws.receiver_pad)
     state = channel.send(state, ("R1", "R3"), receiver, sender)
 
     # Sender: expose the receiver's pad, write the message into phases.
-    state = channel.strip(state, sender, "R3")
+    state = state.apply_xor_oracle("R1", "R3", sender.strips_with.table)
+    _, state = channel.measure(state, sender, "R3")
+    state = state.discard("R3")
     state = state.apply_phase_flip("R1", x)
-    state = sender.tag(state, "R4", l, draws.sender_pad)
+    state = state.extend("R4", l, sh)
+    state = state.apply_xor_oracle("R1", "R4", sender.tags_with.table, pad=draws.sender_pad)
     state = channel.send(state, ("R1", "R4"), sender, receiver)
 
     # Receiver: expose the sender's pad, unscramble, decode the phases.
-    state = channel.strip(state, receiver, "R4")
+    state = state.apply_xor_oracle("R1", "R4", receiver.strips_with.table)
+    _, state = channel.measure(state, receiver, "R4")
+    state = state.discard("R4")
     state = state.apply_xor_oracle("R1", "R2", draws.receiver_perm.table)
     state = state.discard("R2")
     state = state.apply_hadamard("R1")
@@ -819,16 +823,18 @@ def run_noninteractive(
     channel, rngs, _ = _open_session("nonint", x, n, l, 0, keys, rng, draws, attack,
                                      snapshots, qubit_cap)
     tr = channel.transcript
-    alice = Party(ALICE, rngs[ALICE], keys.alice_tag)
-    bob = Party(BOB, rngs[BOB], None, keys.alice_tag)
+    alice, bob = Party(ALICE, rngs[ALICE]), Party(BOB, rngs[BOB])
 
     state = init_basis_state([Register("R1", n, Holder.ALICE)], {"R1": x},
                              qubit_cap=qubit_cap)
     state = state.apply_hadamard("R1")
-    state = alice.tag(state, "R2", l, tr.draws.pad)
+    state = state.extend("R2", l, Holder.ALICE)
+    state = state.apply_xor_oracle("R1", "R2", keys.alice_tag.table, pad=tr.draws.pad)
     state = channel.send(state, ("R1", "R2"), alice, bob)
 
-    state = channel.strip(state, bob, "R2")
+    state = state.apply_xor_oracle("R1", "R2", keys.alice_tag.table)
+    _, state = channel.measure(state, bob, "R2")
+    state = state.discard("R2")
     state = state.apply_hadamard("R1")
     tr.recovered, state = channel.measure(state, bob, "R1")
     return tr
