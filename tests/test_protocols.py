@@ -7,16 +7,22 @@ the relevant tag function, and only the pad-averaged views flatten to
 the identity.
 """
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qnokey.oracles import EnumerationLimitError, make_rng
+from qnokey.adversary import PhaseAttack
+from qnokey.oracles import EnumerationLimitError, enumerate_functions, make_rng
 from qnokey.protocols import (
     PROTOCOL_IDS,
     ROUND_COUNTS,
     ProtocolError,
     ProtocolParams,
+    StagedDraws,
     Transcript,
+    _round_secrets,
     eve_average_view,
     noninteractive_view,
     peak_live_width,
@@ -247,6 +253,42 @@ def test_average_rejects_unknown_kind_and_limits():
     with pytest.raises(EnumerationLimitError):
         eve_average_view(tr, 1, keys=keys, average_over=("pads", "keys"),
                          enum_limit=8)
+
+
+def rerun_average(tr, round_index, keys, kinds):
+    """Reference mixture: re-run the honest session once per enumerated
+    secret with that secret substituted, and average the snapshots."""
+    stage, pad_field, _, tag_attr = _round_secrets(tr.protocol, round_index)
+    staged = isinstance(tr.draws, StagedDraws)
+    stages = list(tr.draws.stages) if staged else [tr.draws]
+    base_fn = getattr(keys, tag_attr)
+    pads = range(1 << tr.l) if "pads" in kinds else [getattr(stages[stage], pad_field)]
+    fns = list(enumerate_functions(base_fn.n, base_fn.l)) if "keys" in kinds else [base_fn]
+    total = None
+    for pad, fn in itertools.product(pads, fns):
+        stages[stage] = replace(stages[stage], **{pad_field: pad})
+        draws = StagedDraws(tuple(stages)) if staged else stages[0]
+        redo = run_session(tr.protocol, tr.message, tr.n, tr.l, tr.t,
+                           replace(keys, **{tag_attr: fn}), rng=0, draws=draws)
+        snap = redo.snapshot(round_index).matrix
+        total = snap if total is None else total + snap
+    return total / (len(pads) * len(fns))
+
+
+@pytest.mark.parametrize("protocol", [p for p in PROTOCOL_IDS if p != "p1"])
+def test_average_view_is_bit_exact_against_reruns(protocol):
+    # Honest and phase-attacked transcripts both average the honest
+    # channel, so the attacked one must not leak its own snapshot in.
+    t = 1 if protocol == "p6" else 0
+    for n, l, kinds in ((2, 2, ("pads",)), (1, 1, ("pads", "keys"))):
+        keys = sample_shared_keys(protocol, n, l, t, make_rng(40 + n))
+        x = (1 << n) - 1
+        for attack in (None, PhaseAttack(mask=1)):
+            tr = run_session(protocol, x, n, l, t, keys, rng=make_rng(n + l), attack=attack)
+            for r in range(1, ROUND_COUNTS[protocol] + 1):
+                view = eve_average_view(tr, r, keys=keys, average_over=kinds)
+                assert np.array_equal(view.rho.matrix, rerun_average(tr, r, keys, kinds)), \
+                    (n, l, kinds, attack, r)
 
 
 def test_averaged_views_identical_under_key_reuse():
