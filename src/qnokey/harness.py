@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from . import adversary, protocols as proto
-from .oracles import DEFAULT_ENUM_LIMIT, make_rng
+from .oracles import DEFAULT_ENUM_LIMIT, EnumerationLimitError, count_functions, make_rng
 from .qstate import ATOL_DENSITY, ATOL_SCALAR, DEFAULT_QUBIT_CAP, DensityMatrix, is_maximally_mixed, trace_distance
 
 REPORT_FORMAT_VERSION = 1
@@ -69,6 +69,24 @@ class ExperimentConfig:
                              self.qubit_cap, self.enum_limit)
         if self.average not in ("none", "pads", "pads+keys"):
             raise ConfigError(f"unknown averaging mode {self.average!r}")
+        # Refuse fields no session of the protocol would use.
+        if self.protocol != "p6" and self.t != 0:
+            raise ConfigError(f"only p6 carries an authentication tag; {self.protocol} "
+                              f"needs t=0, got {self.t}")
+        if self.protocol == "p1" and (self.l != 0 or self.average != "none"):
+            raise ConfigError("the untagged protocol has no tag register and no secrets "
+                              "to average; it needs l=0 and average none")
+        if self.average != "none":
+            # Each view enumerates pads, times tag functions on the widest stage.
+            width = max((stage.width(self.n, self.t)
+                         for stage in proto.STAGES.get(self.protocol, ())), default=self.n)
+            count = 1 << self.l
+            what = f"{self.l}-bit pads"
+            if self.average == "pads+keys":
+                count *= count_functions(width, self.l)
+                what += f" times {width}-to-{self.l}-bit tag functions"
+            if count > self.enum_limit:
+                raise EnumerationLimitError(count, self.enum_limit, what)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.messages is not None:

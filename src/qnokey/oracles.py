@@ -28,7 +28,10 @@ class EnumerationLimitError(ValueError):
     def __init__(self, count: int, limit: int, what: str):
         self.count = count
         self.limit = limit
-        super().__init__(f"enumerating {what} needs {count} items, limit is {limit}")
+        # Families are powers of two; past 2**64 print the exponent, not
+        # thousands of digits (which int-to-str conversion also refuses).
+        shown = count if count < 1 << 64 or count & (count - 1) else f"2**{count.bit_length() - 1}"
+        super().__init__(f"enumerating {what} needs {shown} items, limit is {limit}")
 
 
 def make_rng(seed) -> np.random.Generator:

@@ -37,14 +37,16 @@ session; eve_average_view computes the exact mixture over enumerated
 one-time values (and optionally over the tag-function family), which is
 the object the indistinguishability claims are about. The two are kept
 strictly separate because per-run snapshots of the tagged protocols are
-not maximally mixed.
+not maximally mixed. A view re-runs the honest session once and gets
+every enumerated secret's snapshot by permuting that one snapshot's tag
+index; noninteractive_view is the same average over the broadcast.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -866,31 +868,18 @@ def noninteractive_view(
 ) -> DensityMatrix:
     """Exact channel state of the one-shot broadcast, all keys averaged.
 
-    Enumerates every tag function and pad, so the result is the true
-    mixture an eavesdropper faces when the key is unknown. The family
-    has 2**(l * 2**n) * 2**l members; anything past the enumeration
-    limit is rejected with the offending count.
+    Averages the broadcast over every tag function and pad, so the
+    result is the true mixture an eavesdropper faces when the key is
+    unknown. The family has 2**(l * 2**n) * 2**l members; anything past
+    the enumeration limit is rejected with the offending count.
     """
     _check_message(x, n)
     _check_cap("nonint", n, l, 0, qubit_cap)
-    total = count_functions(n, l) << l
-    if total > enum_limit:
-        raise EnumerationLimitError(total, enum_limit,
-                                    f"{n}-to-{l}-bit tag functions with pads")
-    dim = 1 << (n + l)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    runs = 0
-    for fn in enumerate_functions(n, l, enum_limit):
-        for pad in range(1 << l):
-            vec = np.zeros(dim, dtype=np.complex128)
-            for m in range(1 << n):
-                sign = -1.0 if bin(x & m).count("1") % 2 else 1.0
-                vec[(m << l) | (fn.table[m] ^ pad)] = sign
-            vec /= np.sqrt(1 << n)
-            rho += np.outer(vec, vec.conj())
-            runs += 1
-    rho /= runs
-    return DensityMatrix(rho)
+    blank = BooleanFunction(n, l, (0,) * (1 << n))
+    view = eve_average_view(Transcript("nonint", n, l, 0, x, draws=NonintDraws(0)), 1,
+                            keys=SharedKeys(blank, blank), average_over=("pads", "keys"),
+                            enum_limit=enum_limit, qubit_cap=qubit_cap)
+    return view.rho
 
 
 # ---------------------------------------------------------------------------
@@ -939,13 +928,20 @@ def eve_average_view(
 ) -> EveView:
     """Exact mixture of one round's channel state over one-time secrets.
 
-    Re-runs the session of `transcript` once per enumerated value of
-    the round's pad ("pads") and, when requested, of the round's tag
-    function ("keys"), holding every other draw fixed, and averages the
-    channel snapshots. This is the channel state relative to an
-    adversary who knows everything except the enumerated secrets, and
-    it is a different object from the single-run snapshot stored in the
-    transcript.
+    Averages the round's snapshot over every value of its pad ("pads")
+    and, when requested, of its tag function ("keys"), holding every
+    other draw of `transcript` fixed. This is the channel state relative
+    to an adversary who knows everything except the enumerated secrets,
+    a different object from the single-run snapshot in the transcript.
+
+    The session is re-run once, honestly, with the given keys. The
+    round's secret enters only through its tag oracle, which moves the
+    amplitude at (message m, tag y) to (m, y ^ f(m) ^ p), and every
+    earlier tag is stripped by the same function that put it on. So the
+    snapshot under another (p, f) is the rerun's snapshot with rows and
+    columns permuted by y -> y ^ f(m) ^ p ^ f0(m) ^ p0, where f0 and p0
+    are the rerun's own; the sum is taken in enumeration order. Pads
+    times functions beyond `enum_limit` are refused with the count.
     """
     kinds = set(average_over)
     unknown = kinds - {"pads", "keys"}
@@ -957,56 +953,50 @@ def eve_average_view(
     protocol = transcript.protocol
     if protocol != "p1" and keys is None:
         raise ValueError("keyed protocols need the session keys to average")
-    stage, pad_field, owner, tag_attr = _round_secrets(protocol, round_index)
+    stage, pad_field, _, tag_attr = _round_secrets(protocol, round_index)
     l = transcript.l
+    base_pad = _get_pad(transcript.draws, protocol, stage, pad_field)
+    base_fn: BooleanFunction = getattr(keys, tag_attr)
 
-    pad_values: Sequence[int]
+    what = []
+    count = 1
     if "pads" in kinds:
-        if (1 << l) > enum_limit:
-            raise EnumerationLimitError(1 << l, enum_limit, f"{l}-bit pads")
-        pad_values = range(1 << l)
-    else:
-        pad_values = [_get_pad(transcript.draws, protocol, stage, pad_field)]
-
+        count <<= l
+        what.append(f"{l}-bit pads")
     if "keys" in kinds:
-        base_fn: BooleanFunction = getattr(keys, tag_attr)
-        fn_count = count_functions(base_fn.n, base_fn.l)
-        if fn_count > enum_limit:
-            raise EnumerationLimitError(fn_count, enum_limit,
-                                        f"{base_fn.n}-to-{base_fn.l}-bit tag functions")
-        fn_values = list(enumerate_functions(base_fn.n, base_fn.l, enum_limit))
-    else:
-        fn_values = [getattr(keys, tag_attr)]
+        count *= count_functions(base_fn.n, base_fn.l)
+        what.append(f"{base_fn.n}-to-{base_fn.l}-bit tag functions")
+    if count > enum_limit:
+        raise EnumerationLimitError(count, enum_limit, " times ".join(what))
+    pad_values = range(1 << l) if "pads" in kinds else [base_pad]
+    fn_values = list(enumerate_functions(base_fn.n, base_fn.l, enum_limit)) \
+        if "keys" in kinds else [base_fn]
 
+    redo = run_session(
+        protocol, transcript.message, transcript.n, l, transcript.t, keys,
+        rng=0, draws=transcript.draws, attack=None, snapshots=True, qubit_cap=qubit_cap,
+    )
+    rho = redo.snapshot(round_index).matrix
+    # The snapshot holds the message register R1 first and the tag last.
+    (_, width), (_, tag_width) = redo.transmissions[round_index - 1].registers
+    rows = (np.arange(1 << width) << tag_width)[:, None]
+    tags = np.arange(1 << tag_width)[None, :]
+    base = np.asarray(base_fn.table) ^ base_pad
+    tables = [np.asarray(fn.table) ^ base for fn in fn_values]
     rho_sum = None
-    runs = 0
-    for pad_value, fn in itertools.product(pad_values, fn_values):
-        new_draws = _set_pad(transcript.draws, protocol, stage, pad_field, pad_value)
-        new_keys = replace(keys, **{tag_attr: fn})
-        redo = run_session(
-            protocol, transcript.message, transcript.n, l, transcript.t, new_keys,
-            rng=0, draws=new_draws, attack=None, snapshots=True,
-            qubit_cap=qubit_cap,
-        )
-        snap = redo.snapshot(round_index).matrix
+    for pad_value, table in itertools.product(pad_values, tables):
+        sigma = (rows | (tags ^ (table ^ pad_value)[:, None])).ravel()
+        snap = rho[np.ix_(sigma, sigma)]
         rho_sum = snap if rho_sum is None else rho_sum + snap
-        runs += 1
 
     averaged = []
     if "pads" in kinds:
         averaged.append(f"{pad_field}[stage {stage}]")
     if "keys" in kinds:
         averaged.append(tag_attr)
+    runs = len(pad_values) * len(fn_values)
     return EveView(DensityMatrix(rho_sum / runs), round_index, tuple(averaged), runs)
 
 
 def _get_pad(draws, protocol: str, stage: int, field_name: str) -> int:
     return getattr(draws.stages[stage] if _staged(protocol) else draws, field_name)
-
-
-def _set_pad(draws, protocol: str, stage: int, field_name: str, value: int):
-    if _staged(protocol):
-        stages = list(draws.stages)
-        stages[stage] = replace(stages[stage], **{field_name: value})
-        return StagedDraws(tuple(stages))
-    return replace(draws, **{field_name: value})

@@ -136,6 +136,19 @@ def test_pins_without_a_matching_secret_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unused_fields_and_large_averages_exit_two(tmp_path, capsys):
+    out = tmp_path / "refused.json"
+    for argv, message in (
+        (("--protocol", "p2", "--n", "2", "--l", "1", "--t", "7"), "needs t=0"),
+        (("--protocol", "p1", "--n", "2", "--l", "3", "--average", "pads"), "no tag register"),
+        (("--protocol", "p2", "--n", "2", "--l", "4", "--average", "pads+keys"),
+         "needs 1048576 items, limit is 65536"),
+    ):
+        assert run_cli("run", *argv, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_writes_grid_and_skips_invalid(tmp_path, capsys):
     rc = run_cli("sweep", "--protocols", "p1,p2", "--n", "1,2", "--l", "1",
                  "--seed", "3", "--out-dir", str(tmp_path))

@@ -22,7 +22,13 @@ from qnokey.harness import (
     shipped_experiments,
     verify_report,
 )
-from qnokey.oracles import make_rng, sample_function, sample_permutation, save_table
+from qnokey.oracles import (
+    EnumerationLimitError,
+    make_rng,
+    sample_function,
+    sample_permutation,
+    save_table,
+)
 from qnokey.protocols import ProtocolError, sample_draws, sample_shared_keys
 
 
@@ -54,6 +60,19 @@ def test_config_rejects_bad_fields():
         ExperimentConfig("nonint", n=2, l=1, fb_file="whatever")
     with pytest.raises(ConfigError, match="no sender permutation"):
         ExperimentConfig("two-round", n=2, l=1, fa_file="whatever")
+    with pytest.raises(ConfigError, match="needs t=0"):
+        ExperimentConfig("p2", n=2, l=1, t=7)
+    with pytest.raises(ConfigError, match="no tag register"):
+        ExperimentConfig("p1", n=2, l=3)
+    with pytest.raises(ConfigError, match="no tag register"):
+        ExperimentConfig("p1", n=2, average="pads")
+    with pytest.raises(EnumerationLimitError) as err:
+        ExperimentConfig("p2", n=2, l=4, average="pads+keys")
+    assert err.value.count == 16 << 16
+    # p6's widest stage carries message and MAC tag: 2 pads times 2^(2^4) functions.
+    with pytest.raises(EnumerationLimitError) as err:
+        ExperimentConfig("p6", n=2, l=1, t=2, average="pads+keys")
+    assert err.value.count == 2 << 16
 
 
 def test_config_inherits_protocol_validation():

@@ -153,6 +153,9 @@ def test_enumeration_limit_is_inclusive():
     assert err.value.count == 1 << 24
     assert err.value.limit == DEFAULT_ENUM_LIMIT
     assert "16777216" in str(err.value)
+    # 2^(1*2^14) items: past 2^64 the message gives the exponent.
+    with pytest.raises(EnumerationLimitError, match=r"needs 2\*\*16384 items"):
+        list(enumerate_functions(14, 1, DEFAULT_ENUM_LIMIT))
 
 
 def test_pad_enumeration_respects_limit():

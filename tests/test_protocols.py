@@ -253,6 +253,11 @@ def test_average_rejects_unknown_kind_and_limits():
     with pytest.raises(EnumerationLimitError):
         eve_average_view(tr, 1, keys=keys, average_over=("pads", "keys"),
                          enum_limit=8)
+    # 16 pads and 2^16 functions each fit the default limit; their product does not.
+    tr, keys = seeded_session("p2", 1, 2, 4, seed=17)
+    with pytest.raises(EnumerationLimitError) as err:
+        eve_average_view(tr, 1, keys=keys, average_over=("pads", "keys"))
+    assert err.value.count == 16 << 16
 
 
 def rerun_average(tr, round_index, keys, kinds):
