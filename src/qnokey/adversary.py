@@ -19,7 +19,7 @@ import numpy as np
 
 from . import protocols as proto
 from .oracles import make_rng, party_streams, sample_function
-from .qstate import CompositeState, DensityMatrix, trace_distance
+from .qstate import DEFAULT_QUBIT_CAP, CompositeState, DensityMatrix, trace_distance
 
 
 class AttackSpecError(ValueError):
@@ -208,7 +208,7 @@ def mim_full_impersonation(
     *,
     rng=None,
     snapshots: bool = False,
-    qubit_cap: int = 22,
+    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> MimOutcome:
     """Cut the untagged three-pass protocol into two full sessions.
 
@@ -250,7 +250,7 @@ def impersonate_echo_stage(
     keys: proto.SharedKeys,
     *,
     rng=None,
-    qubit_cap: int = 22,
+    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> ImpersonationTrial:
     """Eve hijacks the echo stage without the shared tag functions.
 
@@ -316,7 +316,7 @@ def echo_detection_experiment(
     trials: int,
     *,
     rng=None,
-    qubit_cap: int = 22,
+    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> DetectionStats:
     """Repeat the stage-two hijack and count Alice's rejections.
 
@@ -360,7 +360,7 @@ def passive_snapshot(
     *,
     rng=None,
     averaged: bool = False,
-    qubit_cap: int = 22,
+    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> PassiveComparison:
     """Observe sessions for several messages and compare the rounds.
 

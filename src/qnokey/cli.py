@@ -16,9 +16,10 @@ from pathlib import Path
 
 from .adversary import AttackSpecError
 from .harness import ConfigError, ExperimentConfig, run_experiment, verify_report
-from .oracles import (BooleanPermutation, make_rng, read_table, sample_function,
-                      sample_permutation, save_table)
+from .oracles import (DEFAULT_ENUM_LIMIT, BooleanPermutation, make_rng, read_table,
+                      sample_function, sample_permutation, save_table)
 from .protocols import PROTOCOL_IDS, ProtocolError
+from .qstate import DEFAULT_QUBIT_CAP
 
 OUTPUT_DIR_ENV = "QNOKEY_OUTPUT_DIR"
 
@@ -62,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="sweep every authentication key (p6 attacks)")
     run.add_argument("--include-matrices", action="store_true",
                      help="embed channel snapshots in the report")
-    run.add_argument("--qubit-cap", type=int, default=22)
-    run.add_argument("--enum-limit", type=int, default=1 << 16)
+    run.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
+    run.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
     run.add_argument("--fa-file", default=None, help="pin the sender permutation")
     run.add_argument("--fb-file", default=None, help="pin the receiver permutation")
     run.add_argument("--sa-file", default=None, help="pin Alice's tag function")
@@ -78,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--t", type=int, default=3, help="authentication width for p6")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--trials", type=int, default=1)
-    sweep.add_argument("--qubit-cap", type=int, default=22)
-    sweep.add_argument("--enum-limit", type=int, default=1 << 16)
+    sweep.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
+    sweep.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
     sweep.add_argument("--out-dir", default=None)
 
     verify = sub.add_parser("verify", help="re-derive reports and compare bytes")

@@ -78,8 +78,7 @@ class ExperimentConfig:
                               "to average; it needs l=0 and average none")
         if self.average != "none":
             # Each view enumerates pads, times tag functions on the widest stage.
-            width = max((stage.width(self.n, self.t)
-                         for stage in proto.STAGES.get(self.protocol, ())), default=self.n)
+            width = proto.widest_message(self.protocol, self.n, self.t)
             count = 1 << self.l
             what = f"{self.l}-bit pads"
             if self.average == "pads+keys":
@@ -87,6 +86,8 @@ class ExperimentConfig:
                 what += f" times {width}-to-{self.l}-bit tag functions"
             if count > self.enum_limit:
                 raise EnumerationLimitError(count, self.enum_limit, what)
+        if self.snapshots or self.average != "none":  # averaging reruns take snapshots
+            proto.check_snapshot_cap(self.protocol, self.n, self.l, self.t, self.qubit_cap)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.messages is not None:
@@ -297,10 +298,11 @@ def _session_results(config: ExperimentConfig) -> dict:
                     _, dev = is_maximally_mixed(view.rho)
                     averaged_dev[r] = max(averaged_dev.get(r, 0.0), dev)
                     averaged_runs[r] = view.runs
-                    defect = max(view.rho.hermiticity_defect(),
-                                 abs(view.rho.trace() - 1.0),
-                                 max(0.0, -view.rho.min_eigenvalue()))
-                    view_defect = max(view_defect, defect)
+                    if exploratory:
+                        defect = max(view.rho.hermiticity_defect(),
+                                     abs(view.rho.trace() - 1.0),
+                                     max(0.0, -view.rho.min_eigenvalue()))
+                        view_defect = max(view_defect, defect)
                     views.append(view.rho)
                 trial_views[x] = views
             if honest:

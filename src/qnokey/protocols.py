@@ -114,6 +114,26 @@ def _check_cap(protocol: str, n: int, l: int, t: int, qubit_cap: int) -> None:
         )
 
 
+def widest_message(protocol: str, n: int, t: int) -> int:
+    """Message width of the protocol's widest stage: n+t for p6's MAC stage, else n."""
+    return max((stage.width(n, t) for stage in STAGES.get(protocol, ())), default=n)
+
+
+def check_snapshot_cap(protocol: str, n: int, l: int, t: int, qubit_cap: int) -> None:
+    """Refuse channel snapshots that would not fit under the qubit cap.
+
+    A k-qubit snapshot is a 2**k x 2**k matrix, as many entries as a
+    2k-qubit state, and the widest one carries the widest stage plus
+    its tag register.
+    """
+    k = widest_message(protocol, n, t) + l
+    if 2 * k > qubit_cap:
+        raise ProtocolError(
+            f"{protocol} snapshots are {k}-qubit density matrices, as large as a "
+            f"2*{k}={2 * k}-qubit state, cap is {qubit_cap}; run with --no-snapshots"
+        )
+
+
 def _check_message(x: int, width: int) -> None:
     if width < 1:
         raise ProtocolError(f"message width must be >= 1, got {width}")
@@ -626,6 +646,8 @@ def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qub
     """
     _check_message(x, n)
     _check_cap(protocol, n, l, t, qubit_cap)
+    if snapshots:
+        check_snapshot_cap(protocol, n, l, t, qubit_cap)
     alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
     rngs = {ALICE: alice_rng, BOB: bob_rng}
     if draws is None:

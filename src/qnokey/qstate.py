@@ -9,9 +9,8 @@ mutate their input.
 
 Density matrices produced here are plain dense arrays wrapped in a thin
 type that knows how to validate itself (Hermitian, unit trace, spectrum
-bounded below).  Eigenvalues are computed with a cyclic Jacobi sweep,
-which is exact enough at the dimensions this laboratory ever reaches
-(<= 2**10).
+bounded below).  Every spectrum, for validation and for trace
+distances, comes from numpy's `eigvalsh`.
 """
 
 from __future__ import annotations
@@ -422,65 +421,19 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(rho, dtype=np.complex128)
 
 
-def hermitian_eigenvalues(matrix, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigenvalues(matrix) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending, by LAPACK's `eigvalsh`.
 
-    Each rotation first rotates away the phase of the targeted
-    off-diagonal entry, then applies the classic real 2x2 rotation that
-    zeroes it. Sweeps repeat until the off-diagonal mass falls below
-    `tol` relative to the matrix norm. Ascending order.
-
-    Intended for the dimensions this package actually meets (<= 2**10);
-    no attempt is made to be competitive beyond that.
+    `eigvalsh` reads only the lower triangle, so a non-square or
+    non-Hermitian input is refused here instead of silently answered.
     """
-    a = np.array(_as_matrix(matrix), dtype=np.complex128)
+    a = np.asarray(_as_matrix(matrix), dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    defect = float(np.max(np.abs(a - a.conj().T))) if n else 0.0
+    defect = float(np.max(np.abs(a - a.conj().T)))
     if defect > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError(f"matrix is not Hermitian: defect {defect}")
-    # Work on the exact Hermitian part so rotations preserve symmetry.
-    a = (a + a.conj().T) / 2.0
-    if n == 1:
-        return np.array([a[0, 0].real])
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n)
-
-    def off_norm() -> float:
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if off_norm() <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= tol * scale / (n * n):
-                    continue
-                # Phase rotation: fold arg(apq) into column q so the
-                # pivot becomes real, then a real Givens rotation.
-                phase = apq / mag
-                a[:, q] *= phase.conjugate()
-                a[q, :] *= phase
-                app = a[p, p].real
-                aqq = a[q, q].real
-                theta = 0.5 * math.atan2(2.0 * mag, app - aqq)
-                c, s = math.cos(theta), math.sin(theta)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * col_q
-                a[:, q] = -s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * row_q
-                a[q, :] = -s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.sort(np.diag(a).real)
+    return np.linalg.eigvalsh(a)
 
 
 def trace_distance(a, b) -> float:

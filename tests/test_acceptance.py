@@ -82,7 +82,8 @@ def _brute_partial_trace(amps, widths, keep):
 
 
 def _brute_trace_distance(a, b):
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+    # Nuclear norm: an SVD path, independent of the eigvalsh that trace_distance uses.
+    return 0.5 * float(np.linalg.norm(a - b, "nuc"))
 
 
 def test_c01_honest_correctness_full_grid():

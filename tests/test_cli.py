@@ -143,6 +143,8 @@ def test_unused_fields_and_large_averages_exit_two(tmp_path, capsys):
         (("--protocol", "p1", "--n", "2", "--l", "3", "--average", "pads"), "no tag register"),
         (("--protocol", "p2", "--n", "2", "--l", "4", "--average", "pads+keys"),
          "needs 1048576 items, limit is 65536"),
+        (("--protocol", "nonint", "--n", "14", "--l", "1", "--x", "0"),
+         "2*15=30-qubit state, cap is 22; run with --no-snapshots"),
     ):
         assert run_cli("run", *argv, "--out", str(out)) == 2
         assert message in capsys.readouterr().err

@@ -73,6 +73,12 @@ def test_config_rejects_bad_fields():
     with pytest.raises(EnumerationLimitError) as err:
         ExperimentConfig("p6", n=2, l=1, t=2, average="pads+keys")
     assert err.value.count == 2 << 16
+    # A 13-qubit snapshot has the entries of a 26-qubit state; the session alone fits.
+    with pytest.raises(ProtocolError, match=r"2\*13=26-qubit state, cap is 22"):
+        ExperimentConfig("p4", n=9, l=4)
+    with pytest.raises(ProtocolError, match="--no-snapshots"):
+        ExperimentConfig("p4", n=9, l=4, snapshots=False, average="pads")
+    ExperimentConfig("p4", n=9, l=4, snapshots=False)
 
 
 def test_config_inherits_protocol_validation():

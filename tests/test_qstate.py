@@ -81,7 +81,8 @@ def brute_partial_trace(amps, widths, keep):
 
 
 def brute_trace_distance(a, b):
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+    # Nuclear norm: an SVD path, independent of the eigvalsh that trace_distance uses.
+    return 0.5 * float(np.linalg.norm(a - b, "nuc"))
 
 
 def dense_hadamard(width):
@@ -418,20 +419,29 @@ def test_density_matrix_validate_rejects_bad_trace():
         DensityMatrix(np.eye(4, dtype=np.complex128)).validate()
 
 
-def test_jacobi_matches_numpy_on_random_hermitian():
+def test_eigenvalues_match_singular_values_and_trace():
+    # Oracle on the SVD path: a Hermitian matrix's singular values are its
+    # eigenvalues' magnitudes, and its eigenvalues sum to its trace.
     rng = np.random.default_rng(3)
     for dim in (2, 3, 4, 8, 16, 32):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = m + m.conj().T
         got = hermitian_eigenvalues(m)
-        expect = np.sort(np.linalg.eigvalsh(m))
-        assert np.allclose(got, expect, atol=1e-10 * max(1.0, np.abs(m).max()))
+        tol = 1e-10 * max(1.0, np.abs(m).max())
+        assert np.all(np.diff(got) >= 0)
+        assert np.allclose(np.sort(np.abs(got)),
+                           np.sort(np.linalg.svd(m, compute_uv=False)), atol=tol)
+        assert abs(got.sum() - np.trace(m).real) <= tol
 
 
-def test_jacobi_handles_diagonal_and_zero():
+def test_eigenvalues_of_diagonal_and_zero_and_refusals():
     assert np.allclose(hermitian_eigenvalues(np.zeros((3, 3))), np.zeros(3))
     d = np.diag([3.0, -1.0, 2.0]).astype(np.complex128)
     assert np.allclose(hermitian_eigenvalues(d), [-1.0, 2.0, 3.0], atol=1e-14)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigenvalues(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigenvalues(np.zeros((2, 3)))
 
 
 # -- trace distance -------------------------------------------------------------
