@@ -130,7 +130,8 @@ def check_snapshot_cap(protocol: str, n: int, l: int, t: int, qubit_cap: int) ->
     if 2 * k > qubit_cap:
         raise ProtocolError(
             f"{protocol} snapshots are {k}-qubit density matrices, as large as a "
-            f"2*{k}={2 * k}-qubit state, cap is {qubit_cap}; run with --no-snapshots"
+            f"2*{k}={2 * k}-qubit state, cap is {qubit_cap}; "
+            f"run with --no-snapshots and --average none"
         )
 
 
