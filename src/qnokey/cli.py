@@ -10,12 +10,15 @@ named by QNOKEY_OUTPUT_DIR, or in the working directory.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .adversary import AttackSpecError
-from .harness import ConfigError, ExperimentConfig, run_experiment, verify_report
+from .harness import (ConfigError, ExperimentConfig, canonical_json, run_experiment,
+                      verify_report)
 from .oracles import (DEFAULT_ENUM_LIMIT, BooleanPermutation, make_rng, read_table,
                       sample_function, sample_permutation, save_table)
 from .protocols import PROTOCOL_IDS, ProtocolError
@@ -35,6 +38,20 @@ def _parse_messages(raw: str | None, n: int) -> tuple[int, ...] | None:
         return tuple(int(v, 0) for v in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad message list {raw!r}") from exc
+
+
+def _report_name(config: ExperimentConfig) -> str:
+    """Default report file name: `<protocol>_n<n>_l<l>_seed<seed>.json`.
+
+    When any other config field differs from its default, the first 8 hex
+    digits of the sha256 of the canonical config are appended, so runs
+    that differ only in, say, `t` or `attack` do not overwrite each other.
+    """
+    stem = f"{config.protocol}_n{config.n}_l{config.l}_seed{config.seed}"
+    named = ("protocol", "n", "l", "seed")
+    if any(getattr(config, f.name) != f.default for f in fields(config) if f.name not in named):
+        stem += "_" + hashlib.sha256(canonical_json(config.to_dict())).hexdigest()[:8]
+    return stem + ".json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,8 +141,7 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         path = Path(args.out)
     else:
-        name = f"{config.protocol}_n{config.n}_l{config.l}_seed{config.seed}.json"
-        path = _output_dir() / name
+        path = _output_dir() / _report_name(config)
     path.parent.mkdir(parents=True, exist_ok=True)
     report.write(path)
     for check in report.body["assertions"]:
@@ -158,7 +174,7 @@ def _cmd_sweep(args) -> int:
                     print(f"SKIP {protocol} n={n} l={l}: {exc}")
                     continue
                 report = run_experiment(config)
-                name = f"{protocol}_n{n}_l{l}_seed{args.seed}.json"
+                name = _report_name(config)
                 report.write(out_dir / name)
                 mark = "PASS" if report.passed else "FAIL"
                 if not report.passed:

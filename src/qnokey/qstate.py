@@ -5,7 +5,10 @@ vector over a dynamic, ordered layout of named registers.  The first
 register in the layout occupies the most significant bits of a basis
 index; within a register, bit i of the stored value is qubit i of that
 register.  All operations are pure: they return a new state and never
-mutate their input.
+mutate their input.  Each one works on reshaped views of the register
+axes (a `(left, size, right)` view around one register, or a row per
+source value for an oracle), so no operation builds a full-length index
+array.
 
 Density matrices produced here are plain dense arrays wrapped in a thin
 type that knows how to validate itself (Hermitian, unit trace, spectrum
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,12 +79,6 @@ class Register:
             raise RegisterError(f"register {self.name!r} needs width >= 1, got {self.width}")
 
 
-def _require_unit_norm(amplitudes: np.ndarray) -> None:
-    norm = float(np.linalg.norm(amplitudes))
-    if abs(norm - 1.0) > ATOL_STATE:
-        raise RegisterError(f"state norm {norm!r} differs from 1 beyond {ATOL_STATE}")
-
-
 @dataclass(frozen=True)
 class CompositeState:
     """Pure state of all live registers.
@@ -133,12 +130,9 @@ class CompositeState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def _values(self, name: str) -> np.ndarray:
-        """Register value of every basis index, as an int64 vector."""
-        reg = self.register(name)
-        sh = self.shift(name)
-        idx = np.arange(self.dim, dtype=np.int64)
-        return (idx >> sh) & ((1 << reg.width) - 1)
+    def _axis_view(self, name: str) -> np.ndarray:
+        """Amplitudes as a (left, value of `name`, right) view."""
+        return self.amplitudes.reshape(-1, 1 << self.register(name).width, 1 << self.shift(name))
 
     # -- layout-changing operations -------------------------------------
 
@@ -156,9 +150,9 @@ class CompositeState:
             raise RegisterError(f"value {value} does not fit in {width} bits")
         tail = np.zeros(1 << width, dtype=np.complex128)
         tail[value] = 1.0
-        amps = np.kron(self.amplitudes, tail)
+        amps = np.multiply.outer(self.amplitudes, tail).ravel()
         regs = self.registers + (Register(name, width, holder),)
-        return replace(self, registers=regs, amplitudes=amps)
+        return CompositeState(regs, amps, self.qubit_cap)
 
     def with_holder(self, names: Iterable[str], holder: Holder) -> "CompositeState":
         wanted = set(names)
@@ -166,38 +160,33 @@ class CompositeState:
         if missing:
             raise RegisterError(f"no register named {sorted(missing)} in layout {self.names()}")
         regs = tuple(
-            replace(r, holder=holder) if r.name in wanted else r for r in self.registers
+            Register(r.name, r.width, holder) if r.name in wanted else r for r in self.registers
         )
-        return replace(self, registers=regs)
+        return CompositeState(regs, self.amplitudes, self.qubit_cap)
 
     def discard(self, name: str) -> "CompositeState":
         """Drop an unentangled register from the layout.
 
         The register must factor out of the session (reduced purity
         within ATOL_DENSITY of 1), otherwise EntangledRegisterError.
+        The purity is taken over the rows of nonzero weight only: a zero
+        row adds exact zeros, and after an uncompute or a measurement
+        there is one such row.
         """
-        reg = self.register(name)
+        view = self._axis_view(name)
         if len(self.registers) == 1:
             raise RegisterError("cannot discard the last register")
-        mat = self._partition(name)          # rows: register value, cols: rest
+        row_weights = _row_weights(view)
+        live = np.flatnonzero(row_weights)
+        mat = view[:, live, :].transpose(1, 0, 2).reshape(live.size, -1)
         rho = mat @ mat.conj().T
         purity = float(np.sum(np.abs(rho) ** 2).real)
         if purity < 1.0 - ATOL_DENSITY:
             raise EntangledRegisterError(name, purity)
-        row_weights = np.sum(np.abs(mat) ** 2, axis=1)
         pick = int(np.argmax(row_weights))
-        rest = mat[pick, :] / math.sqrt(row_weights[pick])
+        rest = view[:, pick, :].ravel() / math.sqrt(row_weights[pick])
         regs = tuple(r for r in self.registers if r.name != name)
-        return replace(self, registers=regs, amplitudes=np.ascontiguousarray(rest))
-
-    def _partition(self, name: str) -> np.ndarray:
-        """Reshape amplitudes to (value of `name`, everything else)."""
-        order = [r.name for r in self.registers]
-        axis = order.index(name)
-        shape = [1 << r.width for r in self.registers]
-        arr = self.amplitudes.reshape(shape)
-        arr = np.moveaxis(arr, axis, 0)
-        return arr.reshape(shape[axis], -1)
+        return CompositeState(regs, rest, self.qubit_cap)
 
     # -- unitary operations ---------------------------------------------
 
@@ -207,12 +196,8 @@ class CompositeState:
         Implemented as an in-place butterfly along the register's axis,
         one doubling stage per qubit, then a single 2**(-w/2) rescale.
         """
-        reg = self.register(name)
-        sh = self.shift(name)
-        size = 1 << reg.width
-        left = self.dim // (size << sh)
-        right = 1 << sh
-        a = self.amplitudes.reshape(left, size, right).copy()
+        a = self._axis_view(name).copy()
+        left, size, right = a.shape
         h = 1
         while h < size:
             a = a.reshape(left, size // (2 * h), 2, h, right)
@@ -222,7 +207,7 @@ class CompositeState:
             a = a.reshape(left, size, right)
             h *= 2
         a = a.reshape(self.dim) / math.sqrt(size)
-        return replace(self, amplitudes=a)
+        return CompositeState(self.registers, a, self.qubit_cap)
 
     def apply_phase_flip(self, name: str, mask: int) -> "CompositeState":
         """Multiply each |m> of a register by (-1)**(mask . m).
@@ -236,17 +221,9 @@ class CompositeState:
             raise RegisterError(f"mask {mask} does not fit in {reg.width} bits")
         if mask == 0:
             return self
-        vals = self._values(name)
-        parity = np.zeros(self.dim, dtype=np.int64)
-        bit = 0
-        m = mask
-        while m:
-            if m & 1:
-                parity ^= (vals >> bit) & 1
-            m >>= 1
-            bit += 1
-        amps = self.amplitudes * (1.0 - 2.0 * parity)
-        return replace(self, amplitudes=amps)
+        parity = np.bitwise_count(np.arange(1 << reg.width) & mask) & 1
+        amps = self._axis_view(name) * (1.0 - 2.0 * parity)[:, None]
+        return CompositeState(self.registers, amps.reshape(-1), self.qubit_cap)
 
     def apply_xor_oracle(
         self,
@@ -259,7 +236,9 @@ class CompositeState:
 
         A pure basis permutation: amplitudes are only moved, never
         combined, so applying the same oracle twice restores the state
-        bit for bit.
+        bit for bit.  The layout is split into (before, first, between,
+        second, after), and each source value's row is gathered along the
+        destination axis through a 2**w_dst-entry index.
         """
         if src == dst:
             raise RegisterError("oracle source and destination must differ")
@@ -273,10 +252,22 @@ class CompositeState:
             raise RegisterError(f"table entries must fit in {dreg.width} bits")
         if not 0 <= pad < (1 << dreg.width):
             raise RegisterError(f"pad {pad} does not fit in {dreg.width} bits")
-        src_vals = self._values(src)
-        delta = tab[src_vals] ^ pad
-        perm = np.arange(self.dim, dtype=np.int64) ^ (delta << self.shift(dst))
-        return replace(self, amplitudes=self.amplitudes[perm])
+        names = self.names()
+        i, j = names.index(src), names.index(dst)
+        lo, hi = min(i, j), max(i, j)
+        widths = [r.width for r in self.registers]
+        shape = (1 << sum(widths[:lo]), 1 << widths[lo], 1 << sum(widths[lo + 1:hi]),
+                 1 << widths[hi], 1 << sum(widths[hi + 1:]))
+        a = self.amplitudes.reshape(shape)
+        out = np.empty(shape, dtype=a.dtype)
+        # A source row drops the source axis; the destination axis is then
+        # 2 (source first) or 1 (destination first).
+        lead, axis = ((slice(None),), 2) if i < j else ((slice(None),) * 3, 1)
+        ys = np.arange(1 << dreg.width)
+        for m, k in enumerate((tab ^ pad).tolist()):
+            row = lead + (m,)
+            a[row].take(ys ^ k, axis, out[row], "clip")
+        return CompositeState(self.registers, out.reshape(-1), self.qubit_cap)
 
     # -- measurement ----------------------------------------------------
 
@@ -289,25 +280,24 @@ class CompositeState:
         weights, so a given stream position always yields the same
         outcome.
         """
-        mat = self._partition(name)
-        probs = np.sum(np.abs(mat) ** 2, axis=1)
+        view = self._axis_view(name)
+        probs = _row_weights(view)
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise RegisterError(f"probabilities sum to {total!r}; state is not normalised")
         u = rng.random() * total
         acc = 0.0
-        # Fallback for u landing on the rounding slack past the last
-        # cumulative step: the largest value with any weight at all.
-        outcome = int(np.argwhere(probs > 0.0).max())
-        for k, p in enumerate(probs):
-            acc += float(p)
+        for outcome, p in enumerate(probs.tolist()):
+            acc += p
             if u < acc:
-                outcome = k
                 break
-        vals = self._values(name)
-        amps = np.where(vals == outcome, self.amplitudes, 0.0)
-        amps = amps / math.sqrt(float(probs[outcome]))
-        return outcome, replace(self, amplitudes=amps)
+        else:
+            # u landed on the rounding slack past the last cumulative
+            # step: take the largest value with any weight at all.
+            outcome = int(np.flatnonzero(probs > 0.0)[-1])
+        amps = np.zeros_like(view)
+        amps[:, outcome, :] = view[:, outcome, :] / math.sqrt(float(probs[outcome]))
+        return outcome, CompositeState(self.registers, amps.reshape(-1), self.qubit_cap)
 
     # -- density matrices -----------------------------------------------
 
@@ -332,6 +322,18 @@ class CompositeState:
         keep_dim = int(np.prod([shape[i] for i in kept_axes]))
         mat = arr.reshape(keep_dim, -1)
         return DensityMatrix(mat @ mat.conj().T)
+
+
+def _row_weights(view: np.ndarray) -> np.ndarray:
+    """Weight of each middle index of a (left, size, right) view.
+
+    The same bits as np.sum(np.abs(mat) ** 2, axis=1) over the
+    contiguous (size, left * right) partition, which `view` would copy
+    whole: here only the float magnitudes are rearranged.
+    """
+    w = np.abs(view)
+    np.square(w, out=w)
+    return w.transpose(1, 0, 2).reshape(view.shape[1], -1).sum(axis=1)
 
 
 def init_basis_state(
@@ -456,5 +458,7 @@ def is_maximally_mixed(rho, tol: float = ATOL_DENSITY) -> tuple[bool, float]:
     """Compare against I/dim elementwise; always reports the deviation."""
     m = _as_matrix(rho)
     dim = m.shape[0]
-    deviation = float(np.max(np.abs(m - np.eye(dim) / dim)))
+    gap = np.abs(m)
+    np.fill_diagonal(gap, np.abs(np.diagonal(m) - 1 / dim))
+    deviation = float(np.max(gap))
     return deviation <= tol, deviation

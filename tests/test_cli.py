@@ -45,6 +45,23 @@ def test_default_report_name_honours_output_dir(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "p1_n1_l0_seed4.json").exists()
 
 
+def test_default_report_names_keep_configs_apart(tmp_path, monkeypatch, capsys):
+    # p6 runs differing only in t, and p3 runs with and without an
+    # attack, each get their own default report.
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    for t in ("1", "2"):
+        assert run_cli("run", "--protocol", "p6", "--n", "2", "--l", "1", "--t", t) == 0
+    assert run_cli("run", "--protocol", "p3", "--n", "1", "--l", "1") == 0
+    assert run_cli("run", "--protocol", "p3", "--n", "1", "--l", "1", "--attack", "mim") == 0
+    written = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert len(written) == 4
+    assert "p3_n1_l1_seed0.json" in written
+    p6 = [name for name in written if name.startswith("p6_n2_l1_seed0_")]
+    assert len(p6) == 2
+    configs = {ExperimentReport.read(tmp_path / name).body["config"]["t"] for name in p6}
+    assert configs == {1, 2}
+
+
 def test_run_reports_failure_exit_code(monkeypatch, tmp_path, capsys):
     import qnokey.cli as cli_mod
 

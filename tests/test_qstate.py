@@ -7,9 +7,11 @@ Hadamard layer.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnokey.qstate import (
     ATOL_DENSITY,
@@ -518,6 +520,20 @@ def test_is_maximally_mixed_rejects_pure_state():
     assert abs(dev - 0.5) <= 1e-15
 
 
+def test_is_maximally_mixed_deviation_equals_identity_difference():
+    # The deviation is compared bit for bit with the elementwise
+    # difference from an explicit I/dim.
+    rng = np.random.default_rng(83)
+    for dim in (1, 2, 3, 8, 64, 256):
+        for scale in (0.0, 1e-13, 1e-3, 1.0):
+            noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = np.eye(dim) / dim + scale * (noise + noise.conj().T)
+            expect = float(np.max(np.abs(m - np.eye(dim) / dim)))
+            ok, dev = is_maximally_mixed(DensityMatrix(m))
+            assert dev == expect
+            assert ok == (expect <= ATOL_DENSITY)
+
+
 # -- norm preservation property ---------------------------------------------------
 
 
@@ -538,3 +554,136 @@ def test_unitary_operations_preserve_norm():
                 state = state.apply_xor_oracle("R2", "R3", table,
                                                 pad=int(rng.integers(0, 2)))
             assert abs(state.norm() - 1.0) <= 1e-12
+
+
+# -- view kernels against the index-vector formulas -------------------------------
+#
+# The formulas below are the earlier implementations, which built an int64
+# register value for every basis index. They are kept here as oracles:
+# every kernel must reproduce their bytes exactly.
+
+
+def index_values(widths, pos):
+    shift = sum(widths[pos + 1:])
+    idx = np.arange(1 << sum(widths), dtype=np.int64)
+    return (idx >> shift) & ((1 << widths[pos]) - 1)
+
+
+def index_xor(amps, widths, src, dst, table, pad):
+    delta = np.asarray(table, dtype=np.int64)[index_values(widths, src)] ^ pad
+    perm = np.arange(amps.size, dtype=np.int64) ^ (delta << sum(widths[dst + 1:]))
+    return amps[perm]
+
+
+def index_phase_flip(amps, widths, pos, mask):
+    vals = index_values(widths, pos)
+    parity = np.zeros(amps.size, dtype=np.int64)
+    for bit in range(widths[pos]):
+        if (mask >> bit) & 1:
+            parity ^= (vals >> bit) & 1
+    return amps * (1.0 - 2.0 * parity)
+
+
+def index_partition(amps, widths, pos):
+    arr = np.moveaxis(amps.reshape([1 << w for w in widths]), pos, 0)
+    return arr.reshape(1 << widths[pos], -1)
+
+
+def index_measure(amps, widths, pos, rng):
+    probs = np.sum(np.abs(index_partition(amps, widths, pos)) ** 2, axis=1)
+    u = rng.random() * float(probs.sum())
+    acc = 0.0
+    outcome = int(np.argwhere(probs > 0.0).max())
+    for k, p in enumerate(probs):
+        acc += float(p)
+        if u < acc:
+            outcome = k
+            break
+    kept = np.where(index_values(widths, pos) == outcome, amps, 0.0)
+    return outcome, kept / math.sqrt(float(probs[outcome]))
+
+
+def index_discard(amps, widths, pos):
+    mat = index_partition(amps, widths, pos)
+    weights = np.sum(np.abs(mat) ** 2, axis=1)
+    pick = int(np.argmax(weights))
+    return np.ascontiguousarray(mat[pick, :] / math.sqrt(weights[pick]))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=4), st.data())
+def test_kernels_match_index_vector_formulas_bit_for_bit(widths, data):
+    names = [f"Q{i}" for i in range(len(widths))]
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, list(zip(names, widths)))
+    amps = state.amplitudes
+    before = amps.tobytes()
+
+    # XOR oracle, source and destination in either order, adjacent or not.
+    src, dst = data.draw(st.permutations(range(len(widths))), label="order")[:2]
+    table = rng.integers(0, 1 << widths[dst], size=1 << widths[src])
+    pad = data.draw(st.integers(0, (1 << widths[dst]) - 1), label="pad")
+    moved = state.apply_xor_oracle(names[src], names[dst], table, pad)
+    assert same_bits(moved.amplitudes, index_xor(amps, widths, src, dst, table, pad))
+
+    pos = data.draw(st.integers(0, len(widths) - 1), label="register")
+    mask = data.draw(st.integers(0, (1 << widths[pos]) - 1), label="mask")
+    flipped = state.apply_phase_flip(names[pos], mask)
+    assert same_bits(flipped.amplitudes, index_phase_flip(amps, widths, pos, mask))
+
+    # Measurement from the same stream position, then dropping the
+    # measured register wherever it sits in the layout.
+    outcome, collapsed = state.measure(names[pos], np.random.default_rng(seed))
+    expect_outcome, expect = index_measure(amps, widths, pos, np.random.default_rng(seed))
+    assert outcome == expect_outcome
+    assert same_bits(collapsed.amplitudes, expect)
+    dropped = collapsed.discard(names[pos])
+    assert same_bits(dropped.amplitudes, index_discard(expect, widths, pos))
+
+    # Extend, compute a copy into the new register, uncompute, discard.
+    width = data.draw(st.integers(1, 3), label="width")
+    value = data.draw(st.integers(0, (1 << width) - 1), label="value")
+    grown = state.extend("Z", width, A, value)
+    tail = np.zeros(1 << width, dtype=np.complex128)
+    tail[value] = 1.0
+    assert same_bits(grown.amplitudes, np.kron(amps, tail))
+    copy_table = rng.integers(0, 1 << width, size=1 << widths[src])
+    copied = grown.apply_xor_oracle(names[src], "Z", copy_table)
+    undone = copied.apply_xor_oracle(names[src], "Z", copy_table)
+    assert same_bits(undone.amplitudes, grown.amplitudes)
+    assert same_bits(undone.discard("Z").amplitudes,
+                     index_discard(grown.amplitudes, widths + [width], len(widths)))
+
+    assert state.amplitudes.tobytes() == before
+
+
+def test_kernels_allocate_at_most_one_and_a_half_states():
+    # 20 qubits: no kernel may build an int64 value for every basis index
+    # (half a state's bytes each) on top of its output.
+    rng = np.random.default_rng(89)
+    state = random_state(rng, [("R1", 7), ("R2", 7), ("R3", 6)])
+    budget = 1.5 * state.amplitudes.nbytes
+    ops = {
+        "xor R1->R3": lambda: state.apply_xor_oracle("R1", "R3", rng.integers(0, 64, size=128)),
+        "xor R3->R2": lambda: state.apply_xor_oracle("R3", "R2", rng.integers(0, 128, size=64)),
+        "phase R2": lambda: state.apply_phase_flip("R2", 0b1010011),
+        "phase R3": lambda: state.apply_phase_flip("R3", 0b110001),
+    }
+    for name in ("R1", "R2", "R3"):
+        ops[f"measure {name}"] = lambda name=name: state.measure(name, rng)
+    tracemalloc.start()
+    try:
+        for label, op in ops.items():
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = op()
+            peak = tracemalloc.get_traced_memory()[1] - start
+            del result
+            assert peak <= budget, f"{label}: peak {peak} B, budget {budget:.0f} B"
+    finally:
+        tracemalloc.stop()
