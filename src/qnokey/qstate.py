@@ -10,6 +10,14 @@ axes (a `(left, size, right)` view around one register, or a row per
 source value for an oracle), so no operation builds a full-length index
 array.
 
+The partial trace has a closed form for the states the protocols make.
+When the state, as a kept x traced matrix, has at most one nonzero in
+each row and each column, and no amplitude has both a real and an
+imaginary part, the reduced matrix is diagonal and each entry is the
+square of one float. That is the one product the dense Gram product
+forms there, so both give the same bits. Every gate here keeps the
+amplitudes real. Any other state goes through the dense product.
+
 Density matrices produced here are plain dense arrays wrapped in a thin
 type that knows how to validate itself (Hermitian, unit trace, spectrum
 bounded below).  Every spectrum, for validation and for trace
@@ -33,6 +41,10 @@ ATOL_DENSITY = 1e-10
 ATOL_SCALAR = 1e-9
 
 DEFAULT_QUBIT_CAP = 22
+
+# Floats (real and imaginary parts) the partial trace compares with zero
+# at a time while it looks for a diagonal result.
+_SCAN_BLOCK = 1 << 16
 
 
 class RegisterError(ValueError):
@@ -307,21 +319,69 @@ class CompositeState:
         Kept registers appear in layout order, most significant first,
         regardless of the order given. Tracing the full layout returns
         the rank-one projector of the state.
+
+        The state is read as a kept x traced matrix M and the result is
+        M M^dagger. When M has at most one nonzero in each row and each
+        column, and each nonzero amplitude is real or imaginary, that
+        product is diagonal and each entry is the square of one float:
+        it is written directly, bit for bit what the product gives.
+        Finding out scans the amplitudes in fixed-size blocks and stops
+        once there are more nonzeros than such an M can hold. Any other
+        state takes the dense product.
         """
         wanted = set(keep)
-        missing = wanted - set(self.names())
+        names = self.names()
+        missing = wanted.difference(names)
         if missing:
-            raise RegisterError(f"no register named {sorted(missing)} in layout {self.names()}")
+            raise RegisterError(f"no register named {sorted(missing)} in layout {names}")
         if not wanted:
             raise RegisterError("keep set must not be empty")
         shape = [1 << r.width for r in self.registers]
-        kept_axes = [i for i, r in enumerate(self.registers) if r.name in wanted]
-        traced_axes = [i for i, r in enumerate(self.registers) if r.name not in wanted]
-        arr = self.amplitudes.reshape(shape)
-        arr = np.transpose(arr, kept_axes + traced_axes)
-        keep_dim = int(np.prod([shape[i] for i in kept_axes]))
-        mat = arr.reshape(keep_dim, -1)
+        kept = [i for i, name in enumerate(names) if name in wanted]
+        order = kept + [i for i, name in enumerate(names) if name not in wanted]
+        amps = self.amplitudes
+        keep_dim = math.prod(shape[i] for i in kept)
+        traced_dim = amps.size // keep_dim
+        parts = amps.view(np.float64)
+        # A partial permutation has at most one nonzero in each row and in
+        # each column of the kept x traced matrix.
+        hits = _nonzero_parts(parts, min(keep_dim, traced_dim))
+        if hits is not None:
+            coords = np.unravel_index(hits >> 1, shape)
+            at = np.ravel_multi_index([coords[i] for i in order], [shape[i] for i in order])
+            rows, cols = np.divmod(at, traced_dim)
+            # Distinct rows also mean that no amplitude has two nonzero parts,
+            # so each diagonal entry is the square of one float, which is
+            # the Gram product's value bit for bit.
+            if _distinct(rows) and _distinct(cols):
+                v = parts[hits]
+                rho = np.zeros((keep_dim, keep_dim), dtype=np.complex128)
+                rho[rows, rows] = v * v
+                return DensityMatrix(rho)
+        mat = amps.reshape(shape).transpose(order).reshape(keep_dim, traced_dim)
         return DensityMatrix(mat @ mat.conj().T)
+
+
+def _distinct(values: np.ndarray) -> bool:
+    return len(set(values.tolist())) == values.size
+
+
+def _nonzero_parts(parts: np.ndarray, limit: int) -> np.ndarray | None:
+    """Indices of the nonzero entries of `parts`, in order; None past `limit`.
+
+    The entries are compared with zero one fixed-size block at a time, so
+    no mask with an entry per amplitude is built, and a state with too
+    many nonzeros stops early.
+    """
+    size = min(parts.size, _SCAN_BLOCK)
+    found, count = [], 0
+    for start in range(0, parts.size, size):
+        hits = np.flatnonzero(parts[start:start + size] != 0.0)
+        count += hits.size
+        if count > limit:
+            return None
+        found.append(hits + start)
+    return np.concatenate(found)
 
 
 def _row_weights(view: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qnokey.adversary import PhaseAttack
+from qnokey.adversary import PhaseAttack, parse_attack
 from qnokey.oracles import EnumerationLimitError, enumerate_functions, make_rng
 from qnokey.protocols import (
     PROTOCOL_IDS,
@@ -34,7 +34,7 @@ from qnokey.protocols import (
     sample_draws,
     sample_shared_keys,
 )
-from qnokey.qstate import is_maximally_mixed, trace_distance
+from qnokey.qstate import CompositeState, is_maximally_mixed, trace_distance
 
 def seeded_session(protocol, x, n, l=0, t=0, seed=0, **kw):
     rng = make_rng(seed)
@@ -196,6 +196,28 @@ def test_p4_per_run_snapshots_are_tag_graphs():
             idx = (m << l) | (fn.table[m] ^ pad)
             expect[idx, idx] = 1 / (1 << n)
         assert np.allclose(tr.snapshot(r).matrix, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+def test_channel_states_and_snapshots_are_exactly_real(protocol, monkeypatch):
+    # The partial trace's diagonal closed form has the Gram product's bits
+    # because every amplitude is real, so each entry is a single product.
+    # A gate that made a complex amplitude would move report bits; it must
+    # fail here first, on the state Eve sees or on her snapshot.
+    trace = CompositeState.reduced_density_matrix
+    real = []
+
+    def checked(state, keep):
+        real.append(not np.any(state.amplitudes.imag))
+        return trace(state, keep)
+
+    monkeypatch.setattr(CompositeState, "reduced_density_matrix", checked)
+    for spec in ("none", "passive", "measure", "phase:x=1"):
+        for seed in range(3):
+            tr, _ = seeded_session(protocol, 1, 3, 2, 1, seed=seed, attack=parse_attack(spec))
+            for tx in tr.transmissions:
+                assert not np.any(tx.snapshot.matrix.imag), (spec, seed, tx.round_index)
+    assert len(real) == 12 * ROUND_COUNTS[protocol] and all(real)
 
 
 def test_snapshot_accessor_errors():
