@@ -10,13 +10,10 @@ axes (a `(left, size, right)` view around one register, or a row per
 source value for an oracle), so no operation builds a full-length index
 array.
 
-The partial trace has a closed form for the states the protocols make.
-When the state, as a kept x traced matrix, has at most one nonzero in
-each row and each column, and no amplitude has both a real and an
-imaginary part, the reduced matrix is diagonal and each entry is the
-square of one float. That is the one product the dense Gram product
-forms there, so both give the same bits. Every gate here keeps the
-amplitudes real. Any other state goes through the dense product.
+The partial trace writes its result directly when it is diagonal with
+one float's square per entry, as for most channel states the protocols
+send (every gate here keeps the amplitudes real); any other state takes
+the dense Gram product. Both give the same bits.
 
 Density matrices produced here are plain dense arrays wrapped in a thin
 type that knows how to validate itself (Hermitian, unit trace, spectrum
@@ -322,10 +319,10 @@ class CompositeState:
 
         The state is read as a kept x traced matrix M and the result is
         M M^dagger. When M has at most one nonzero in each row and each
-        column, and each nonzero amplitude is real or imaginary, that
-        product is diagonal and each entry is the square of one float:
-        it is written directly, bit for bit what the product gives.
-        Finding out scans the amplitudes in fixed-size blocks and stops
+        column, and no amplitude has both a real and an imaginary part,
+        that product is diagonal and each entry is the square of one
+        float: it is written directly, with the bits the product gives.
+        The check scans the amplitudes in fixed-size blocks and stops
         once there are more nonzeros than such an M can hold. Any other
         state takes the dense product.
         """
@@ -342,7 +339,7 @@ class CompositeState:
         amps = self.amplitudes
         keep_dim = math.prod(shape[i] for i in kept)
         traced_dim = amps.size // keep_dim
-        parts = amps.view(np.float64)
+        parts = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
         # A partial permutation has at most one nonzero in each row and in
         # each column of the kept x traced matrix.
         hits = _nonzero_parts(parts, min(keep_dim, traced_dim))

@@ -402,6 +402,16 @@ def test_partial_trace_iterated_in_any_order_agrees():
     assert np.allclose(direct, mixed, atol=1e-12)
 
 
+def test_partial_trace_reads_float_and_strided_amplitudes():
+    # The diagonal case scans the amplitudes as complex128 floats, so other
+    # dtypes and strides must be read as their complex values.
+    regs = (Register("R1", 1, A), Register("R2", 1, A))
+    for amps in (np.array([0.0, 1.0, 0.0, 0.0]),
+                 np.array([0, 9, 1, 9, 0, 9, 0, 9], dtype=np.complex128)[::2]):
+        got = CompositeState(regs, amps).reduced_density_matrix(["R2"]).matrix
+        assert np.array_equal(got, [[0, 0], [0, 1]])
+
+
 def test_empty_keep_set_rejected():
     state = basis([("R1", 2)])
     with pytest.raises(RegisterError, match="empty"):
