@@ -200,10 +200,11 @@ def test_p4_per_run_snapshots_are_tag_graphs():
 
 @pytest.mark.parametrize("protocol", PROTOCOL_IDS)
 def test_channel_states_and_snapshots_are_exactly_real(protocol, monkeypatch):
-    # The partial trace's diagonal closed form has the Gram product's bits
-    # because every amplitude is real, so each entry is a single product.
-    # A gate that made a complex amplitude would move report bits; it must
-    # fail here first, on the state Eve sees or on her snapshot.
+    # Real amplitudes are what let the partial trace write most snapshots
+    # as one float's square per entry; an amplitude with two nonzero parts
+    # sends it back to the dense product. A gate that made complex
+    # amplitudes would change both what Eve sees and which path runs, so it
+    # must fail here first, on the state she sees or on her snapshot.
     trace = CompositeState.reduced_density_matrix
     real = []
 

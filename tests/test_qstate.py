@@ -711,25 +711,24 @@ def test_kernels_allocate_at_most_one_and_a_half_states():
 # -- the partial trace against the dense Gram product ---------------------------
 
 
-def dense_gram(state, keep):
-    """The dense formula: the kept x traced matrix times its adjoint."""
+def kept_by_traced(state, keep):
     names = state.names()
     shape = [1 << r.width for r in state.registers]
     kept = [i for i, name in enumerate(names) if name in keep]
     traced = [i for i, name in enumerate(names) if name not in keep]
     mat = state.amplitudes.reshape(shape).transpose(kept + traced)
-    mat = mat.reshape(math.prod(shape[i] for i in kept), -1)
+    return mat.reshape(math.prod(shape[i] for i in kept), -1)
+
+
+def dense_gram(state, keep):
+    """The dense formula: the kept x traced matrix times its adjoint."""
+    mat = kept_by_traced(state, keep)
     return mat @ mat.conj().T
 
 
 def is_partial_permutation(state, keep):
     """At most one nonzero in each row and column of the kept x traced matrix."""
-    names = state.names()
-    shape = [1 << r.width for r in state.registers]
-    kept = [i for i, name in enumerate(names) if name in keep]
-    traced = [i for i, name in enumerate(names) if name not in keep]
-    nonzero = state.amplitudes.reshape(shape).transpose(kept + traced) != 0
-    nonzero = nonzero.reshape(math.prod(shape[i] for i in kept), -1)
+    nonzero = kept_by_traced(state, keep) != 0
     return nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1
 
 
@@ -776,8 +775,8 @@ def test_reduced_density_matrix_matches_dense_gram_bit_for_bit(widths, data):
     for candidate in (dense, state, flipped, measured, collapsed, grown, mixed,
                       imaginary, phased):
         regs = candidate.names()
-        for size in range(1, len(regs) + 1):
-            for keep in itertools.combinations(regs, size):
+        for count in range(1, len(regs) + 1):
+            for keep in itertools.combinations(regs, count):
                 got = candidate.reduced_density_matrix(keep).matrix
                 assert same_bits(got, dense_gram(candidate, keep)), (regs, keep)
                 branches.add(is_partial_permutation(candidate, keep))
