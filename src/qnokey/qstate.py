@@ -352,7 +352,12 @@ class CompositeState:
             # the Gram product's value bit for bit.
             if _distinct(rows) and _distinct(cols):
                 v = parts[hits]
-                rho = np.zeros((keep_dim, keep_dim), dtype=np.complex128)
+                # Every entry is written, as the dense product writes it. A
+                # calloc'd matrix with only its diagonal touched is resident
+                # page by page, and once freed, that partly resident block
+                # can stay in the heap, so the process's resident size would
+                # depend on which sessions ran before.
+                rho = np.full((keep_dim, keep_dim), 0.0, dtype=np.complex128)
                 rho[rows, rows] = v * v
                 return DensityMatrix(rho)
         mat = amps.reshape(shape).transpose(order).reshape(keep_dim, traced_dim)
