@@ -3,8 +3,11 @@
 Subcommands: `run` one experiment, `sweep` a parameter grid, `verify` a
 stored report against a fresh rerun, and `tables` for truth-table files.
 Exit status: 0 when every embedded assertion passed, 1 when any failed,
-2 for unusable arguments. Reports land in --out, or in the directory
-named by QNOKEY_OUTPUT_DIR, or in the working directory.
+2 for unusable arguments. `verify` checks every report it is given: one
+it cannot rerun (unreadable, or a config the package refuses) is printed
+as FAIL with the reason, and the next report is still checked. Reports
+land in --out, or in the directory named by QNOKEY_OUTPUT_DIR, or in the
+working directory.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .protocols import PROTOCOL_IDS, ProtocolError
 from .qstate import DEFAULT_QUBIT_CAP
 
 OUTPUT_DIR_ENV = "QNOKEY_OUTPUT_DIR"
+
+# Errors that refuse the arguments or a file rather than report a bug.
+REFUSALS = (ConfigError, ProtocolError, AttackSpecError, ValueError, OSError)
 
 
 def _output_dir() -> Path:
@@ -186,7 +192,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     bad = 0
     for path in args.reports:
-        ok, detail = verify_report(path)
+        try:
+            ok, detail = verify_report(path)
+        except REFUSALS as exc:
+            ok, detail = False, str(exc)
         print(f"{'PASS' if ok else 'FAIL'} {path}: {detail}")
         if not ok:
             bad += 1
@@ -231,10 +240,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "tables":
             return _cmd_tables(args)
-    except (ConfigError, ProtocolError, AttackSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -15,7 +15,7 @@ import base64
 import datetime
 import json
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.special import betaincinv
@@ -92,6 +92,10 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.messages is not None:
             object.__setattr__(self, "messages", tuple(self.messages))
+            if not self.messages:
+                raise ConfigError("the message list is empty; give at least one message")
+            if len(set(self.messages)) != len(self.messages):
+                raise ConfigError(f"the message list {list(self.messages)} repeats a message")
             for x in self.messages:
                 if not 0 <= x < (1 << self.n):
                     raise ConfigError(f"message {x} does not fit in {self.n} bits")
@@ -124,6 +128,9 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config fields {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
+        if missing:
+            raise ConfigError(f"config is missing the fields {sorted(missing)}")
         d = dict(d)
         if d.get("messages") is not None:
             d["messages"] = tuple(d["messages"])
@@ -561,6 +568,8 @@ def verify_report(path) -> tuple[bool, str]:
     the stored and the fresh value.
     """
     stored = ExperimentReport.read(path)
+    if not isinstance(stored.body.get("config"), dict):
+        raise ConfigError("the report carries no config object")
     config = ExperimentConfig.from_dict(stored.body["config"])
     fresh = run_experiment(config)
     a, b = canonical_json(stored.body), fresh.body_bytes()

@@ -396,12 +396,10 @@ def run_protocol1(
     state = init_basis_state([Register("R1", n, Holder.ALICE)], {"R1": x},
                              qubit_cap=qubit_cap)
     state = state.apply_hadamard("R1")
-    state = state.extend("R2", n, Holder.ALICE)
-    state = state.apply_xor_oracle("R1", "R2", draws.alice_perm.table)
+    state = state.extend("R2", n, Holder.ALICE, source="R1", table=draws.alice_perm.table)
     state = channel.send(state, ("R1",), alice, bob)
 
-    state = state.extend("R3", n, Holder.BOB)
-    state = state.apply_xor_oracle("R1", "R3", draws.bob_perm.table)
+    state = state.extend("R3", n, Holder.BOB, source="R1", table=draws.bob_perm.table)
     state = channel.send(state, ("R1",), bob, alice)
 
     state = state.apply_xor_oracle("R1", "R2", draws.alice_perm.table)  # uncompute
@@ -460,20 +458,16 @@ def _run_tagged_three_pass(
     state = init_basis_state([Register("R1", n, sh)], {"R1": x},
                              qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
-    state = state.extend("R2", n, sh)
-    state = state.apply_xor_oracle("R1", "R2", draws.sender_perm.table)
-    state = state.extend("R3", l, sh)
-    state = state.apply_xor_oracle("R1", "R3", sender.tags_with.table, pad=draws.first_pad)
+    state = state.extend("R2", n, sh, source="R1", table=draws.sender_perm.table)
+    state = state.extend("R3", l, sh, draws.first_pad, source="R1", table=sender.tags_with.table)
     state = channel.send(state, ("R1", "R3"), sender, receiver)
 
     # Receiver: expose and log the sender's pad, then bind own secrets.
     state = state.apply_xor_oracle("R1", "R3", receiver.strips_with.table)
     _, state = channel.measure(state, receiver, "R3")
     state = state.discard("R3")
-    state = state.extend("R4", n, rh)
-    state = state.apply_xor_oracle("R1", "R4", draws.receiver_perm.table)
-    state = state.extend("R5", l, rh)
-    state = state.apply_xor_oracle("R1", "R5", receiver.tags_with.table, pad=draws.reply_pad)
+    state = state.extend("R4", n, rh, source="R1", table=draws.receiver_perm.table)
+    state = state.extend("R5", l, rh, draws.reply_pad, source="R1", table=receiver.tags_with.table)
     state = channel.send(state, ("R1", "R5"), receiver, sender)
 
     # Sender: detach own permutation, expose the receiver's pad, re-tag.
@@ -482,8 +476,7 @@ def _run_tagged_three_pass(
     state = state.apply_xor_oracle("R1", "R5", sender.strips_with.table)
     _, state = channel.measure(state, sender, "R5")
     state = state.discard("R5")
-    state = state.extend("R6", l, sh)
-    state = state.apply_xor_oracle("R1", "R6", sender.tags_with.table, pad=draws.final_pad)
+    state = state.extend("R6", l, sh, draws.final_pad, source="R1", table=sender.tags_with.table)
     state = channel.send(state, ("R1", "R6"), sender, receiver)
 
     # Receiver: detach own permutation, expose the final pad, decode.
@@ -532,11 +525,9 @@ def _run_inverted_two_pass(
 
     state = init_basis_state([Register("R1", n, rh)], None, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
-    state = state.extend("R2", n, rh)
-    state = state.apply_xor_oracle("R1", "R2", draws.receiver_perm.table)
-    state = state.extend("R3", l, rh)
-    state = state.apply_xor_oracle("R1", "R3", receiver.tags_with.table,
-                                   pad=draws.receiver_pad)
+    state = state.extend("R2", n, rh, source="R1", table=draws.receiver_perm.table)
+    state = state.extend("R3", l, rh, draws.receiver_pad, source="R1",
+                         table=receiver.tags_with.table)
     state = channel.send(state, ("R1", "R3"), receiver, sender)
 
     # Sender: expose the receiver's pad, write the message into phases.
@@ -544,8 +535,7 @@ def _run_inverted_two_pass(
     _, state = channel.measure(state, sender, "R3")
     state = state.discard("R3")
     state = state.apply_phase_flip("R1", x)
-    state = state.extend("R4", l, sh)
-    state = state.apply_xor_oracle("R1", "R4", sender.tags_with.table, pad=draws.sender_pad)
+    state = state.extend("R4", l, sh, draws.sender_pad, source="R1", table=sender.tags_with.table)
     state = channel.send(state, ("R1", "R4"), sender, receiver)
 
     # Receiver: expose the sender's pad, unscramble, decode the phases.
@@ -853,8 +843,8 @@ def run_noninteractive(
     state = init_basis_state([Register("R1", n, Holder.ALICE)], {"R1": x},
                              qubit_cap=qubit_cap)
     state = state.apply_hadamard("R1")
-    state = state.extend("R2", l, Holder.ALICE)
-    state = state.apply_xor_oracle("R1", "R2", keys.alice_tag.table, pad=tr.draws.pad)
+    state = state.extend("R2", l, Holder.ALICE, tr.draws.pad, source="R1",
+                         table=keys.alice_tag.table)
     state = channel.send(state, ("R1", "R2"), alice, bob)
 
     state = state.apply_xor_oracle("R1", "R2", keys.alice_tag.table)

@@ -8,7 +8,9 @@ register.  All operations are pure: they return a new state and never
 mutate their input.  Each one works on reshaped views of the register
 axes (a `(left, size, right)` view around one register, or a row per
 source value for an oracle), so no operation builds a full-length index
-array.
+array. A fresh register computed from an oracle, |m>|f(m) XOR p>, is
+written in the same pass that appends it, with the bits that appending
+|p> and then applying the XOR oracle would give.
 
 The partial trace writes its result directly when it is diagonal with
 one float's square per entry, as for most channel states the protocols
@@ -145,23 +147,48 @@ class CompositeState:
 
     # -- layout-changing operations -------------------------------------
 
-    def extend(self, name: str, width: int, holder: Holder, value: int = 0) -> "CompositeState":
-        """Append a fresh register initialised to a basis value."""
+    def extend(
+        self,
+        name: str,
+        width: int,
+        holder: Holder,
+        value: int = 0,
+        *,
+        source: str | None = None,
+        table: Sequence[int] | np.ndarray | None = None,
+    ) -> "CompositeState":
+        """Append a fresh register: |m>_source |value XOR table[m]>_name.
+
+        With no source the register holds |value>: the one-row case of
+        the same kernel. Each source value m gets a one-hot row over the
+        new register's values, set at value XOR table[m], and one multiply
+        broadcasts every amplitude against its row. So every slot holds
+        the amplitude times 1+0j or times 0j, the bits that appending
+        |value> by an outer product and then applying the XOR oracle would
+        give, signed zeros included, and the state is read and written
+        once.
+        """
         if any(r.name == name for r in self.registers):
             raise RegisterError(f"register name {name!r} already in use")
+        reg = Register(name, width, holder)
         new_width = self.total_width + width
         if new_width > self.qubit_cap:
             raise RegisterError(
                 f"adding {name!r} needs {self.total_width}+{width}={new_width} qubits, "
                 f"cap is {self.qubit_cap}"
             )
-        if not 0 <= value < (1 << width):
-            raise RegisterError(f"value {value} does not fit in {width} bits")
-        tail = np.zeros(1 << width, dtype=np.complex128)
-        tail[value] = 1.0
-        amps = np.multiply.outer(self.amplitudes, tail).ravel()
-        regs = self.registers + (Register(name, width, holder),)
-        return CompositeState(regs, amps, self.qubit_cap)
+        if (source is None) != (table is None):
+            raise RegisterError("give both a source register and a table, or neither")
+        if source is None:
+            rows, table = self.amplitudes.reshape(-1, 1, 1), (0,)
+        else:
+            rows = self._axis_view(source)
+        size = rows.shape[1]
+        hit = np.zeros((size, 1 << width), dtype=bool)
+        hit[np.arange(size), _oracle_offsets(source, size, width, table, "value", value)] = True
+        out = np.empty(rows.shape + (1 << width,), dtype=np.complex128)
+        np.multiply(rows[..., None], hit[:, None, :], out=out, dtype=np.complex128)
+        return CompositeState(self.registers + (reg,), out.reshape(-1), self.qubit_cap)
 
     def with_holder(self, names: Iterable[str], holder: Holder) -> "CompositeState":
         wanted = set(names)
@@ -252,15 +279,7 @@ class CompositeState:
         if src == dst:
             raise RegisterError("oracle source and destination must differ")
         sreg, dreg = self.register(src), self.register(dst)
-        tab = np.asarray(table, dtype=np.int64)
-        if tab.shape != (1 << sreg.width,):
-            raise RegisterError(
-                f"table has {tab.size} entries, register {src!r} needs {1 << sreg.width}"
-            )
-        if tab.size and (tab.min() < 0 or tab.max() >= (1 << dreg.width)):
-            raise RegisterError(f"table entries must fit in {dreg.width} bits")
-        if not 0 <= pad < (1 << dreg.width):
-            raise RegisterError(f"pad {pad} does not fit in {dreg.width} bits")
+        offsets = _oracle_offsets(src, 1 << sreg.width, dreg.width, table, "pad", pad)
         names = self.names()
         i, j = names.index(src), names.index(dst)
         lo, hi = min(i, j), max(i, j)
@@ -273,7 +292,7 @@ class CompositeState:
         # 2 (source first) or 1 (destination first).
         lead, axis = ((slice(None),), 2) if i < j else ((slice(None),) * 3, 1)
         ys = np.arange(1 << dreg.width)
-        for m, k in enumerate((tab ^ pad).tolist()):
+        for m, k in enumerate(offsets.tolist()):
             row = lead + (m,)
             a[row].take(ys ^ k, axis, out[row], "clip")
         return CompositeState(self.registers, out.reshape(-1), self.qubit_cap)
@@ -362,6 +381,20 @@ class CompositeState:
                 return DensityMatrix(rho)
         mat = amps.reshape(shape).transpose(order).reshape(keep_dim, traced_dim)
         return DensityMatrix(mat @ mat.conj().T)
+
+
+def _oracle_offsets(
+    src: str | None, size: int, width: int, table, what: str, pad: int
+) -> np.ndarray:
+    """table[m] XOR pad for each of the `size` source values, checked to fit `width` bits."""
+    tab = np.asarray(table, dtype=np.int64)
+    if tab.shape != (size,):
+        raise RegisterError(f"table has {tab.size} entries, register {src!r} needs {size}")
+    if tab.min() < 0 or tab.max() >= (1 << width):
+        raise RegisterError(f"table entries must fit in {width} bits")
+    if not 0 <= pad < (1 << width):
+        raise RegisterError(f"{what} {pad} does not fit in {width} bits")
+    return tab ^ pad
 
 
 def _distinct(values: np.ndarray) -> bool:

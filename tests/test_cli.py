@@ -111,6 +111,25 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_reports_each_refused_report_and_goes_on(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert run_cli("run", "--protocol", "p1", "--n", "2", "--seed", "9",
+                   "--out", str(good)) == 0
+    doc = json.loads(good.read_text())
+    refused, bare = tmp_path / "refused.json", tmp_path / "bare.json"
+    doc["config"].update(protocol="p2", l=1, t=3)
+    refused.write_text(json.dumps(doc))
+    del doc["config"]["protocol"], doc["config"]["n"]
+    bare.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(refused), str(bare), str(good)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith(f"FAIL {refused}: only p6 carries an authentication tag")
+    assert lines[1] == f"FAIL {bare}: config is missing the fields ['n', 'protocol']"
+    assert lines[2].startswith(f"PASS {good}:")
+
+
 def test_tables_sample_and_check(tmp_path, capsys):
     perm = tmp_path / "perm.txt"
     func = tmp_path / "func.txt"
@@ -162,6 +181,9 @@ def test_unused_fields_and_large_averages_exit_two(tmp_path, capsys):
          "needs 1048576 items, limit is 65536"),
         (("--protocol", "nonint", "--n", "14", "--l", "1", "--x", "0"),
          "2*15=30-qubit state, cap is 22; run with --no-snapshots"),
+        # A repeated message would certify independence against itself.
+        (("--protocol", "p2", "--n", "2", "--l", "1", "--x", "1,1", "--average", "pads"),
+         "repeats a message"),
     ):
         assert run_cli("run", *argv, "--out", str(out)) == 2
         assert message in capsys.readouterr().err

@@ -50,6 +50,14 @@ def test_config_rejects_bad_fields():
         ExperimentConfig("p2", n=2, l=1, average="sometimes")
     with pytest.raises(ConfigError, match="does not fit"):
         ExperimentConfig("p1", n=2, messages=(4,))
+    with pytest.raises(ConfigError, match="message list is empty"):
+        ExperimentConfig("p1", n=2, messages=())
+    with pytest.raises(ConfigError, match="message list is empty"):
+        ExperimentConfig("p2", n=2, l=1, messages=())
+    with pytest.raises(ConfigError, match=r"message list \[1, 1\] repeats a message"):
+        ExperimentConfig("p2", n=2, l=1, messages=(1, 1), average="pads")
+    with pytest.raises(ConfigError, match=r"missing the fields \['n'\]"):
+        ExperimentConfig.from_dict({"protocol": "p1"})
     with pytest.raises(ConfigError, match="exhaustive_keys"):
         ExperimentConfig("p2", n=2, l=1, exhaustive_keys=True)
     with pytest.raises(ConfigError, match="table pinning"):

@@ -3,17 +3,20 @@
 Each example draws a protocol, small widths and a seed, runs one honest
 session and checks what must hold for any parameters: the message is
 decoded with no rejecting verdict, the rounds are numbered 1..R, no
-register is discarded while entangled, and replaying the session from
+register is discarded while entangled, the widest state built is
+exactly `peak_live_width`, and replaying the session from
 `sample_draws` reproduces its draws and every measurement outcome.
 The settings are fixed so the examples, and the suite's run time,
 repeat from run to run.
 """
 
+from contextlib import contextmanager
+
 from hypothesis import given, settings, strategies as st
 
 from qnokey import protocols as proto
 from qnokey.oracles import make_rng
-from qnokey.qstate import EntangledRegisterError
+from qnokey.qstate import CompositeState, EntangledRegisterError
 
 SESSIONS = st.tuples(
     st.sampled_from(proto.PROTOCOL_IDS),
@@ -22,6 +25,23 @@ SESSIONS = st.tuples(
     st.integers(1, 2),
     st.integers(0, 2**32 - 1),
 )
+
+
+@contextmanager
+def _extend_widths():
+    """Record the total width of every state `CompositeState.extend` returns."""
+    widths, extend = [], CompositeState.extend
+
+    def spy(self, *args, **kw):
+        grown = extend(self, *args, **kw)
+        widths.append(grown.total_width)
+        return grown
+
+    CompositeState.extend = spy
+    try:
+        yield widths
+    finally:
+        CompositeState.extend = extend
 
 
 def _session(protocol, x, n, l, t, keys, **kw):
@@ -43,7 +63,10 @@ def test_honest_session_properties(session, data):
     keys = None if protocol == "p1" else \
         proto.sample_shared_keys(protocol, n, l, t, make_rng((seed, 0)))
 
-    tr = _session(protocol, x, n, l, t, keys, rng=make_rng((seed, 1)))
+    with _extend_widths() as widths:
+        tr = _session(protocol, x, n, l, t, keys, rng=make_rng((seed, 1)))
+    # Only extend grows a state, so its widest result is the session's peak.
+    assert max(widths) == proto.peak_live_width(protocol, n, l, t)[0], widths
     assert tr.recovered == x
     assert False not in (tr.alice_accepts, tr.bob_accepts, tr.mac_accepts)
     assert [tx.round_index for tx in tr.transmissions] == \

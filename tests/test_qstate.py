@@ -123,6 +123,23 @@ def test_extend_rejects_past_cap_with_arithmetic():
         state.extend("R2", 3, A)
 
 
+def test_extend_from_an_oracle_validates_its_arguments():
+    state = basis([("R1", 2)])
+    with pytest.raises(RegisterError, match="table has 3 entries"):
+        state.extend("R2", 2, A, source="R1", table=[0, 1, 2])
+    with pytest.raises(RegisterError, match="must fit in 2 bits"):
+        state.extend("R2", 2, A, source="R1", table=[0, 1, 2, 4])
+    with pytest.raises(RegisterError, match="value 4 does not fit in 2 bits"):
+        state.extend("R2", 2, A, 4, source="R1", table=[0, 1, 2, 3])
+    with pytest.raises(RegisterError, match="value 4 does not fit in 2 bits"):
+        state.extend("R2", 2, A, 4)
+    with pytest.raises(RegisterError, match="no register named 'R9'"):
+        state.extend("R2", 2, A, source="R9", table=[0, 1, 2, 3])
+    for kw in ({"source": "R1"}, {"table": [0, 1, 2, 3]}):
+        with pytest.raises(RegisterError, match="a source register and a table, or neither"):
+            state.extend("R2", 2, A, **kw)
+
+
 def test_unknown_register_rejected():
     state = basis([("R1", 2)])
     with pytest.raises(RegisterError, match="R9"):
@@ -621,6 +638,12 @@ def index_discard(amps, widths, pos):
     return np.ascontiguousarray(mat[pick, :] / math.sqrt(weights[pick]))
 
 
+def outer_extend(amps, width, value):
+    tail = np.zeros(1 << width, dtype=np.complex128)
+    tail[value] = 1.0
+    return np.multiply.outer(amps, tail).ravel()
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -656,16 +679,29 @@ def test_kernels_match_index_vector_formulas_bit_for_bit(widths, data):
     dropped = collapsed.discard(names[pos])
     assert same_bits(dropped.amplitudes, index_discard(expect, widths, pos))
 
-    # Extend, compute a copy into the new register, uncompute, discard.
+    # Extend with and without a source, against the outer product with a
+    # basis vector followed by the index-vector XOR. A second state has
+    # real and imaginary parts that are each a normal float or a signed
+    # zero, whose signs the outer product's multiplications decide.
     width = data.draw(st.integers(1, 3), label="width")
     value = data.draw(st.integers(0, (1 << width) - 1), label="value")
-    grown = state.extend("Z", width, A, value)
-    tail = np.zeros(1 << width, dtype=np.complex128)
-    tail[value] = 1.0
-    assert same_bits(grown.amplitudes, np.kron(amps, tail))
+    parts = amps.view(np.float64).copy()
+    zeroed = rng.random(parts.size) < 0.5
+    parts[zeroed] = np.copysign(0.0, rng.normal(size=int(zeroed.sum())))
+    signed_zeros = CompositeState(state.registers, parts.view(np.complex128))
     copy_table = rng.integers(0, 1 << width, size=1 << widths[src])
-    copied = grown.apply_xor_oracle(names[src], "Z", copy_table)
-    undone = copied.apply_xor_oracle(names[src], "Z", copy_table)
+    for base in (state, signed_zeros):
+        grown = base.extend("Z", width, A, value)
+        assert same_bits(grown.amplitudes, outer_extend(base.amplitudes, width, value))
+        fused = base.extend("Z", width, A, value, source=names[src], table=copy_table)
+        expect = index_xor(outer_extend(base.amplitudes, width, 0), widths + [width],
+                           src, len(widths), copy_table, value)
+        assert same_bits(fused.amplitudes, expect)
+        assert fused.names() == grown.names() == tuple(names) + ("Z",)
+    # Uncompute the copy, then discard the register.
+    undone = state.extend("Z", width, A, value, source=names[src], table=copy_table) \
+        .apply_xor_oracle(names[src], "Z", copy_table)
+    grown = state.extend("Z", width, A, value)
     assert same_bits(undone.amplitudes, grown.amplitudes)
     assert same_bits(undone.discard("Z").amplitudes,
                      index_discard(grown.amplitudes, widths + [width], len(widths)))
@@ -694,6 +730,17 @@ def test_kernels_allocate_at_most_one_and_a_half_states():
     for name in ("R1", "R2", "R3"):
         ops[f"measure {name}"] = lambda name=name: state.measure(name, rng)
     output = {"trace to R2": (128 * 128) * 16}
+    # A fresh register computed from its oracle may take 1.5 times its output,
+    # against 2 for the outer product followed by the XOR gather.
+    extend_limits = {}
+    for layout, src, width in ([("R1", 7), ("R2", 7)], "R1", 6), \
+            ([("R1", 7), ("R2", 7), ("R3", 5)], "R2", 1), ([("R1", 7), ("R2", 6)], "R2", 7):
+        base = random_state(rng, layout)
+        label = f"extend {'+'.join(str(w) for _, w in layout)} -> +{width} from {src}"
+        table = rng.integers(0, 1 << width, size=1 << base.register(src).width)
+        ops[label] = lambda base=base, src=src, width=width, table=table: \
+            base.extend("Z", width, A, 1, source=src, table=table)
+        extend_limits[label] = 1.5 * base.amplitudes.nbytes * (1 << width)
     tracemalloc.start()
     try:
         for label, op in ops.items():
@@ -702,7 +749,7 @@ def test_kernels_allocate_at_most_one_and_a_half_states():
             result = op()
             peak = tracemalloc.get_traced_memory()[1] - start
             del result
-            limit = budget + output.get(label, 0)
+            limit = extend_limits.get(label, budget + output.get(label, 0))
             assert peak <= limit, f"{label}: peak {peak} B, budget {limit:.0f} B"
     finally:
         tracemalloc.stop()
