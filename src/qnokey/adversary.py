@@ -380,10 +380,7 @@ def passive_snapshot(
                                  attack=PassiveAttack(), snapshots=True,
                                  qubit_cap=qubit_cap)
         if averaged:
-            views[x] = [
-                proto.eve_average_view(redo, r, keys=keys).rho
-                for r in range(1, rounds + 1)
-            ]
+            views[x] = [view.rho for view in proto.eve_average_view(redo, keys=keys)]
         else:
             views[x] = [redo.snapshot(r) for r in range(1, rounds + 1)]
     distances = {}

@@ -131,10 +131,35 @@ class ExperimentConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ConfigError(f"config is missing the fields {sorted(missing)}")
+        for name, value in d.items():
+            if name == "messages":
+                ok = value is None or (isinstance(value, (list, tuple))
+                                       and all(map(_is_int, value)))
+            elif _STORED_TYPES[name] is int:
+                ok = _is_int(value)
+            else:
+                ok = isinstance(value, _STORED_TYPES[name])
+            if not ok:
+                raise ConfigError(f"config field {name!r} has the wrong type: {value!r}")
         d = dict(d)
         if d.get("messages") is not None:
             d["messages"] = tuple(d["messages"])
         return cls(**d)
+
+
+# The JSON type of each stored config field but messages, which is null
+# or a list of ints. A bool is not an int here, though Python says it is.
+_STORED_TYPES = {
+    "protocol": str, "n": int, "l": int, "t": int, "seed": int, "trials": int,
+    "attack": (str, type(None)), "snapshots": bool, "average": str,
+    "exhaustive_keys": bool, "include_matrices": bool, "qubit_cap": int, "enum_limit": int,
+    "fa_file": (str, type(None)), "fb_file": (str, type(None)),
+    "sa_file": (str, type(None)), "sb_file": (str, type(None)),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def encode_matrix(rho: DensityMatrix | np.ndarray) -> dict:
@@ -296,12 +321,12 @@ def _session_results(config: ExperimentConfig) -> dict:
                     entry["snapshots"] = [encode_matrix(tr.snapshot(r))
                                           for r in range(1, rounds + 1)]
             if config.average != "none" and config.protocol != "p1":
-                views = []
-                for r in range(1, rounds + 1):
-                    view = proto.eve_average_view(
-                        tr, r, keys=keys, average_over=avg_kinds,
-                        enum_limit=config.enum_limit, qubit_cap=config.qubit_cap,
-                    )
+                views = proto.eve_average_view(
+                    tr, keys=keys, average_over=avg_kinds,
+                    enum_limit=config.enum_limit, qubit_cap=config.qubit_cap,
+                )
+                for view in views:
+                    r = view.round_index
                     _, dev = is_maximally_mixed(view.rho)
                     averaged_dev[r] = max(averaged_dev.get(r, 0.0), dev)
                     averaged_runs[r] = view.runs
@@ -310,8 +335,7 @@ def _session_results(config: ExperimentConfig) -> dict:
                                      abs(view.rho.trace() - 1.0),
                                      max(0.0, -view.rho.min_eigenvalue()))
                         view_defect = max(view_defect, defect)
-                    views.append(view.rho)
-                trial_views[x] = views
+                trial_views[x] = [view.rho for view in views]
             if honest:
                 all_correct = all_correct and tr.recovered == x
                 for v in (tr.alice_accepts, tr.bob_accepts, tr.mac_accepts):

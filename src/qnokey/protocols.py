@@ -33,13 +33,15 @@ adversary can play a side with substitute tables. run_session runs
 any protocol by id, looking its public run_* name up at each call.
 
 Channel views: per-run snapshots are what an eavesdropper sees in one
-session; eve_average_view computes the exact mixture over enumerated
-one-time values (and optionally over the tag-function family), which is
-the object the indistinguishability claims are about. The two are kept
-strictly separate because per-run snapshots of the tagged protocols are
-not maximally mixed. A view re-runs the honest session once and gets
-every enumerated secret's snapshot by permuting that one snapshot's tag
-index; noninteractive_view is the same average over the broadcast.
+session; eve_average_view computes, for each requested round, the exact
+mixture over enumerated one-time values (and optionally over the
+tag-function family), which is the object the indistinguishability
+claims are about. The two are kept strictly separate because per-run
+snapshots of the tagged protocols are not maximally mixed. One call
+re-runs the honest session once for all its rounds, and gets every
+enumerated secret's snapshot of a round by permuting the tag index of
+that rerun's snapshot of the round; noninteractive_view is the same
+average over the broadcast's single round.
 """
 
 from __future__ import annotations
@@ -889,9 +891,9 @@ def noninteractive_view(
     _check_message(x, n)
     _check_cap("nonint", n, l, 0, qubit_cap)
     blank = BooleanFunction(n, l, (0,) * (1 << n))
-    view = eve_average_view(Transcript("nonint", n, l, 0, x, draws=NonintDraws(0)), 1,
-                            keys=SharedKeys(blank, blank), average_over=("pads", "keys"),
-                            enum_limit=enum_limit, qubit_cap=qubit_cap)
+    (view,) = eve_average_view(Transcript("nonint", n, l, 0, x, draws=NonintDraws(0)), (1,),
+                               keys=SharedKeys(blank, blank), average_over=("pads", "keys"),
+                               enum_limit=enum_limit, qubit_cap=qubit_cap)
     return view.rho
 
 
@@ -932,83 +934,90 @@ def _round_secrets(protocol: str, round_index: int):
 
 def eve_average_view(
     transcript: Transcript,
-    round_index: int,
+    rounds: Iterable[int] | None = None,
     *,
     keys: SharedKeys | None = None,
     average_over: Iterable[str] = ("pads",),
     enum_limit: int = DEFAULT_ENUM_LIMIT,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> EveView:
-    """Exact mixture of one round's channel state over one-time secrets.
+) -> tuple[EveView, ...]:
+    """Exact mixtures of the given rounds' channel states over one-time secrets.
 
-    Averages the round's snapshot over every value of its pad ("pads")
-    and, when requested, of its tag function ("keys"), holding every
-    other draw of `transcript` fixed. This is the channel state relative
-    to an adversary who knows everything except the enumerated secrets,
-    a different object from the single-run snapshot in the transcript.
+    Returns one view per requested round, in the order asked; `rounds`
+    None means every round of the protocol. Each view averages its
+    round's snapshot over every value of that round's pad ("pads") and,
+    when requested, of its tag function ("keys"), holding every other
+    draw of `transcript` fixed. This is the channel state relative to an
+    adversary who knows everything except the enumerated secrets, a
+    different object from the single-run snapshot in the transcript.
 
-    The session is re-run once, honestly, with the given keys. The
-    round's secret enters only through its tag oracle, which moves the
-    amplitude at (message m, tag y) to (m, y ^ f(m) ^ p), and every
-    earlier tag is stripped by the same function that put it on. So the
-    snapshot under another (p, f) is the rerun's snapshot with rows and
-    columns permuted by y -> y ^ f(m) ^ p ^ f0(m) ^ p0, where f0 and p0
-    are the rerun's own; the sum is taken in enumeration order. Pads
-    times functions beyond `enum_limit` are refused with the count.
+    The session is re-run once, honestly, with the given keys, and that
+    one rerun serves every round. A round's secret enters only through
+    its tag oracle, which moves the amplitude at (message m, tag y) to
+    (m, y ^ f(m) ^ p), and every earlier tag is stripped by the same
+    function that put it on. So the round's snapshot under another
+    (p, f) is the rerun's snapshot with rows and columns permuted by
+    y -> y ^ f(m) ^ p ^ f0(m) ^ p0, where f0 and p0 are the rerun's own;
+    the sum is taken in enumeration order. Every requested round is
+    resolved before the rerun: an unknown round, or pads times functions
+    beyond `enum_limit` (refused with the count), runs nothing.
     """
     kinds = set(average_over)
     unknown = kinds - {"pads", "keys"}
     if unknown:
         raise ValueError(f"unknown averaging kinds {sorted(unknown)}")
+    protocol = transcript.protocol
+    wanted = range(1, ROUND_COUNTS[protocol] + 1) if rounds is None else tuple(rounds)
     if not kinds:
         # Identity average: nothing enumerated, the per-run snapshot is it.
-        return EveView(transcript.snapshot(round_index), round_index, (), 1)
-    protocol = transcript.protocol
+        return tuple(EveView(transcript.snapshot(r), r, (), 1) for r in wanted)
     if protocol != "p1" and keys is None:
         raise ValueError("keyed protocols need the session keys to average")
-    stage, pad_field, _, tag_attr = _round_secrets(protocol, round_index)
     l = transcript.l
-    base_pad = _get_pad(transcript.draws, protocol, stage, pad_field)
-    base_fn: BooleanFunction = getattr(keys, tag_attr)
-
-    what = []
-    count = 1
-    if "pads" in kinds:
-        count <<= l
-        what.append(f"{l}-bit pads")
-    if "keys" in kinds:
-        count *= count_functions(base_fn.n, base_fn.l)
-        what.append(f"{base_fn.n}-to-{base_fn.l}-bit tag functions")
-    if count > enum_limit:
-        raise EnumerationLimitError(count, enum_limit, " times ".join(what))
-    pad_values = range(1 << l) if "pads" in kinds else [base_pad]
-    fn_values = list(enumerate_functions(base_fn.n, base_fn.l, enum_limit)) \
-        if "keys" in kinds else [base_fn]
+    plans = []
+    for r in wanted:
+        stage, pad_field, _, tag_attr = _round_secrets(protocol, r)
+        base_fn: BooleanFunction = getattr(keys, tag_attr)
+        what = []
+        count = 1
+        averaged = []
+        if "pads" in kinds:
+            count <<= l
+            what.append(f"{l}-bit pads")
+            averaged.append(f"{pad_field}[stage {stage}]")
+        if "keys" in kinds:
+            count *= count_functions(base_fn.n, base_fn.l)
+            what.append(f"{base_fn.n}-to-{base_fn.l}-bit tag functions")
+            averaged.append(tag_attr)
+        if count > enum_limit:
+            raise EnumerationLimitError(count, enum_limit, " times ".join(what))
+        base_pad = _get_pad(transcript.draws, protocol, stage, pad_field)
+        plans.append((r, base_pad, base_fn, tuple(averaged)))
 
     redo = run_session(
         protocol, transcript.message, transcript.n, l, transcript.t, keys,
         rng=0, draws=transcript.draws, attack=None, snapshots=True, qubit_cap=qubit_cap,
     )
-    rho = redo.snapshot(round_index).matrix
-    # The snapshot holds the message register R1 first and the tag last.
-    (_, width), (_, tag_width) = redo.transmissions[round_index - 1].registers
-    rows = (np.arange(1 << width) << tag_width)[:, None]
-    tags = np.arange(1 << tag_width)[None, :]
-    base = np.asarray(base_fn.table) ^ base_pad
-    tables = [np.asarray(fn.table) ^ base for fn in fn_values]
-    rho_sum = None
-    for pad_value, table in itertools.product(pad_values, tables):
-        sigma = (rows | (tags ^ (table ^ pad_value)[:, None])).ravel()
-        snap = rho[np.ix_(sigma, sigma)]
-        rho_sum = snap if rho_sum is None else rho_sum + snap
-
-    averaged = []
-    if "pads" in kinds:
-        averaged.append(f"{pad_field}[stage {stage}]")
-    if "keys" in kinds:
-        averaged.append(tag_attr)
-    runs = len(pad_values) * len(fn_values)
-    return EveView(DensityMatrix(rho_sum / runs), round_index, tuple(averaged), runs)
+    views = []
+    for r, base_pad, base_fn, averaged in plans:
+        pad_values = range(1 << l) if "pads" in kinds else [base_pad]
+        fn_values = list(enumerate_functions(base_fn.n, base_fn.l, enum_limit)) \
+            if "keys" in kinds else [base_fn]
+        rho = redo.snapshot(r).matrix
+        # The snapshot holds the message register R1 first and the tag last.
+        (_, width), (_, tag_width) = redo.transmissions[r - 1].registers
+        rows = (np.arange(1 << width) << tag_width)[:, None]
+        tags = np.arange(1 << tag_width)[None, :]
+        base = np.asarray(base_fn.table) ^ base_pad
+        tables = [np.asarray(fn.table) ^ base for fn in fn_values]
+        rho_sum = None
+        for pad_value, table in itertools.product(pad_values, tables):
+            sigma = (rows | (tags ^ (table ^ pad_value)[:, None])).ravel()
+            snap = rho[np.ix_(sigma, sigma)]
+            rho_sum = snap if rho_sum is None else rho_sum + snap
+        runs = len(pad_values) * len(fn_values)
+        views.append(EveView(DensityMatrix(rho_sum / runs), r, averaged, runs))
+    return tuple(views)
 
 
 def _get_pad(draws, protocol: str, stage: int, field_name: str) -> int:

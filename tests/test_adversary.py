@@ -318,5 +318,5 @@ def test_eve_average_view_matches_passive_averaged():
     keys = keys_for("p2", 2, 1, seed=9)
     comp = passive_snapshot("p2", [1], 2, 1, keys, rng=make_rng(24), averaged=True)
     tr = run_protocol2(1, 2, 1, keys, rng=make_rng(24), attack=PassiveAttack())
-    view = eve_average_view(tr, 1, keys=keys)
+    view = eve_average_view(tr, (1,), keys=keys)[0]
     assert np.allclose(comp.views[1][0].matrix, view.rho.matrix, atol=1e-12)

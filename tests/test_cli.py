@@ -121,13 +121,23 @@ def test_verify_reports_each_refused_report_and_goes_on(tmp_path, capsys):
     refused.write_text(json.dumps(doc))
     del doc["config"]["protocol"], doc["config"]["n"]
     bare.write_text(json.dumps(doc))
+    # Hand-edited values of the wrong JSON type.
+    typed = []
+    for name, value in (("n", "2"), ("messages", [1, "x"]), ("trials", None)):
+        doc = json.loads(good.read_text())
+        doc["config"][name] = value
+        typed.append(tmp_path / f"typed_{name}.json")
+        typed[-1].write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run_cli("verify", str(refused), str(bare), str(good)) == 1
+    assert run_cli("verify", str(refused), str(bare), *map(str, typed), str(good)) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 6
     assert lines[0].startswith(f"FAIL {refused}: only p6 carries an authentication tag")
     assert lines[1] == f"FAIL {bare}: config is missing the fields ['n', 'protocol']"
-    assert lines[2].startswith(f"PASS {good}:")
+    assert lines[2] == f"FAIL {typed[0]}: config field 'n' has the wrong type: '2'"
+    assert lines[3] == f"FAIL {typed[1]}: config field 'messages' has the wrong type: [1, 'x']"
+    assert lines[4] == f"FAIL {typed[2]}: config field 'trials' has the wrong type: None"
+    assert lines[5].startswith(f"PASS {good}:")
 
 
 def test_tables_sample_and_check(tmp_path, capsys):

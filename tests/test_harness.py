@@ -109,6 +109,17 @@ def test_config_from_dict_rejects_unknown_fields():
         ExperimentConfig.from_dict({"protocol": "p1", "n": 1, "speed": 11})
 
 
+def test_config_from_dict_checks_value_types():
+    for name, value in (("n", True), ("n", 2.0), ("seed", "3"), ("messages", 1),
+                        ("messages", [0, False]), ("attack", 5), ("snapshots", 1),
+                        ("protocol", None), ("fa_file", 0)):
+        d = {"protocol": "p1", "n": 1, name: value}
+        with pytest.raises(ConfigError, match=f"config field '{name}' has the wrong type"):
+            ExperimentConfig.from_dict(d)
+    d = {"protocol": "p1", "n": 1, "messages": [0, 1], "attack": None, "snapshots": False}
+    assert ExperimentConfig.from_dict(d).messages == (0, 1)
+
+
 # -- matrix payloads -----------------------------------------------------------------
 
 

@@ -236,8 +236,9 @@ def test_snapshot_accessor_errors():
 def test_p2_pad_average_is_maximally_mixed():
     for n, l in ((2, 1), (2, 2)):
         tr, keys = seeded_session("p2", 3, n, l, seed=13)
-        for r in (1, 2, 3):
-            view = eve_average_view(tr, r, keys=keys, average_over=("pads",))
+        views = eve_average_view(tr, keys=keys, average_over=("pads",))
+        assert [view.round_index for view in views] == [1, 2, 3]
+        for view in views:
             ok, dev = is_maximally_mixed(view.rho, tol=1e-9)
             assert ok and dev <= 1e-12
             assert view.runs == 1 << l
@@ -245,23 +246,24 @@ def test_p2_pad_average_is_maximally_mixed():
 
 def test_p4_pad_average_is_maximally_mixed():
     tr, keys = seeded_session("p4", 2, 2, 2, seed=14)
-    for r in (1, 2):
-        view = eve_average_view(tr, r, keys=keys, average_over=("pads",))
+    views = eve_average_view(tr, keys=keys, average_over=("pads",))
+    assert [view.round_index for view in views] == [1, 2]
+    for view in views:
         ok, dev = is_maximally_mixed(view.rho, tol=1e-9)
         assert ok and dev <= 1e-12
 
 
 def test_pad_and_key_average_matches_pad_only_result():
     tr, keys = seeded_session("p2", 1, 2, 1, seed=15)
-    pads_only = eve_average_view(tr, 1, keys=keys, average_over=("pads",))
-    both = eve_average_view(tr, 1, keys=keys, average_over=("pads", "keys"))
+    pads_only = eve_average_view(tr, (1,), keys=keys, average_over=("pads",))[0]
+    both = eve_average_view(tr, (1,), keys=keys, average_over=("pads", "keys"))[0]
     assert both.runs == 2 * 16
     assert np.allclose(pads_only.rho.matrix, both.rho.matrix, atol=1e-12)
 
 
 def test_empty_average_returns_per_run_snapshot():
     tr, keys = seeded_session("p2", 1, 2, 1, seed=16)
-    view = eve_average_view(tr, 1, keys=keys, average_over=())
+    view = eve_average_view(tr, (1,), keys=keys, average_over=())[0]
     assert view.runs == 1
     assert view.averaged_over == ()
     assert np.array_equal(view.rho.matrix, tr.snapshot(1).matrix)
@@ -270,16 +272,16 @@ def test_empty_average_returns_per_run_snapshot():
 def test_average_rejects_unknown_kind_and_limits():
     tr, keys = seeded_session("p2", 1, 2, 1, seed=17)
     with pytest.raises(ValueError, match="unknown averaging"):
-        eve_average_view(tr, 1, keys=keys, average_over=("noise",))
+        eve_average_view(tr, (1,), keys=keys, average_over=("noise",))
     with pytest.raises(EnumerationLimitError):
-        eve_average_view(tr, 1, keys=keys, average_over=("pads",), enum_limit=1)
+        eve_average_view(tr, (1,), keys=keys, average_over=("pads",), enum_limit=1)
     with pytest.raises(EnumerationLimitError):
-        eve_average_view(tr, 1, keys=keys, average_over=("pads", "keys"),
+        eve_average_view(tr, (1,), keys=keys, average_over=("pads", "keys"),
                          enum_limit=8)
     # 16 pads and 2^16 functions each fit the default limit; their product does not.
     tr, keys = seeded_session("p2", 1, 2, 4, seed=17)
     with pytest.raises(EnumerationLimitError) as err:
-        eve_average_view(tr, 1, keys=keys, average_over=("pads", "keys"))
+        eve_average_view(tr, (1,), keys=keys, average_over=("pads", "keys"))
     assert err.value.count == 16 << 16
 
 
@@ -305,18 +307,58 @@ def rerun_average(tr, round_index, keys, kinds):
 
 @pytest.mark.parametrize("protocol", [p for p in PROTOCOL_IDS if p != "p1"])
 def test_average_view_is_bit_exact_against_reruns(protocol):
-    # Honest and phase-attacked transcripts both average the honest
-    # channel, so the attacked one must not leak its own snapshot in.
+    # Honest and attacked transcripts all average the honest channel, so
+    # an attacked one must not leak its own snapshot in. One all-rounds
+    # call must give every round the bytes of that round's own reruns.
     t = 1 if protocol == "p6" else 0
+    rounds = list(range(1, ROUND_COUNTS[protocol] + 1))
+    attacks = (None, parse_attack("passive"), PhaseAttack(mask=1), parse_attack("measure"))
     for n, l, kinds in ((2, 2, ("pads",)), (1, 1, ("pads", "keys"))):
         keys = sample_shared_keys(protocol, n, l, t, make_rng(40 + n))
         x = (1 << n) - 1
-        for attack in (None, PhaseAttack(mask=1)):
+        for attack in attacks:
             tr = run_session(protocol, x, n, l, t, keys, rng=make_rng(n + l), attack=attack)
-            for r in range(1, ROUND_COUNTS[protocol] + 1):
-                view = eve_average_view(tr, r, keys=keys, average_over=kinds)
+            views = eve_average_view(tr, keys=keys, average_over=kinds)
+            assert [view.round_index for view in views] == rounds
+            for view in views:
+                r = view.round_index
                 assert np.array_equal(view.rho.matrix, rerun_average(tr, r, keys, kinds)), \
                     (n, l, kinds, attack, r)
+        # Views come back in the order asked, with the same bytes.
+        backwards = eve_average_view(tr, rounds[::-1], keys=keys, average_over=kinds)
+        assert [view.round_index for view in backwards] == rounds[::-1]
+        for a, b in zip(views[::-1], backwards):
+            assert np.array_equal(a.rho.matrix, b.rho.matrix) and a.runs == b.runs
+
+
+def test_average_view_refuses_every_round_before_running_a_session(monkeypatch):
+    import qnokey.protocols as protocols
+
+    sessions = []
+    real = protocols.run_session
+
+    def counting(*args, **kw):
+        sessions.append(args[0])
+        return real(*args, **kw)
+
+    # p6 sends n+t bits in rounds 1-2, then t bits in rounds 3-4: at n=1,
+    # t=2 and l=1 round 1 enumerates 2 pads times 2^8 functions, round 4
+    # 2 pads times 2^4.
+    keys = sample_shared_keys("p6", 1, 1, 2, make_rng(50))
+    tr = run_session("p6", 1, 1, 1, 2, keys, rng=make_rng(51))
+    monkeypatch.setattr(protocols, "run_session", counting)
+    both = ("pads", "keys")
+    assert eve_average_view(tr, (4,), keys=keys, average_over=both)[0].runs == 32
+    assert sessions == ["p6"]
+    sessions.clear()
+    with pytest.raises(EnumerationLimitError) as err:
+        eve_average_view(tr, (4, 1), keys=keys, average_over=both, enum_limit=100)
+    assert err.value.count == 2 << 8
+    with pytest.raises(ValueError, match="rounds 1..4, got 5"):
+        eve_average_view(tr, (1, 5), keys=keys)
+    with pytest.raises(ValueError, match="rounds 1..4, got 0"):
+        eve_average_view(tr, (0,), keys=keys)
+    assert sessions == []
 
 
 def test_averaged_views_identical_under_key_reuse():
@@ -328,7 +370,7 @@ def test_averaged_views_identical_under_key_reuse():
     for _ in range(1000):
         tr = run_protocol2(2, 2, 1, keys, rng=rng)
         assert tr.recovered == 2
-        view = eve_average_view(tr, 1, keys=keys, average_over=("pads",))
+        view = eve_average_view(tr, (1,), keys=keys, average_over=("pads",))[0]
         if reference is None:
             reference = view.rho.matrix
         else:
@@ -343,8 +385,8 @@ def test_two_round_views_are_message_independent():
     views = {}
     for x in (0, 3):
         tr = run_two_round(x, n, l, keys, rng=rng, draws=draws)
-        views[x] = [eve_average_view(tr, r, keys=keys, average_over=("pads",)).rho
-                    for r in (1, 2)]
+        views[x] = [view.rho for view in eve_average_view(tr, keys=keys,
+                                                          average_over=("pads",))]
     for r in (0, 1):
         assert trace_distance(views[0][r], views[3][r]) <= 1e-9
 
