@@ -148,8 +148,8 @@ def parse_attack(spec: str | None) -> Attack | None:
             raise AttackSpecError(f"bad passes list {raw!r} in {spec!r}") from exc
 
     if head == "passive":
-        return PassiveAttack()
-    if head == "phase":
+        attack = PassiveAttack()
+    elif head == "phase":
         raw_mask = options.pop("x", None)
         if raw_mask is None:
             raise AttackSpecError(f"phase attack needs x=<mask> in {spec!r}")
@@ -157,18 +157,16 @@ def parse_attack(spec: str | None) -> Attack | None:
             mask = int(raw_mask, 0)
         except ValueError as exc:
             raise AttackSpecError(f"bad mask {raw_mask!r} in {spec!r}") from exc
-        passes = parse_passes()
-        if options:
-            raise AttackSpecError(f"unknown options {sorted(options)} in {spec!r}")
-        return PhaseAttack(mask, passes)
-    if head == "measure":
-        passes = parse_passes()
-        if options:
-            raise AttackSpecError(f"unknown options {sorted(options)} in {spec!r}")
-        return MeasureResendAttack(passes)
-    if head == "mim":
-        return MimMarker()
-    raise AttackSpecError(f"unknown attack kind {head!r} in {spec!r}")
+        attack = PhaseAttack(mask, parse_passes())
+    elif head == "measure":
+        attack = MeasureResendAttack(parse_passes())
+    elif head == "mim":
+        attack = MimMarker()
+    else:
+        raise AttackSpecError(f"unknown attack kind {head!r} in {spec!r}")
+    if options:
+        raise AttackSpecError(f"unknown options {sorted(options)} in {spec!r}")
+    return attack
 
 
 @dataclass

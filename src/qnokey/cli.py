@@ -24,20 +24,21 @@ from .harness import (ConfigError, ExperimentConfig, canonical_json, run_experim
                       verify_report)
 from .oracles import (DEFAULT_ENUM_LIMIT, BooleanPermutation, make_rng, read_table,
                       sample_function, sample_permutation, save_table)
-from .protocols import PROTOCOL_IDS, ProtocolError
+from .protocols import AUTHENTICATED, PROTOCOL_IDS, UNTAGGED
 from .qstate import DEFAULT_QUBIT_CAP
 
 OUTPUT_DIR_ENV = "QNOKEY_OUTPUT_DIR"
 
 # Errors that refuse the arguments or a file rather than report a bug.
-REFUSALS = (ConfigError, ProtocolError, AttackSpecError, ValueError, OSError)
+# ConfigError covers ProtocolError, its subclass.
+REFUSALS = (ConfigError, AttackSpecError, ValueError, OSError)
 
 
 def _output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
-def _parse_messages(raw: str | None, n: int) -> tuple[int, ...] | None:
+def _parse_messages(raw: str | None) -> tuple[int, ...] | None:
     if raw is None or raw == "all":
         return None
     try:
@@ -123,26 +124,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = ExperimentConfig(
-        protocol=args.protocol,
-        n=args.n,
-        l=args.l,
-        t=args.t,
-        messages=_parse_messages(args.x, args.n),
-        seed=args.seed,
-        trials=args.trials,
-        attack=args.attack,
-        snapshots=args.snapshots,
-        average=args.average,
-        exhaustive_keys=args.exhaustive_keys,
-        include_matrices=args.include_matrices,
-        qubit_cap=args.qubit_cap,
-        enum_limit=args.enum_limit,
-        fa_file=args.fa_file,
-        fb_file=args.fb_file,
-        sa_file=args.sa_file,
-        sb_file=args.sb_file,
-    )
+    # Every config field but messages has a flag of the same name.
+    config = ExperimentConfig(messages=_parse_messages(args.x),
+                              **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                                 if f.name != "messages"})
     report = run_experiment(config)
     if args.out is not None:
         path = Path(args.out)
@@ -168,15 +153,15 @@ def _cmd_sweep(args) -> int:
         if protocol not in PROTOCOL_IDS:
             raise ConfigError(f"unknown protocol {protocol!r}")
         for n in widths:
-            for l in tags if protocol != "p1" else [0]:
+            for l in [0] if protocol in UNTAGGED else tags:
                 try:
                     config = ExperimentConfig(
                         protocol=protocol, n=n, l=l,
-                        t=args.t if protocol == "p6" else 0,
+                        t=args.t if protocol in AUTHENTICATED else 0,
                         seed=args.seed, trials=args.trials,
                         qubit_cap=args.qubit_cap, enum_limit=args.enum_limit,
                     )
-                except (ConfigError, ProtocolError) as exc:
+                except ConfigError as exc:
                     print(f"SKIP {protocol} n={n} l={l}: {exc}")
                     continue
                 report = run_experiment(config)

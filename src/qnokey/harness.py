@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import betaincinv
 
 from . import adversary, protocols as proto
-from .oracles import DEFAULT_ENUM_LIMIT, EnumerationLimitError, count_functions, make_rng
+from .oracles import DEFAULT_ENUM_LIMIT, make_rng
+from .protocols import ConfigError
 from .qstate import ATOL_DENSITY, ATOL_SCALAR, DEFAULT_QUBIT_CAP, DensityMatrix, is_maximally_mixed, trace_distance
 
 REPORT_FORMAT_VERSION = 1
@@ -35,8 +36,8 @@ STANDING_NOTES = (
 )
 
 
-class ConfigError(ValueError):
-    """Inconsistent experiment configuration."""
+# The secrets each averaging mode enumerates.
+AVERAGE_KINDS = {"none": (), "pads": ("pads",), "pads+keys": ("pads", "keys")}
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class ExperimentConfig:
     trials: int = 1
     attack: str | None = None
     snapshots: bool = True
-    average: str = "none"  # none | pads | pads+keys
+    average: str = "none"  # a key of AVERAGE_KINDS
     exhaustive_keys: bool = False
     include_matrices: bool = False
     qubit_cap: int = DEFAULT_QUBIT_CAP
@@ -64,53 +65,94 @@ class ExperimentConfig:
     sb_file: str | None = None
 
     def __post_init__(self):
-        # Reuse the protocol-level validation for widths and caps.
-        proto.ProtocolParams(self.protocol, self.n, self.l, self.t,
-                             self.qubit_cap, self.enum_limit)
-        if self.average not in ("none", "pads", "pads+keys"):
+        """The one experiment validator: every refusal happens here, before
+        any session runs."""
+        if self.messages is not None:
+            object.__setattr__(self, "messages", tuple(self.messages))
+        if self.average not in AVERAGE_KINDS:
             raise ConfigError(f"unknown averaging mode {self.average!r}")
+        # Averaging reruns take snapshots, so they count against the cap too.
+        params = proto.ProtocolParams(self.protocol, self.n, self.l, self.t, self.qubit_cap,
+                                      self.enum_limit, self.snapshots or self.average != "none",
+                                      self.messages or ())
         # Refuse fields no session of the protocol would use.
-        if self.protocol != "p6" and self.t != 0:
+        if self.protocol not in proto.AUTHENTICATED and self.t != 0:
             raise ConfigError(f"only p6 carries an authentication tag; {self.protocol} "
                               f"needs t=0, got {self.t}")
-        if self.protocol == "p1" and (self.l != 0 or self.average != "none"):
+        if self.protocol in proto.UNTAGGED and (self.l != 0 or self.average != "none"):
             raise ConfigError("the untagged protocol has no tag register and no secrets "
                               "to average; it needs l=0 and average none")
         if self.average != "none":
             # Each view enumerates pads, times tag functions on the widest stage.
-            width = proto.widest_message(self.protocol, self.n, self.t)
-            count = 1 << self.l
-            what = f"{self.l}-bit pads"
-            if self.average == "pads+keys":
-                count *= count_functions(width, self.l)
-                what += f" times {width}-to-{self.l}-bit tag functions"
-            if count > self.enum_limit:
-                raise EnumerationLimitError(count, self.enum_limit, what)
-        if self.snapshots or self.average != "none":  # averaging reruns take snapshots
-            proto.check_snapshot_cap(self.protocol, self.n, self.l, self.t, self.qubit_cap)
+            proto.check_enumeration(AVERAGE_KINDS[self.average], params.widest, self.l,
+                                    self.enum_limit)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.include_matrices and not self.snapshots:
+            raise ConfigError("include_matrices embeds the channel snapshots; "
+                              "it needs snapshots on")
         if self.messages is not None:
-            object.__setattr__(self, "messages", tuple(self.messages))
             if not self.messages:
                 raise ConfigError("the message list is empty; give at least one message")
             if len(set(self.messages)) != len(self.messages):
                 raise ConfigError(f"the message list {list(self.messages)} repeats a message")
-            for x in self.messages:
-                if not 0 <= x < (1 << self.n):
-                    raise ConfigError(f"message {x} does not fit in {self.n} bits")
-        if self.exhaustive_keys and self.protocol != "p6":
-            raise ConfigError("exhaustive_keys only applies to the authenticated protocol")
-        if any((self.fa_file, self.fb_file, self.sa_file, self.sb_file)) and \
-                self.protocol in ("p3", "p5", "p6"):
+        self._check_pins()
+        self._check_attack(adversary.parse_attack(self.attack))
+
+    def _check_pins(self):
+        """Refuse pins the protocol has no secret for."""
+        if not (self.fa_file or self.fb_file or self.sa_file or self.sb_file):
+            return
+        stages = proto.STAGES[self.protocol]
+        if len(stages) > 1:
             raise ConfigError("table pinning applies to single-exchange protocols only")
-        # Refuse pins the protocol has no secret for before anything runs.
-        if self.protocol == "p1" and (self.sa_file or self.sb_file):
+        exchange = stages[0].exchange
+        if (self.sa_file or self.sb_file) and not exchange.tagged:
             raise ConfigError("the untagged protocol has no tag functions to pin")
-        if self.protocol == "nonint" and (self.fa_file or self.fb_file):
-            raise ConfigError("the one-shot protocol has no permutations to pin")
-        if self.protocol in ("p4", "two-round") and self.fa_file:
+        if (self.fa_file or self.fb_file) and not exchange.perms:
+            raise ConfigError(f"{self.protocol} has no permutations to pin")
+        if self.fa_file and "sender_perm" not in exchange.perms:
             raise ConfigError(f"{self.protocol} has no sender permutation; use --fb-file")
+
+    def _check_attack(self, attack):
+        """Refuse attacks the protocol cannot take, and the fields that the
+        experiment the attack selects would ignore."""
+        widths = proto.round_widths(self.protocol, self.n, self.t)
+        passes = getattr(attack, "passes", None)
+        for r in sorted(passes or ()):
+            if not 1 <= r <= len(widths):
+                raise ConfigError(f"{self.protocol} has rounds 1..{len(widths)}, "
+                                  f"the attack names pass {r}")
+        if isinstance(attack, adversary.PhaseAttack):
+            for r in sorted(passes) if passes is not None else range(1, len(widths) + 1):
+                if not 0 <= attack.mask < 1 << widths[r - 1]:
+                    raise ConfigError(f"mask {attack.mask:#x} does not fit round {r}'s "
+                                      f"{widths[r - 1]}-bit message register")
+        mim = isinstance(attack, adversary.MimMarker)
+        if mim and self.protocol not in proto.UNTAGGED | proto.ECHOED:
+            raise ConfigError(f"mim experiments target p1, p3 or p5, not {self.protocol}")
+        if self.exhaustive_keys:
+            if self.protocol not in proto.AUTHENTICATED:
+                raise ConfigError("exhaustive_keys only applies to the authenticated protocol")
+            if not isinstance(attack, adversary.PhaseAttack):
+                raise ConfigError("exhaustive key sweeps need a phase attack spec")
+            if attack.mask % (1 << self.t) != 0 or attack.mask == 0:
+                raise ConfigError(f"mask {attack.mask:#x} must flip message bits only "
+                                  f"(a nonzero multiple of 2^{self.t})")
+            ignored, what = ("trials", "average", "include_matrices"), "the exhaustive key sweep"
+        elif mim and self.protocol in proto.UNTAGGED:
+            ignored, what = ("include_matrices", "fa_file", "fb_file"), "the mim split"
+        elif mim:
+            ignored, what = ("messages", "average", "include_matrices"), "echo detection"
+        else:
+            return
+        # snapshots stays accepted everywhere: it is on by default.
+        for f in fields(self):
+            if f.name in ignored and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{what} ignores {f.name}; leave it at {f.default!r}, "
+                                  f"got {getattr(self, f.name)!r}")
 
     def message_set(self) -> tuple[int, ...]:
         if self.messages is not None:
@@ -220,6 +262,8 @@ class ExperimentReport:
     def read(cls, path) -> "ExperimentReport":
         with open(path, "r", encoding="ascii") as fh:
             full = json.load(fh)
+        if not isinstance(full, dict):
+            raise ConfigError(f"{path} holds no report: its JSON is not an object")
         meta = full.pop("meta", {})
         return cls(body=full, meta=meta)
 
@@ -235,13 +279,9 @@ def canonical_json(obj) -> bytes:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     started = time.time()
-    if config.attack == "mim":
-        if config.protocol == "p1":
-            results = _mim_split_results(config)
-        elif config.protocol in ("p3", "p5"):
-            results = _echo_detection_results(config)
-        else:
-            raise ConfigError(f"mim experiments target p1, p3 or p5, not {config.protocol}")
+    if isinstance(adversary.parse_attack(config.attack), adversary.MimMarker):
+        split = config.protocol in proto.UNTAGGED
+        results = (_mim_split_results if split else _echo_detection_results)(config)
     elif config.exhaustive_keys:
         results = _mac_attack_results(config)
     else:
@@ -267,7 +307,7 @@ def _session_results(config: ExperimentConfig) -> dict:
     """Honest or in-transit-attacked sessions over a message grid."""
     attack = adversary.parse_attack(config.attack)
     messages = config.message_set()
-    keyed = config.protocol != "p1"
+    keyed = config.protocol not in proto.UNTAGGED
     root = make_rng(config.seed)
     honest = attack is None or attack.kind == "passive"
     # The one-shot broadcast makes no indistinguishability claim, so its
@@ -283,7 +323,7 @@ def _session_results(config: ExperimentConfig) -> dict:
     distance_rows = []
     all_correct = True
     verdicts_ok = True
-    avg_kinds = ("pads", "keys") if config.average == "pads+keys" else ("pads",)
+    avg_kinds = AVERAGE_KINDS[config.average]
     rounds = proto.ROUND_COUNTS[config.protocol]
 
     for trial in range(config.trials):
@@ -320,7 +360,7 @@ def _session_results(config: ExperimentConfig) -> dict:
                 if config.include_matrices:
                     entry["snapshots"] = [encode_matrix(tr.snapshot(r))
                                           for r in range(1, rounds + 1)]
-            if config.average != "none" and config.protocol != "p1":
+            if avg_kinds:
                 views = proto.eve_average_view(
                     tr, keys=keys, average_over=avg_kinds,
                     enum_limit=config.enum_limit, qubit_cap=config.qubit_cap,
@@ -360,7 +400,7 @@ def _session_results(config: ExperimentConfig) -> dict:
         })
     if config.snapshots:
         results["per_run_mixedness"] = {str(r): mixedness[r] for r in sorted(mixedness)}
-        if config.protocol == "p1":
+        if not keyed:
             worst = max(mixedness.values())
             assertions.append({
                 "name": "per_run_snapshots_maximally_mixed",
@@ -415,44 +455,19 @@ def _load_pin(path: str, want_perm: bool, n: int, l: int, flag: str):
 
 
 def _pin_keys(config: ExperimentConfig, keys):
-    if keys is None or not (config.sa_file or config.sb_file):
-        return keys
-    updates = {}
-    if config.sa_file:
-        updates["alice_tag"] = _load_pin(config.sa_file, False, config.n, config.l,
-                                         "--sa-file")
-    if config.sb_file:
-        updates["bob_tag"] = _load_pin(config.sb_file, False, config.n, config.l,
-                                       "--sb-file")
-    return replace(keys, **updates)
+    """--sa-file pins Alice's tag function, --sb-file Bob's."""
+    pins = {name: _load_pin(path, False, config.n, config.l, flag)
+            for name, path, flag in (("alice_tag", config.sa_file, "--sa-file"),
+                                     ("bob_tag", config.sb_file, "--sb-file")) if path}
+    return replace(keys, **pins) if pins else keys
 
 
 def _pin_draws(config: ExperimentConfig, draws):
-    if not (config.fa_file or config.fb_file):
-        return draws
-    protocol = config.protocol
-    if protocol == "p1":
-        updates = {}
-        if config.fa_file:
-            updates["alice_perm"] = _load_pin(config.fa_file, True, config.n, 0,
-                                              "--fa-file")
-        if config.fb_file:
-            updates["bob_perm"] = _load_pin(config.fb_file, True, config.n, 0,
-                                            "--fb-file")
-        return replace(draws, **updates)
-    if protocol == "p2":
-        updates = {}
-        if config.fa_file:
-            updates["sender_perm"] = _load_pin(config.fa_file, True, config.n, 0,
-                                               "--fa-file")
-        if config.fb_file:
-            updates["receiver_perm"] = _load_pin(config.fb_file, True, config.n, 0,
-                                                 "--fb-file")
-        return replace(draws, **updates)
-    # Receiver-initiated exchanges only scramble on the receiver side, so
-    # the config has already refused --fa-file.
-    return replace(draws, receiver_perm=_load_pin(config.fb_file, True, config.n, 0,
-                                                  "--fb-file"))
+    """--fa-file pins the sender's permutation, --fb-file the receiver's."""
+    pins = {name: _load_pin(path, True, config.n, 0, flag)
+            for name, path, flag in (("sender_perm", config.fa_file, "--fa-file"),
+                                     ("receiver_perm", config.fb_file, "--fb-file")) if path}
+    return replace(draws, **pins) if pins else draws
 
 
 def _mim_split_results(config: ExperimentConfig) -> dict:
@@ -511,13 +526,6 @@ def _echo_detection_results(config: ExperimentConfig) -> dict:
 def _mac_attack_results(config: ExperimentConfig) -> dict:
     """Authenticated protocol under an in-transit flip, all keys tried."""
     attack = adversary.parse_attack(config.attack)
-    if attack is None or attack.kind != "phase":
-        raise ConfigError("exhaustive key sweeps need a phase attack spec")
-    if attack.mask % (1 << config.t) != 0 or attack.mask == 0:
-        raise ConfigError(
-            f"mask {attack.mask:#x} must flip message bits only "
-            f"(a nonzero multiple of 2^{config.t})"
-        )
     from .auth import MacKey
 
     root = make_rng(config.seed)

@@ -23,14 +23,17 @@ The family:
 * one-shot broadcast (run_noninteractive): a single transmission of the
   phase-encoded message with a tag register; exploratory only.
 
-The keyed protocols are built from two exchanges, the tagged
-three-pass and the receiver-initiated two-pass. STAGES lists each
-protocol's stages once: the exchange, the sending party, the message
-width (n+t and t in p6) and the tag functions used. The runners,
-sample_draws and the averaging lookup all read it. An exchange takes
-its parties as Party(name, rng, tags_with, strips_with) values, so an
-adversary can play a side with substitute tables. run_session runs
-any protocol by id, looking its public run_* name up at each call.
+The whole family is built from four exchanges: the untagged three-pass
+(p1), the tagged three-pass, the receiver-initiated two-pass and the
+one-shot broadcast (nonint). STAGES lists all eight ids once, as their
+stages: the exchange, the sending party, the message width (n+t and t
+in p6) and the tag functions used. PROTOCOL_IDS, ROUND_COUNTS,
+peak_live_width, the runners, sample_draws and the averaging lookup all
+derive from it, and so does ProtocolParams, the one session validator.
+An exchange takes its parties as Party(name, rng, tags_with,
+strips_with) values, so an adversary can play a side with substitute
+tables. run_session runs any protocol by id, looking its public run_*
+name up at each call.
 
 Channel views: per-run snapshots are what an eavesdropper sees in one
 session; eve_average_view computes, for each requested round, the exact
@@ -75,8 +78,6 @@ from .qstate import (
     init_basis_state,
 )
 
-PROTOCOL_IDS = ("p1", "p2", "p3", "p4", "p5", "p6", "nonint", "two-round")
-
 ALICE = Holder.ALICE.value
 BOB = Holder.BOB.value
 EVE = Holder.EVE.value
@@ -84,7 +85,11 @@ _PEER = {ALICE: BOB, BOB: ALICE}
 _HOLDERS = {holder.value: holder for holder in Holder}  # cheaper than Holder(name)
 
 
-class ProtocolError(ValueError):
+class ConfigError(ValueError):
+    """Inconsistent experiment configuration."""
+
+
+class ProtocolError(ConfigError):
     """Bad protocol parameters: widths, caps, key shapes."""
 
 
@@ -93,55 +98,37 @@ def peak_live_width(protocol: str, n: int, l: int = 0, t: int = 0) -> tuple[int,
 
     Derived from the register lifecycles: registers are discarded the
     moment they provably factor out, so the peak is reached just before
-    the first uncompute of each session.
+    the first uncompute of the widest stage's exchange.
     """
-    if protocol == "p1":
-        return 3 * n, f"3*{n}={3 * n}"
-    if protocol in ("p2", "p3"):
-        return 3 * n + l, f"3*{n}+{l}={3 * n + l}"
-    if protocol in ("p4", "p5", "two-round"):
-        return 2 * n + l, f"2*{n}+{l}={2 * n + l}"
-    if protocol == "p6":
-        return 2 * (n + t) + l, f"2*({n}+{t})+{l}={2 * (n + t) + l}"
-    if protocol == "nonint":
-        return n + l, f"{n}+{l}={n + l}"
-    raise ProtocolError(f"unknown protocol {protocol!r}")
+    if protocol not in STAGES:
+        raise ProtocolError(f"unknown protocol {protocol!r}")
+    stage = max(STAGES[protocol], key=lambda s: s.peak(n, l, t))
+    peak = stage.peak(n, l, t)
+    formula = stage.width.replace("n", str(n)).replace("t", str(t))
+    if stage.exchange.copies > 1:
+        formula = f"({formula})" if "+" in formula else formula
+        formula = f"{stage.exchange.copies}*{formula}"
+    if stage.exchange.tagged:
+        formula += f"+{l}"
+    return peak, f"{formula}={peak}"
 
 
-def _check_cap(protocol: str, n: int, l: int, t: int, qubit_cap: int) -> None:
-    peak, formula = peak_live_width(protocol, n, l, t)
-    if peak > qubit_cap:
-        raise ProtocolError(
-            f"{protocol} needs peak live width {formula} qubits, cap is {qubit_cap}"
-        )
+def check_enumeration(kinds, width: int, l: int, enum_limit: int) -> None:
+    """Refuse a view that enumerates more than `enum_limit` secrets.
 
-
-def widest_message(protocol: str, n: int, t: int) -> int:
-    """Message width of the protocol's widest stage: n+t for p6's MAC stage, else n."""
-    return max((stage.width(n, t) for stage in STAGES.get(protocol, ())), default=n)
-
-
-def check_snapshot_cap(protocol: str, n: int, l: int, t: int, qubit_cap: int) -> None:
-    """Refuse channel snapshots that would not fit under the qubit cap.
-
-    A k-qubit snapshot is a 2**k x 2**k matrix, as many entries as a
-    2k-qubit state, and the widest one carries the widest stage plus
-    its tag register.
+    A view averaged over "pads" enumerates the 2**l pads of its round,
+    and over "keys" every l-bit tag function of the round's width-bit
+    message; the count is their product.
     """
-    k = widest_message(protocol, n, t) + l
-    if 2 * k > qubit_cap:
-        raise ProtocolError(
-            f"{protocol} snapshots are {k}-qubit density matrices, as large as a "
-            f"2*{k}={2 * k}-qubit state, cap is {qubit_cap}; "
-            f"run with --no-snapshots and --average none"
-        )
-
-
-def _check_message(x: int, width: int) -> None:
-    if width < 1:
-        raise ProtocolError(f"message width must be >= 1, got {width}")
-    if not 0 <= x < (1 << width):
-        raise ProtocolError(f"message {x} does not fit in {width} bits")
+    count, what = 1, []
+    if "pads" in kinds:
+        count <<= l
+        what.append(f"{l}-bit pads")
+    if "keys" in kinds:
+        count *= count_functions(width, l)
+        what.append(f"{width}-to-{l}-bit tag functions")
+    if count > enum_limit:
+        raise EnumerationLimitError(count, enum_limit, " times ".join(what))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +138,12 @@ def _check_message(x: int, width: int) -> None:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Validated run parameters for one protocol session."""
+    """The session validator: protocol id, widths, the peak-width cap,
+    the snapshot cap when `snapshots` is on, and the message range.
+
+    Every session, `noninteractive_view` and `ExperimentConfig` build one,
+    so each refusal is made in one place and before anything runs.
+    """
 
     protocol: str
     n: int
@@ -159,22 +151,45 @@ class ProtocolParams:
     t: int = 0
     qubit_cap: int = DEFAULT_QUBIT_CAP
     enum_limit: int = DEFAULT_ENUM_LIMIT
+    snapshots: bool = False
+    messages: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOL_IDS:
+        if self.protocol not in STAGES:
             raise ProtocolError(f"unknown protocol {self.protocol!r}, "
                                 f"expected one of {PROTOCOL_IDS}")
         if self.n < 1:
             raise ProtocolError(f"message width must be >= 1, got {self.n}")
-        if self.protocol != "p1" and self.l < 1:
+        if self.protocol not in UNTAGGED and self.l < 1:
             raise ProtocolError(f"{self.protocol} needs a tag register width l >= 1")
-        if self.protocol == "p6" and self.t < 1:
-            raise ProtocolError("p6 needs an authentication tag width t >= 1")
-        _check_cap(self.protocol, self.n, self.l, self.t, self.qubit_cap)
+        if self.protocol in AUTHENTICATED and self.t < 1:
+            raise ProtocolError(f"{self.protocol} needs an authentication tag width t >= 1")
+        if max(s.peak(self.n, self.l, self.t) for s in STAGES[self.protocol]) > self.qubit_cap:
+            _, formula = peak_live_width(self.protocol, self.n, self.l, self.t)
+            raise ProtocolError(f"{self.protocol} needs peak live width {formula} qubits, "
+                                f"cap is {self.qubit_cap}")
+        # A k-qubit snapshot is a 2**k x 2**k matrix, as many entries as a
+        # 2k-qubit state, and the widest one carries the widest stage plus
+        # its tag register.
+        if self.snapshots and 2 * (self.widest + self.l) > self.qubit_cap:
+            k = self.widest + self.l
+            raise ProtocolError(
+                f"{self.protocol} snapshots are {k}-qubit density matrices, as large as a "
+                f"2*{k}={2 * k}-qubit state, cap is {self.qubit_cap}; "
+                f"run with --no-snapshots and --average none"
+            )
+        for x in self.messages:
+            if not 0 <= x < (1 << self.n):
+                raise ProtocolError(f"message {x} does not fit in {self.n} bits")
 
     @property
     def rounds(self) -> int:
         return ROUND_COUNTS[self.protocol]
+
+    @property
+    def widest(self) -> int:
+        """Message width of the widest stage: n+t in p6, else n."""
+        return max(stage.bits(self.n, self.t) for stage in STAGES[self.protocol])
 
 
 @dataclass(frozen=True)
@@ -266,8 +281,8 @@ class Transcript:
 
 @dataclass(frozen=True)
 class P1Draws:
-    alice_perm: BooleanPermutation
-    bob_perm: BooleanPermutation
+    sender_perm: BooleanPermutation
+    receiver_perm: BooleanPermutation
 
 
 @dataclass(frozen=True)
@@ -365,54 +380,52 @@ class Channel(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Three-pass scrambling, no pre-shared secret
+# Untagged three-pass exchange, no pre-shared secret
 # ---------------------------------------------------------------------------
 
 
-def run_protocol1(
+def _p1_draws(n: int, l: int, sender_rng, receiver_rng) -> P1Draws:
+    return P1Draws(sample_permutation(n, sender_rng), sample_permutation(n, receiver_rng))
+
+
+def _run_untagged_three_pass(
+    channel: Channel,
     x: int,
     n: int,
-    *,
-    rng=None,
-    draws: P1Draws | None = None,
-    attack=None,
-    snapshots: bool = True,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> Transcript:
+    l: int,
+    sender: Party,
+    receiver: Party,
+    draws: P1Draws,
+) -> int:
     """Message out, scramble, scramble back, unscramble: three passes.
 
-    Alice phase-encodes x into a full superposition, binds it to her
-    secret permutation, and the register crosses the channel three
-    times while first her and then Bob's permutation are attached and
-    later uncomputed. Bob's final Hadamard-and-measure recovers x with
-    certainty in an honest run.
+    The sender phase-encodes x into a full superposition, binds it to
+    its secret permutation, and the register crosses the channel three
+    times while first its and then the receiver's permutation are
+    attached and later uncomputed. The receiver's final
+    Hadamard-and-measure recovers x with certainty in an honest run.
     """
-    channel, rngs, _ = _open_session("p1", x, n, 0, 0, None, rng, draws, attack,
-                                     snapshots, qubit_cap)
-    tr = channel.transcript
-    draws = tr.draws
-    if draws.alice_perm.n != n or draws.bob_perm.n != n:
+    if draws.sender_perm.n != n or draws.receiver_perm.n != n:
         raise ProtocolError("permutation width does not match the message width")
-    alice, bob = Party(ALICE, rngs[ALICE]), Party(BOB, rngs[BOB])
+    sh, rh = _HOLDERS[sender.name], _HOLDERS[receiver.name]
 
-    state = init_basis_state([Register("R1", n, Holder.ALICE)], {"R1": x},
-                             qubit_cap=qubit_cap)
+    state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
-    state = state.extend("R2", n, Holder.ALICE, source="R1", table=draws.alice_perm.table)
-    state = channel.send(state, ("R1",), alice, bob)
+    state = state.extend("R2", n, sh, source="R1", table=draws.sender_perm.table)
+    state = channel.send(state, ("R1",), sender, receiver)
 
-    state = state.extend("R3", n, Holder.BOB, source="R1", table=draws.bob_perm.table)
-    state = channel.send(state, ("R1",), bob, alice)
+    state = state.extend("R3", n, rh, source="R1", table=draws.receiver_perm.table)
+    state = channel.send(state, ("R1",), receiver, sender)
 
-    state = state.apply_xor_oracle("R1", "R2", draws.alice_perm.table)  # uncompute
+    state = state.apply_xor_oracle("R1", "R2", draws.sender_perm.table)  # uncompute
     state = state.discard("R2")
-    state = channel.send(state, ("R1",), alice, bob)
+    state = channel.send(state, ("R1",), sender, receiver)
 
-    state = state.apply_xor_oracle("R1", "R3", draws.bob_perm.table)  # uncompute
+    state = state.apply_xor_oracle("R1", "R3", draws.receiver_perm.table)  # uncompute
     state = state.discard("R3")
     state = state.apply_hadamard("R1")
-    tr.recovered, state = channel.measure(state, bob, "R1")
-    return tr
+    outcome, state = channel.measure(state, receiver, "R1")
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -552,41 +565,99 @@ def _run_inverted_two_pass(
 
 
 # ---------------------------------------------------------------------------
-# The stage table of the keyed protocols
+# One-shot broadcast exchange (exploratory)
+# ---------------------------------------------------------------------------
+
+
+def _broadcast_draws(n: int, l: int, sender_rng, receiver_rng) -> NonintDraws:
+    return NonintDraws(sample_pad(l, sender_rng).value)
+
+
+def _run_broadcast(
+    channel: Channel,
+    x: int,
+    n: int,
+    l: int,
+    sender: Party,
+    receiver: Party,
+    draws: NonintDraws,
+) -> int:
+    """Single transmission of the phase-encoded message plus a padded tag.
+
+    The receiver strips the sender's tag, logs the pad and decodes.
+    """
+    sh = _HOLDERS[sender.name]
+    state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
+    state = state.apply_hadamard("R1")
+    state = state.extend("R2", l, sh, draws.pad, source="R1", table=sender.tags_with.table)
+    state = channel.send(state, ("R1", "R2"), sender, receiver)
+
+    state = state.apply_xor_oracle("R1", "R2", receiver.strips_with.table)
+    _, state = channel.measure(state, receiver, "R2")
+    state = state.discard("R2")
+    state = state.apply_hadamard("R1")
+    outcome, state = channel.measure(state, receiver, "R1")
+    return outcome
+
+
+# ---------------------------------------------------------------------------
+# The stage table of the whole family
 # ---------------------------------------------------------------------------
 
 
 class Exchange(NamedTuple):
-    """A two-party exchange: `run` returns the receiver's value, `sample`
-    draws its permutations and pads, and `pads` names each pass's pad
-    field and whether the tag under it is the sender's."""
+    """A two-party exchange: `run` returns the receiver's value and
+    `sample` draws its permutations and pads. At its peak `copies`
+    message-width registers are live, plus the tag register of a tagged
+    exchange. `perms` names the draw fields that hold permutations, and
+    `passes` names, pass by pass, the pad field the pass carries and
+    whether the tag under it is the sender's (None: the pass is untagged)."""
 
     run: Callable
     sample: Callable
-    pads: tuple[tuple[str, bool], ...]
+    copies: int
+    perms: tuple[str, ...]
+    passes: tuple[tuple[str, bool] | None, ...]
+
+    @property
+    def tagged(self) -> bool:
+        return self.passes[0] is not None
 
 
-TAGGED_THREE_PASS = Exchange(_run_tagged_three_pass, _p2_draws,
+UNTAGGED_THREE_PASS = Exchange(_run_untagged_three_pass, _p1_draws, 3,
+                               ("sender_perm", "receiver_perm"), (None, None, None))
+TAGGED_THREE_PASS = Exchange(_run_tagged_three_pass, _p2_draws, 3,
+                             ("sender_perm", "receiver_perm"),
                              (("first_pad", True), ("reply_pad", False), ("final_pad", True)))
-INVERTED_TWO_PASS = Exchange(_run_inverted_two_pass, _p4_draws,
+INVERTED_TWO_PASS = Exchange(_run_inverted_two_pass, _p4_draws, 2, ("receiver_perm",),
                              (("receiver_pad", False), ("sender_pad", True)))
+BROADCAST = Exchange(_run_broadcast, _broadcast_draws, 1, (), (("pad", True),))
 
 
 class Stage(NamedTuple):
-    """One exchange of a keyed protocol: `width(n, t)` is its message
-    width, and `keys` the suffix of the SharedKeys tag attributes it
-    uses ("_echo" for the echo stage of the authenticated protocol)."""
+    """One exchange of a protocol: `width` is its message width ("n",
+    "n+t" or "t"), and `keys` the suffix of the SharedKeys tag attributes
+    it uses ("_echo" for the echo stage of the authenticated protocol)."""
 
     exchange: Exchange
     sender: str
-    width: Callable[[int, int], int] = lambda n, t: n
+    width: str = "n"
     keys: str = ""
+
+    def bits(self, n: int, t: int) -> int:
+        return n * ("n" in self.width) + t * ("t" in self.width)
+
+    def peak(self, n: int, l: int, t: int) -> int:
+        """Live qubits at the exchange's peak: its message-width copies and tag."""
+        exchange = self.exchange
+        return exchange.copies * self.bits(n, t) + (l if exchange.tagged else 0)
 
 
 # p3 and p5 send the message, echo it back with the roles swapped, and
 # send it again; p6 sends message and MAC tag together, then echoes the
 # tag it received under the second pair of tag functions.
 STAGES: dict[str, tuple[Stage, ...]] = {
+    "p1": (Stage(UNTAGGED_THREE_PASS, ALICE),),
     "p2": (Stage(TAGGED_THREE_PASS, ALICE),),
     "p3": (Stage(TAGGED_THREE_PASS, ALICE),
            Stage(TAGGED_THREE_PASS, BOB),
@@ -595,34 +666,40 @@ STAGES: dict[str, tuple[Stage, ...]] = {
     "p5": (Stage(INVERTED_TWO_PASS, ALICE),
            Stage(INVERTED_TWO_PASS, BOB),
            Stage(INVERTED_TWO_PASS, ALICE)),
-    "p6": (Stage(INVERTED_TWO_PASS, ALICE, lambda n, t: n + t),
-           Stage(INVERTED_TWO_PASS, BOB, lambda n, t: t, "_echo")),
+    "p6": (Stage(INVERTED_TWO_PASS, ALICE, "n+t"),
+           Stage(INVERTED_TWO_PASS, BOB, "t", "_echo")),
+    "nonint": (Stage(BROADCAST, ALICE),),
     "two-round": (Stage(INVERTED_TWO_PASS, ALICE),),
 }
 
-ROUND_COUNTS = {
-    "p1": 3,
-    "nonint": 1,
-    **{protocol: sum(len(stage.exchange.pads) for stage in stages)
-       for protocol, stages in STAGES.items()},
-}
+PROTOCOL_IDS = tuple(STAGES)
+ROUND_COUNTS = {protocol: sum(len(stage.exchange.passes) for stage in stages)
+                for protocol, stages in STAGES.items()}
+# The ids whose passes carry no tag (p1), whose stages carry the t-bit
+# MAC tag (p6), and which send, echo and send again (p3, p5).
+UNTAGGED = frozenset(p for p, stages in STAGES.items() if not stages[0].exchange.tagged)
+AUTHENTICATED = frozenset(p for p, stages in STAGES.items()
+                          if any("t" in stage.width for stage in stages))
+ECHOED = frozenset(p for p, stages in STAGES.items() if len(stages) == 3)
+
+
+def round_widths(protocol: str, n: int, t: int = 0) -> tuple[int, ...]:
+    """The width of the message register R1 in each round, in order."""
+    return tuple(stage.bits(n, t) for stage in STAGES[protocol]
+                 for _ in stage.exchange.passes)
 
 
 def _staged(protocol: str) -> bool:
     """Whether a protocol's draws are a StagedDraws, one record a stage."""
-    return len(STAGES.get(protocol, ())) > 1
+    return len(STAGES[protocol]) > 1
 
 
 def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict):
     """Every random choice of a session, drawn from the parties' streams."""
-    if protocol == "p1":
-        return P1Draws(sample_permutation(n, rngs[ALICE]), sample_permutation(n, rngs[BOB]))
-    if protocol == "nonint":
-        return NonintDraws(sample_pad(l, rngs[ALICE]).value)
     if protocol not in STAGES:
         raise ProtocolError(f"unknown protocol {protocol!r}")
     stages = tuple(
-        stage.exchange.sample(stage.width(n, t), l, rngs[stage.sender],
+        stage.exchange.sample(stage.bits(n, t), l, rngs[stage.sender],
                               rngs[_PEER[stage.sender]])
         for stage in STAGES[protocol]
     )
@@ -632,142 +709,93 @@ def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict):
 def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit_cap):
     """Check a session's parameters and open it.
 
-    Returns the channel, the parties' streams and `stage(i, message)`,
-    which runs stage i of STAGES[protocol] between the honest parties
-    and returns the value its receiver decoded. Draws left as None come
-    from `_sample_draws`, on the streams the session measures with.
+    Returns the channel and `stage(i, message)`, which runs stage i of
+    STAGES[protocol] between the honest parties and returns the value
+    its receiver decoded. Draws left as None come from `_sample_draws`,
+    on the streams the session measures with. With no keys (p1) the
+    parties carry no tag functions.
     """
-    _check_message(x, n)
-    _check_cap(protocol, n, l, t, qubit_cap)
-    if snapshots:
-        check_snapshot_cap(protocol, n, l, t, qubit_cap)
+    ProtocolParams(protocol, n, l, t, qubit_cap, snapshots=snapshots, messages=(x,))
     alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
     rngs = {ALICE: alice_rng, BOB: bob_rng}
     if draws is None:
         draws = _sample_draws(protocol, n, l, t, rngs)
     tr = Transcript(protocol, n, l, t, x, draws=draws)
     channel = Channel(tr, attack, eve_rng, snapshots, qubit_cap)
-    stages = STAGES.get(protocol, ())
+    stages = STAGES[protocol]
     stage_draws = draws.stages if _staged(protocol) else (draws,)
 
     def stage(i: int, message: int) -> int:
         s, r = stages[i].sender, _PEER[stages[i].sender]
-        tag = {p: getattr(keys, f"{p}_tag{stages[i].keys}") for p in (s, r)}
+        tag = {p: getattr(keys, f"{p}_tag{stages[i].keys}", None) for p in (s, r)}
         sender = Party(s, rngs[s], tag[s], tag[r])
         receiver = Party(r, rngs[r], tag[r], tag[s])
-        return stages[i].exchange.run(channel, message, stages[i].width(n, t), l,
+        return stages[i].exchange.run(channel, message, stages[i].bits(n, t), l,
                                       sender, receiver, stage_draws[i])
 
-    return channel, rngs, stage
+    return channel, stage
 
 
 def _run_stages(protocol, x, n, l, keys, rng, draws, attack, snapshots, qubit_cap):
     """Send x in the one stage, or send it, echo it back, send it again.
 
-    With the echo, Alice accepts when it matches what she sent and Bob
-    accepts when both of his receptions agree.
+    The echo stage swaps the roles; each party keeps using its own tag
+    function in whichever role it plays. Permutations and pads are fresh
+    every stage; the tag functions persist. Alice accepts when the echo
+    matches what she sent, and Bob when both of his receptions agree.
     """
-    channel, _, stage = _open_session(protocol, x, n, l, 0, keys, rng, draws, attack,
-                                      snapshots, qubit_cap)
+    channel, stage = _open_session(protocol, x, n, l, 0, keys, rng, draws, attack,
+                                   snapshots, qubit_cap)
     tr = channel.transcript
     tr.recovered = stage(0, x)
-    if len(STAGES[protocol]) == 3:
+    if protocol in ECHOED:
         tr.alice_accepts = stage(1, tr.recovered) == x
         tr.bob_accepts = stage(2, x) == tr.recovered
     return tr
 
 
-def run_protocol2(
+def run_protocol1(
     x: int,
     n: int,
-    l: int,
-    keys: SharedKeys,
     *,
     rng=None,
-    draws: P2Draws | None = None,
+    draws: P1Draws | None = None,
     attack=None,
     snapshots: bool = True,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> Transcript:
-    """Single tagged three-pass exchange from Alice to Bob."""
-    return _run_stages("p2", x, n, l, keys, rng, draws, attack, snapshots, qubit_cap)
+    """Three untagged passes from Alice to Bob, with no pre-shared secret."""
+    return _run_stages("p1", x, n, 0, None, rng, draws, attack, snapshots, qubit_cap)
 
 
-def run_protocol3(
-    x: int,
-    n: int,
-    l: int,
-    keys: SharedKeys,
-    *,
-    rng=None,
-    draws: StagedDraws | None = None,
-    attack=None,
-    snapshots: bool = True,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> Transcript:
-    """Message, echo, message: three tagged exchanges with verdicts.
+def _stage_runner(protocol: str, name: str, doc: str):
+    """The public runner `name` of a protocol that takes x, n, l and keys."""
 
-    Stage 2 swaps the roles; each party keeps using its own tag
-    function in whichever role it plays. Permutations and pads are
-    fresh every stage; the tag functions persist. Alice accepts when
-    the echo matches what she sent; Bob accepts when both of his
-    receptions agree.
-    """
-    return _run_stages("p3", x, n, l, keys, rng, draws, attack, snapshots, qubit_cap)
+    def runner(x: int, n: int, l: int, keys: SharedKeys, *, rng=None, draws=None, attack=None,
+               snapshots: bool = True, qubit_cap: int = DEFAULT_QUBIT_CAP) -> Transcript:
+        return _run_stages(protocol, x, n, l, keys, rng, draws, attack, snapshots, qubit_cap)
+
+    runner.__name__ = runner.__qualname__ = name
+    runner.__doc__ = doc
+    return runner
 
 
-def run_protocol4(
-    x: int,
-    n: int,
-    l: int,
-    keys: SharedKeys,
-    *,
-    rng=None,
-    draws: P4Draws | None = None,
-    attack=None,
-    snapshots: bool = True,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> Transcript:
-    """Single receiver-initiated exchange from Alice to Bob."""
-    return _run_stages("p4", x, n, l, keys, rng, draws, attack, snapshots, qubit_cap)
-
-
-def run_two_round(
-    x: int,
-    n: int,
-    l: int,
-    keys: SharedKeys,
-    *,
-    rng=None,
-    draws: P4Draws | None = None,
-    attack=None,
-    snapshots: bool = True,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> Transcript:
-    """The two-pass exchange standing alone as a complete protocol.
-
-    Identical machinery to run_protocol4; kept as its own protocol id
-    because on its own it permits permanent key reuse, which the
-    experiments certify separately.
-    """
-    return _run_stages("two-round", x, n, l, keys, rng, draws, attack, snapshots,
-                       qubit_cap)
-
-
-def run_protocol5(
-    x: int,
-    n: int,
-    l: int,
-    keys: SharedKeys,
-    *,
-    rng=None,
-    draws: StagedDraws | None = None,
-    attack=None,
-    snapshots: bool = True,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> Transcript:
-    """Message, echo, message over the receiver-initiated exchange."""
-    return _run_stages("p5", x, n, l, keys, rng, draws, attack, snapshots, qubit_cap)
+run_protocol2 = _stage_runner("p2", "run_protocol2",
+                              "Single tagged three-pass exchange from Alice to Bob.")
+run_protocol3 = _stage_runner("p3", "run_protocol3",
+                              "Message, echo, message: three tagged exchanges with verdicts.")
+run_protocol4 = _stage_runner("p4", "run_protocol4",
+                              "Single receiver-initiated exchange from Alice to Bob.")
+run_protocol5 = _stage_runner("p5", "run_protocol5",
+                              "Message, echo, message over the receiver-initiated exchange.")
+# Identical machinery to p4, kept as its own id because on its own it
+# permits permanent key reuse, which the experiments certify separately.
+run_two_round = _stage_runner("two-round", "run_two_round",
+                              "The two-pass exchange standing alone as a complete protocol.")
+# Exploratory: nothing here certifies the broadcast's security, and the
+# experiments treat its channel views purely as regression data.
+run_noninteractive = _stage_runner("nonint", "run_noninteractive",
+                                   "Single transmission of the phase-encoded message plus a tag.")
 
 
 def run_protocol6(
@@ -797,8 +825,8 @@ def run_protocol6(
         raise ProtocolError(f"authentication key width {keys.mac_key.t} != t={t}")
     if keys.alice_tag_echo is None or keys.bob_tag_echo is None:
         raise ProtocolError("p6 needs tag functions for the echo stage")
-    channel, _, stage = _open_session("p6", x, n, l, t, keys, rng, draws, attack,
-                                      snapshots, qubit_cap)
+    channel, stage = _open_session("p6", x, n, l, t, keys, rng, draws, attack,
+                                   snapshots, qubit_cap)
     tr = channel.transcript
 
     auth_tag = mac_tag(keys.mac_key, x, n)
@@ -814,49 +842,6 @@ def run_protocol6(
     return tr
 
 
-# ---------------------------------------------------------------------------
-# One-shot broadcast (exploratory)
-# ---------------------------------------------------------------------------
-
-
-def run_noninteractive(
-    x: int,
-    n: int,
-    l: int,
-    keys: SharedKeys,
-    *,
-    rng=None,
-    draws: NonintDraws | None = None,
-    attack=None,
-    snapshots: bool = True,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> Transcript:
-    """Single transmission of the phase-encoded message plus a tag.
-
-    Exploratory: decoding works for the key holder, but nothing here
-    certifies security of this variant, and the experiments treat its
-    channel views purely as regression data.
-    """
-    channel, rngs, _ = _open_session("nonint", x, n, l, 0, keys, rng, draws, attack,
-                                     snapshots, qubit_cap)
-    tr = channel.transcript
-    alice, bob = Party(ALICE, rngs[ALICE]), Party(BOB, rngs[BOB])
-
-    state = init_basis_state([Register("R1", n, Holder.ALICE)], {"R1": x},
-                             qubit_cap=qubit_cap)
-    state = state.apply_hadamard("R1")
-    state = state.extend("R2", l, Holder.ALICE, tr.draws.pad, source="R1",
-                         table=keys.alice_tag.table)
-    state = channel.send(state, ("R1", "R2"), alice, bob)
-
-    state = state.apply_xor_oracle("R1", "R2", keys.alice_tag.table)
-    _, state = channel.measure(state, bob, "R2")
-    state = state.discard("R2")
-    state = state.apply_hadamard("R1")
-    tr.recovered, state = channel.measure(state, bob, "R1")
-    return tr
-
-
 def run_session(protocol: str, x: int, n: int, l: int, t: int, keys, **kw) -> Transcript:
     """Run one session of any protocol, passing each runner the widths it takes.
 
@@ -867,9 +852,9 @@ def run_session(protocol: str, x: int, n: int, l: int, t: int, keys, **kw) -> Tr
         raise ProtocolError(f"unknown protocol {protocol!r}")
     special = {"nonint": "run_noninteractive", "two-round": "run_two_round"}
     run = globals()[special.get(protocol, f"run_protocol{protocol[1:]}")]
-    if protocol == "p1":
+    if protocol in UNTAGGED:
         return run(x, n, **kw)
-    if protocol == "p6":
+    if protocol in AUTHENTICATED:
         return run(x, n, l, t, keys, **kw)
     return run(x, n, l, keys, **kw)
 
@@ -888,8 +873,7 @@ def noninteractive_view(
     unknown. The family has 2**(l * 2**n) * 2**l members; anything past
     the enumeration limit is rejected with the offending count.
     """
-    _check_message(x, n)
-    _check_cap("nonint", n, l, 0, qubit_cap)
+    ProtocolParams("nonint", n, l, qubit_cap=qubit_cap, snapshots=True, messages=(x,))
     blank = BooleanFunction(n, l, (0,) * (1 << n))
     (view,) = eve_average_view(Transcript("nonint", n, l, 0, x, draws=NonintDraws(0)), (1,),
                                keys=SharedKeys(blank, blank), average_over=("pads", "keys"),
@@ -921,13 +905,12 @@ def _round_secrets(protocol: str, round_index: int):
     rounds = ROUND_COUNTS[protocol]
     if not 1 <= round_index <= rounds:
         raise ValueError(f"{protocol} has rounds 1..{rounds}, got {round_index}")
-    if protocol == "p1":
-        raise ValueError("the untagged protocol has no secrets to average over")
-    if protocol == "nonint":
-        return 0, "pad", ALICE, "alice_tag"
     passes = [(index, stage, pad) for index, stage in enumerate(STAGES[protocol])
-              for pad in stage.exchange.pads]
-    index, stage, (field_name, senders_tag) = passes[round_index - 1]
+              for pad in stage.exchange.passes]
+    index, stage, carried = passes[round_index - 1]
+    if carried is None:
+        raise ValueError("the untagged protocol has no secrets to average over")
+    field_name, senders_tag = carried
     owner = stage.sender if senders_tag else _PEER[stage.sender]
     return index, field_name, owner, f"{owner}_tag{stage.keys}"
 
@@ -971,28 +954,18 @@ def eve_average_view(
     if not kinds:
         # Identity average: nothing enumerated, the per-run snapshot is it.
         return tuple(EveView(transcript.snapshot(r), r, (), 1) for r in wanted)
-    if protocol != "p1" and keys is None:
-        raise ValueError("keyed protocols need the session keys to average")
     l = transcript.l
     plans = []
     for r in wanted:
         stage, pad_field, _, tag_attr = _round_secrets(protocol, r)
+        if keys is None:
+            raise ValueError("keyed protocols need the session keys to average")
         base_fn: BooleanFunction = getattr(keys, tag_attr)
-        what = []
-        count = 1
-        averaged = []
-        if "pads" in kinds:
-            count <<= l
-            what.append(f"{l}-bit pads")
-            averaged.append(f"{pad_field}[stage {stage}]")
-        if "keys" in kinds:
-            count *= count_functions(base_fn.n, base_fn.l)
-            what.append(f"{base_fn.n}-to-{base_fn.l}-bit tag functions")
-            averaged.append(tag_attr)
-        if count > enum_limit:
-            raise EnumerationLimitError(count, enum_limit, " times ".join(what))
+        check_enumeration(kinds, base_fn.n, l, enum_limit)
+        averaged = tuple(label for kind, label in (("pads", f"{pad_field}[stage {stage}]"),
+                                                   ("keys", tag_attr)) if kind in kinds)
         base_pad = _get_pad(transcript.draws, protocol, stage, pad_field)
-        plans.append((r, base_pad, base_fn, tuple(averaged)))
+        plans.append((r, base_pad, base_fn, averaged))
 
     redo = run_session(
         protocol, transcript.message, transcript.n, l, transcript.t, keys,

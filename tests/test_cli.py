@@ -128,16 +128,23 @@ def test_verify_reports_each_refused_report_and_goes_on(tmp_path, capsys):
         doc["config"][name] = value
         typed.append(tmp_path / f"typed_{name}.json")
         typed[-1].write_text(json.dumps(doc))
+    # Files whose JSON is not an object at all.
+    listed, text = tmp_path / "list.json", tmp_path / "text.json"
+    listed.write_text("[1, 2]")
+    text.write_text('"x"')
     capsys.readouterr()
-    assert run_cli("verify", str(refused), str(bare), *map(str, typed), str(good)) == 1
+    assert run_cli("verify", str(refused), str(bare), *map(str, typed), str(listed), str(text),
+                   str(good)) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 8
     assert lines[0].startswith(f"FAIL {refused}: only p6 carries an authentication tag")
     assert lines[1] == f"FAIL {bare}: config is missing the fields ['n', 'protocol']"
     assert lines[2] == f"FAIL {typed[0]}: config field 'n' has the wrong type: '2'"
     assert lines[3] == f"FAIL {typed[1]}: config field 'messages' has the wrong type: [1, 'x']"
     assert lines[4] == f"FAIL {typed[2]}: config field 'trials' has the wrong type: None"
-    assert lines[5].startswith(f"PASS {good}:")
+    assert lines[5] == f"FAIL {listed}: {listed} holds no report: its JSON is not an object"
+    assert lines[6] == f"FAIL {text}: {text} holds no report: its JSON is not an object"
+    assert lines[7].startswith(f"PASS {good}:")
 
 
 def test_tables_sample_and_check(tmp_path, capsys):
@@ -194,6 +201,9 @@ def test_unused_fields_and_large_averages_exit_two(tmp_path, capsys):
         # A repeated message would certify independence against itself.
         (("--protocol", "p2", "--n", "2", "--l", "1", "--x", "1,1", "--average", "pads"),
          "repeats a message"),
+        (("--protocol", "p1", "--n", "2", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--protocol", "p2", "--n", "2", "--l", "1", "--attack", "phase:x=1,passes=9"),
+         "p2 has rounds 1..3, the attack names pass 9"),
     ):
         assert run_cli("run", *argv, "--out", str(out)) == 2
         assert message in capsys.readouterr().err

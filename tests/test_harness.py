@@ -1,5 +1,6 @@
 """Experiment driver: configs, reports, reproduction, attack paths."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta
 
+from qnokey.adversary import AttackSpecError
 from qnokey.harness import (
     STANDING_NOTES,
     ConfigError,
@@ -87,6 +89,23 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ProtocolError, match="--no-snapshots"):
         ExperimentConfig("p4", n=9, l=4, snapshots=False, average="pads")
     ExperimentConfig("p4", n=9, l=4, snapshots=False)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        ExperimentConfig("p1", n=2, seed=-1)
+    with pytest.raises(ConfigError, match="include_matrices .* needs snapshots on"):
+        ExperimentConfig("p2", n=1, l=1, snapshots=False, include_matrices=True)
+    # Fields the chosen experiment would ignore; snapshots stays accepted.
+    sweep = dict(messages=(1,), attack="phase:x=0x4,passes=2", exhaustive_keys=True)
+    for field, value in (("trials", 7), ("average", "pads"), ("include_matrices", True)):
+        with pytest.raises(ConfigError, match=f"exhaustive key sweep ignores {field}"):
+            ExperimentConfig("p6", n=2, l=1, t=2, **sweep, **{field: value})
+    ExperimentConfig("p6", n=2, l=1, t=2, **sweep)
+    for field, value in (("messages", (1,)), ("average", "pads"), ("include_matrices", True)):
+        with pytest.raises(ConfigError, match=f"echo detection ignores {field}"):
+            ExperimentConfig("p5", n=2, l=1, attack="mim", **{field: value})
+    with pytest.raises(ConfigError, match="mim split ignores include_matrices"):
+        ExperimentConfig("p1", n=2, attack="mim", include_matrices=True)
+    with pytest.raises(ConfigError, match="mim split ignores fb_file"):
+        ExperimentConfig("p1", n=2, attack="mim", fb_file="whatever")
 
 
 def test_config_inherits_protocol_validation():
@@ -231,9 +250,8 @@ def test_mim_split_experiment():
 
 
 def test_mim_rejects_unsupported_protocols():
-    config = ExperimentConfig("p2", n=2, l=1, attack="mim", snapshots=False)
     with pytest.raises(ConfigError, match="mim experiments target"):
-        run_experiment(config)
+        ExperimentConfig("p2", n=2, l=1, attack="mim", snapshots=False)
 
 
 def test_echo_detection_experiment_report():
@@ -260,16 +278,35 @@ def test_mac_attack_experiment_sweeps_all_keys():
 
 
 def test_mac_attack_rejects_bad_masks():
-    config = ExperimentConfig("p6", n=2, l=1, t=2, messages=(1,),
-                              attack="phase:x=0x3,passes=2",
-                              exhaustive_keys=True, snapshots=False)
     with pytest.raises(ConfigError, match="message bits only"):
-        run_experiment(config)
-    config = ExperimentConfig("p6", n=2, l=1, t=2, messages=(1,),
-                              attack="measure", exhaustive_keys=True,
-                              snapshots=False)
+        ExperimentConfig("p6", n=2, l=1, t=2, messages=(1,),
+                         attack="phase:x=0x3,passes=2",
+                         exhaustive_keys=True, snapshots=False)
     with pytest.raises(ConfigError, match="phase attack"):
-        run_experiment(config)
+        ExperimentConfig("p6", n=2, l=1, t=2, messages=(1,),
+                         attack="measure", exhaustive_keys=True,
+                         snapshots=False)
+
+
+def test_config_refuses_attacks_the_protocol_cannot_take():
+    # p2 sends three rounds, each carrying the 2-bit message register at n=2.
+    with pytest.raises(ConfigError, match=r"p2 has rounds 1..3, the attack names pass 9"):
+        ExperimentConfig("p2", n=2, l=1, attack="phase:x=1,passes=9")
+    with pytest.raises(ConfigError, match=r"p2 has rounds 1..3, the attack names pass 0"):
+        ExperimentConfig("p2", n=2, l=1, attack="measure:passes=0,1")
+    with pytest.raises(ConfigError, match=r"mask 0x10 does not fit round 1's 2-bit"):
+        ExperimentConfig("p2", n=2, l=1, attack="phase:x=0x10")
+    # p6 at n=1, t=2 sends 3 bits in rounds 1-2 and the 2-bit tag echo in 3-4.
+    with pytest.raises(ConfigError, match=r"mask 0x4 does not fit round 3's 2-bit"):
+        ExperimentConfig("p6", n=1, l=1, t=2, attack="phase:x=0x4")
+    with pytest.raises(ConfigError, match=r"mask 0x4 does not fit round 4's 2-bit"):
+        ExperimentConfig("p6", n=1, l=1, t=2, attack="phase:x=0x4,passes=2,4")
+    ExperimentConfig("p6", n=1, l=1, t=2, attack="phase:x=0x4,passes=1,2")
+    ExperimentConfig("p2", n=2, l=1, attack="phase:x=3,passes=1,3")
+    with pytest.raises(AttackSpecError, match="unknown attack kind"):
+        ExperimentConfig("p2", n=2, l=1, attack="warp")
+    with pytest.raises(AttackSpecError, match="unknown options"):
+        ExperimentConfig("p3", n=2, l=1, attack="mim:x=1", snapshots=False)
 
 
 # -- pinned truth tables -----------------------------------------------------------------
@@ -389,6 +426,25 @@ def test_meta_excluded_from_body_bytes(tmp_path):
     assert ExperimentReport.read(pa).meta["created"] is not None
     assert canonical_json(ExperimentReport.read(pa).body) == \
         canonical_json(ExperimentReport.read(pb).body)
+
+
+# sha256 of the body bytes of every shipped experiment but the 5,500-trial
+# echo detection, which C11 reruns. A change to a runner, the draw order or
+# the report layout moves them.
+SHIPPED_BODY_SHA256 = {
+    "p1": "7d4a2e20676dc40fab02ca1075e473a79049e0c0358b7067fb25889206105468",
+    "p2": "4670e808090fc7b8a990dd79d4155ae5dc135b106a145c259d0457ba2e52a897",
+    "p4": "2e009f2be2e9d868e7c4cab17c2668065fe7f9293d1cb9723a8fff2eecbffc1e",
+    "two-round": "cfa7cbd3a580c9ed89f166c25c2191d0bba294967324b6d5d3a246baaeeea95a",
+    "p6": "5646e5b68ce29bbb090209eacba8c54a4d32526d84d281444f5e1e8b8fec4b1c",
+    "nonint": "482ea53e7a3269d6996fdc3e84466dfab3dcc826268e9ee5127aa28840533224",
+}
+
+
+def test_fast_shipped_experiment_bodies_are_pinned():
+    digests = {c.protocol: hashlib.sha256(run_experiment(c).body_bytes()).hexdigest()
+               for c in shipped_experiments() if c.attack != "mim"}
+    assert digests == SHIPPED_BODY_SHA256
 
 
 def test_shipped_experiment_roster():
