@@ -121,22 +121,21 @@ class ExperimentConfig:
         experiment the attack selects would ignore."""
         widths = proto.round_widths(self.protocol, self.n, self.t)
         passes = getattr(attack, "passes", None)
-        for r in sorted(passes or ()):
+        phase = isinstance(attack, adversary.PhaseAttack)
+        for r in sorted(passes) if passes is not None else range(1, len(widths) + 1):
             if not 1 <= r <= len(widths):
                 raise ConfigError(f"{self.protocol} has rounds 1..{len(widths)}, "
                                   f"the attack names pass {r}")
-        if isinstance(attack, adversary.PhaseAttack):
-            for r in sorted(passes) if passes is not None else range(1, len(widths) + 1):
-                if not 0 <= attack.mask < 1 << widths[r - 1]:
-                    raise ConfigError(f"mask {attack.mask:#x} does not fit round {r}'s "
-                                      f"{widths[r - 1]}-bit message register")
+            if phase and not 0 <= attack.mask < 1 << widths[r - 1]:
+                raise ConfigError(f"mask {attack.mask:#x} does not fit round {r}'s "
+                                  f"{widths[r - 1]}-bit message register")
         mim = isinstance(attack, adversary.MimMarker)
         if mim and self.protocol not in proto.UNTAGGED | proto.ECHOED:
             raise ConfigError(f"mim experiments target p1, p3 or p5, not {self.protocol}")
         if self.exhaustive_keys:
             if self.protocol not in proto.AUTHENTICATED:
                 raise ConfigError("exhaustive_keys only applies to the authenticated protocol")
-            if not isinstance(attack, adversary.PhaseAttack):
+            if not phase:
                 raise ConfigError("exhaustive key sweeps need a phase attack spec")
             if attack.mask % (1 << self.t) != 0 or attack.mask == 0:
                 raise ConfigError(f"mask {attack.mask:#x} must flip message bits only "

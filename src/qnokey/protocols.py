@@ -171,8 +171,8 @@ class ProtocolParams:
         # A k-qubit snapshot is a 2**k x 2**k matrix, as many entries as a
         # 2k-qubit state, and the widest one carries the widest stage plus
         # its tag register.
-        if self.snapshots and 2 * (self.widest + self.l) > self.qubit_cap:
-            k = self.widest + self.l
+        k = self.widest + self.l
+        if self.snapshots and 2 * k > self.qubit_cap:
             raise ProtocolError(
                 f"{self.protocol} snapshots are {k}-qubit density matrices, as large as a "
                 f"2*{k}={2 * k}-qubit state, cap is {self.qubit_cap}; "
@@ -645,6 +645,7 @@ class Stage(NamedTuple):
     keys: str = ""
 
     def bits(self, n: int, t: int) -> int:
+        """The stage's message width: the sum of the terms `width` names."""
         return n * ("n" in self.width) + t * ("t" in self.width)
 
     def peak(self, n: int, l: int, t: int) -> int:
