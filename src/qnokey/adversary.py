@@ -381,10 +381,14 @@ def passive_snapshot(
             views[x] = [view.rho for view in proto.eve_average_view(redo, keys=keys)]
         else:
             views[x] = [redo.snapshot(r) for r in range(1, rounds + 1)]
-    distances = {}
-    msgs = list(messages)
-    for i, x in enumerate(msgs):
-        for y in msgs[i + 1:]:
-            for r in range(1, rounds + 1):
-                distances[(x, y, r)] = trace_distance(views[x][r - 1], views[y][r - 1])
+    distances = {(x, y, r): d for x, y, r, d in pairwise_distances(messages, views)}
     return PassiveComparison(protocol, tuple(messages), views, distances)
+
+
+def pairwise_distances(messages: Sequence[int], views: dict[int, Sequence[DensityMatrix]]):
+    """Yield (x, y, round, trace distance) between the views of each pair
+    of messages, x before y in `messages`' order, then round by round."""
+    for i, x in enumerate(messages):
+        for y in messages[i + 1:]:
+            for r, (a, b) in enumerate(zip(views[x], views[y]), 1):
+                yield x, y, r, trace_distance(a, b)

@@ -5,6 +5,12 @@ body is a pure function of the config (including its seed): rerunning
 the same config must reproduce the body byte for byte, which is what
 `verify_report` checks. Wall-clock facts live only in `meta`.
 
+EXPERIMENTS declares the four experiments once: the session grid, the p1
+mim split, echo detection and the p6 key sweep. An ExperimentConfig is
+checked when it is built, and keeps what a run needs beside its fields:
+the parsed attack, its EXPERIMENTS entry and the pinned tables, each file
+read once. run_experiment only calls the entry's runner.
+
 Density matrices embedded in reports are base64 blobs of row-major
 entries, each entry a little-endian float64 pair (real then imaginary).
 """
@@ -13,17 +19,20 @@ from __future__ import annotations
 
 import base64
 import datetime
+import itertools
 import json
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import betaincinv
 
 from . import adversary, protocols as proto
-from .oracles import DEFAULT_ENUM_LIMIT, make_rng
+from .auth import MacKey
+from .oracles import DEFAULT_ENUM_LIMIT, BooleanPermutation, make_rng, read_table
 from .protocols import ConfigError
-from .qstate import ATOL_DENSITY, ATOL_SCALAR, DEFAULT_QUBIT_CAP, DensityMatrix, is_maximally_mixed, trace_distance
+from .qstate import ATOL_DENSITY, ATOL_SCALAR, DEFAULT_QUBIT_CAP, DensityMatrix, is_maximally_mixed
 
 REPORT_FORMAT_VERSION = 1
 
@@ -42,7 +51,9 @@ AVERAGE_KINDS = {"none": (), "pads": ("pads",), "pads+keys": ("pads", "keys")}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a protocol, a message set, and what to record."""
+    """One experiment: a protocol, a message set, and what to record.
+    Once built it also holds `parsed_attack`, `experiment` (its EXPERIMENTS
+    entry) and `pins` (each pinned table, by the field it replaces)."""
 
     protocol: str
     n: int
@@ -67,13 +78,17 @@ class ExperimentConfig:
     def __post_init__(self):
         """The one experiment validator: every refusal happens here, before
         any session runs."""
+        for f in fields(self):
+            if not _TYPE_CHECKS[f.type](getattr(self, f.name)):
+                raise ConfigError(f"config field {f.name!r} has the wrong type: "
+                                  f"{getattr(self, f.name)!r}")
         if self.messages is not None:
             object.__setattr__(self, "messages", tuple(self.messages))
         if self.average not in AVERAGE_KINDS:
             raise ConfigError(f"unknown averaging mode {self.average!r}")
         # Averaging reruns take snapshots, so they count against the cap too.
         params = proto.ProtocolParams(self.protocol, self.n, self.l, self.t, self.qubit_cap,
-                                      self.enum_limit, self.snapshots or self.average != "none",
+                                      self.snapshots or self.average != "none",
                                       self.messages or ())
         # Refuse fields no session of the protocol would use.
         if self.protocol not in proto.AUTHENTICATED and self.t != 0:
@@ -98,27 +113,47 @@ class ExperimentConfig:
                 raise ConfigError("the message list is empty; give at least one message")
             if len(set(self.messages)) != len(self.messages):
                 raise ConfigError(f"the message list {list(self.messages)} repeats a message")
-        self._check_pins()
-        self._check_attack(adversary.parse_attack(self.attack))
+        attack = adversary.parse_attack(self.attack)
+        experiment = self._check_attack(attack)
+        # snapshots stays accepted everywhere: it is on by default.
+        for f in fields(self):
+            if f.name in experiment.ignores and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{experiment.name} ignores {f.name}; leave it at "
+                                  f"{f.default!r}, got {getattr(self, f.name)!r}")
+        object.__setattr__(self, "parsed_attack", attack)
+        object.__setattr__(self, "experiment", experiment)
+        object.__setattr__(self, "pins", self._load_pins())
 
-    def _check_pins(self):
-        """Refuse pins the protocol has no secret for."""
-        if not (self.fa_file or self.fb_file or self.sa_file or self.sb_file):
-            return
-        stages = proto.STAGES[self.protocol]
-        if len(stages) > 1:
-            raise ConfigError("table pinning applies to single-exchange protocols only")
+    def _load_pins(self) -> dict:
+        """Read each pinned table once, refusing a pin the protocol has no
+        secret for and a table of the wrong kind or shape."""
+        stages, pins = proto.STAGES[self.protocol], {}
         exchange = stages[0].exchange
-        if (self.sa_file or self.sb_file) and not exchange.tagged:
-            raise ConfigError("the untagged protocol has no tag functions to pin")
-        if (self.fa_file or self.fb_file) and not exchange.perms:
-            raise ConfigError(f"{self.protocol} has no permutations to pin")
-        if self.fa_file and "sender_perm" not in exchange.perms:
-            raise ConfigError(f"{self.protocol} has no sender permutation; use --fb-file")
+        for name, (flag, target) in PIN_TARGETS.items():
+            path, perm = getattr(self, name), target.endswith("_perm")
+            if not path:
+                continue
+            if len(stages) > 1:
+                raise ConfigError("table pinning applies to single-exchange protocols only")
+            if not perm and not exchange.tagged:
+                raise ConfigError("the untagged protocol has no tag functions to pin")
+            if perm and not exchange.perms:
+                raise ConfigError(f"{self.protocol} has no permutations to pin")
+            if perm and target not in exchange.perms:
+                raise ConfigError(f"{self.protocol} has no sender permutation; use --fb-file")
+            table = pins[target] = read_table(path)
+            if perm != isinstance(table, BooleanPermutation):
+                want, got = ("a permutation", "a function") if perm else \
+                    ("a tag function", "a permutation")
+                raise ConfigError(f"{flag} must hold {want}, {path} has {got}")
+            if table.n != self.n or (not perm and table.l != self.l):
+                raise ConfigError(f"{flag} table shape {table.n}->{table.out_width} does not "
+                                  f"match the session ({self.n}->{self.n if perm else self.l})")
+        return pins
 
-    def _check_attack(self, attack):
-        """Refuse attacks the protocol cannot take, and the fields that the
-        experiment the attack selects would ignore."""
+    def _check_attack(self, attack) -> Experiment:
+        """Refuse attacks the protocol cannot take, and return the
+        experiment the attack selects."""
         widths = proto.round_widths(self.protocol, self.n, self.t)
         passes = getattr(attack, "passes", None)
         phase = isinstance(attack, adversary.PhaseAttack)
@@ -140,18 +175,10 @@ class ExperimentConfig:
             if attack.mask % (1 << self.t) != 0 or attack.mask == 0:
                 raise ConfigError(f"mask {attack.mask:#x} must flip message bits only "
                                   f"(a nonzero multiple of 2^{self.t})")
-            ignored, what = ("trials", "average", "include_matrices"), "the exhaustive key sweep"
-        elif mim and self.protocol in proto.UNTAGGED:
-            ignored, what = ("include_matrices", "fa_file", "fb_file"), "the mim split"
-        elif mim:
-            ignored, what = ("messages", "average", "include_matrices"), "echo detection"
-        else:
-            return
-        # snapshots stays accepted everywhere: it is on by default.
-        for f in fields(self):
-            if f.name in ignored and getattr(self, f.name) != f.default:
-                raise ConfigError(f"{what} ignores {f.name}; leave it at {f.default!r}, "
-                                  f"got {getattr(self, f.name)!r}")
+            return EXPERIMENTS["key sweep"]
+        if mim:
+            return EXPERIMENTS["mim split" if self.protocol in proto.UNTAGGED else "echo"]
+        return EXPERIMENTS["sessions"]
 
     def message_set(self) -> tuple[int, ...]:
         if self.messages is not None:
@@ -172,35 +199,34 @@ class ExperimentConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ConfigError(f"config is missing the fields {sorted(missing)}")
-        for name, value in d.items():
-            if name == "messages":
-                ok = value is None or (isinstance(value, (list, tuple))
-                                       and all(map(_is_int, value)))
-            elif _STORED_TYPES[name] is int:
-                ok = _is_int(value)
-            else:
-                ok = isinstance(value, _STORED_TYPES[name])
-            if not ok:
-                raise ConfigError(f"config field {name!r} has the wrong type: {value!r}")
-        d = dict(d)
-        if d.get("messages") is not None:
-            d["messages"] = tuple(d["messages"])
         return cls(**d)
-
-
-# The JSON type of each stored config field but messages, which is null
-# or a list of ints. A bool is not an int here, though Python says it is.
-_STORED_TYPES = {
-    "protocol": str, "n": int, "l": int, "t": int, "seed": int, "trials": int,
-    "attack": (str, type(None)), "snapshots": bool, "average": str,
-    "exhaustive_keys": bool, "include_matrices": bool, "qubit_cap": int, "enum_limit": int,
-    "fa_file": (str, type(None)), "fb_file": (str, type(None)),
-    "sa_file": (str, type(None)), "sb_file": (str, type(None)),
-}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Whether a value has its field's type, by the field's annotation, as
+# JSON stores it. A bool is not an int here, though Python says it is.
+_TYPE_CHECKS = {
+    "str": lambda value: isinstance(value, str),
+    "int": _is_int,
+    "bool": lambda value: isinstance(value, bool),
+    "str | None": lambda value: value is None or isinstance(value, str),
+    "tuple[int, ...] | None": lambda value: value is None or (
+        isinstance(value, (list, tuple)) and all(map(_is_int, value))),
+}
+
+# Each pin file field: its flag, and the field of the keys or draws its
+# table replaces.
+PIN_TARGETS = {"fa_file": ("--fa-file", "sender_perm"), "fb_file": ("--fb-file", "receiver_perm"),
+               "sa_file": ("--sa-file", "alice_tag"), "sb_file": ("--sb-file", "bob_tag")}
+
+
+def _pinned(record, pins: dict):
+    """`record` (keys or draws) with the fields it has replaced by their pins."""
+    own = {name: table for name, table in pins.items() if hasattr(record, name)}
+    return replace(record, **own) if own else record
 
 
 def encode_matrix(rho: DensityMatrix | np.ndarray) -> dict:
@@ -278,14 +304,7 @@ def canonical_json(obj) -> bytes:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     started = time.time()
-    if isinstance(adversary.parse_attack(config.attack), adversary.MimMarker):
-        split = config.protocol in proto.UNTAGGED
-        results = (_mim_split_results if split else _echo_detection_results)(config)
-    elif config.exhaustive_keys:
-        results = _mac_attack_results(config)
-    else:
-        results = _session_results(config)
-
+    results = config.experiment.run(config)
     assertions = results.pop("assertions")
     body = {
         "format_version": REPORT_FORMAT_VERSION,
@@ -302,44 +321,44 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(body=body, meta=meta)
 
 
+def _at_most(name: str, what: str, worst: float, tol: float) -> dict:
+    """The assertion that the largest `what` is within `tol`."""
+    return dict(name=name, passed=worst <= tol, detail=f"max {what} {worst:.3e} vs {tol}")
+
+
 def _session_results(config: ExperimentConfig) -> dict:
     """Honest or in-transit-attacked sessions over a message grid."""
-    attack = adversary.parse_attack(config.attack)
+    attack = config.parsed_attack
     messages = config.message_set()
     keyed = config.protocol not in proto.UNTAGGED
-    root = make_rng(config.seed)
     honest = attack is None or attack.kind == "passive"
     # The one-shot broadcast makes no indistinguishability claim, so its
     # averaged views are recorded as-is instead of being compared to the
     # maximally mixed state.
     exploratory = config.protocol == "nonint"
-
-    runs = []
-    mixedness: dict[int, float] = {}
-    averaged_dev: dict[int, float] = {}
-    averaged_runs: dict[int, int] = {}
-    view_defect = 0.0
-    distance_rows = []
-    all_correct = True
-    verdicts_ok = True
     avg_kinds = AVERAGE_KINDS[config.average]
-    rounds = proto.ROUND_COUNTS[config.protocol]
+    rounds = range(1, proto.ROUND_COUNTS[config.protocol] + 1)
+    root = make_rng(config.seed)
+
+    runs, distance_rows = [], []
+    mixedness: dict[int, float] = {}
+    averaged: dict[int, dict] = {}  # round -> its "averaged_views" record
+    view_defect = 0.0
+    recovered = True  # every receiver decoded the message and no verdict rejected
 
     for trial in range(config.trials):
         key_rng, draw_rng, run_rng = root.spawn(3)
         keys = proto.sample_shared_keys(config.protocol, config.n, config.l,
                                         config.t, key_rng) if keyed else None
-        keys = _pin_keys(config, keys)
+        keys = _pinned(keys, config.pins)
         # One set of draws per trial: comparisons across messages then
         # isolate the message dependence alone.
-        shared_draws = _pin_draws(
-            config,
-            proto.sample_draws(config.protocol, config.n, config.l, config.t, draw_rng),
-        )
+        draws = _pinned(proto.sample_draws(config.protocol, config.n, config.l, config.t,
+                                           draw_rng), config.pins)
         trial_views: dict[int, list[DensityMatrix]] = {}
         for x in messages:
             tr = proto.run_session(config.protocol, x, config.n, config.l, config.t, keys,
-                                   rng=run_rng, draws=shared_draws, attack=attack,
+                                   rng=run_rng, draws=draws, attack=attack,
                                    snapshots=config.snapshots, qubit_cap=config.qubit_cap)
             entry = {
                 "trial": trial, "message": x, "recovered": tr.recovered,
@@ -353,120 +372,62 @@ def _session_results(config: ExperimentConfig) -> dict:
             if tr.attack_events:
                 entry["attack_events"] = tr.attack_events
             if config.snapshots:
-                for r in range(1, rounds + 1):
+                for r in rounds:
                     _, dev = is_maximally_mixed(tr.snapshot(r))
                     mixedness[r] = max(mixedness.get(r, 0.0), dev)
                 if config.include_matrices:
-                    entry["snapshots"] = [encode_matrix(tr.snapshot(r))
-                                          for r in range(1, rounds + 1)]
+                    entry["snapshots"] = [encode_matrix(tr.snapshot(r)) for r in rounds]
             if avg_kinds:
                 views = proto.eve_average_view(
                     tr, keys=keys, average_over=avg_kinds,
                     enum_limit=config.enum_limit, qubit_cap=config.qubit_cap,
                 )
                 for view in views:
-                    r = view.round_index
+                    record = averaged.setdefault(view.round_index, {
+                        "deviation_from_mixed": 0.0, "runs": view.runs})
                     _, dev = is_maximally_mixed(view.rho)
-                    averaged_dev[r] = max(averaged_dev.get(r, 0.0), dev)
-                    averaged_runs[r] = view.runs
+                    record["deviation_from_mixed"] = max(record["deviation_from_mixed"], dev)
                     if exploratory:
-                        defect = max(view.rho.hermiticity_defect(),
-                                     abs(view.rho.trace() - 1.0),
-                                     max(0.0, -view.rho.min_eigenvalue()))
-                        view_defect = max(view_defect, defect)
+                        view_defect = max(view_defect, view.rho.hermiticity_defect(),
+                                          abs(view.rho.trace() - 1.0),
+                                          -view.rho.min_eigenvalue())
                 trial_views[x] = [view.rho for view in views]
-            if honest:
-                all_correct = all_correct and tr.recovered == x
-                for v in (tr.alice_accepts, tr.bob_accepts, tr.mac_accepts):
-                    if v is False:
-                        verdicts_ok = False
+            recovered = recovered and tr.recovered == x and \
+                False not in (tr.alice_accepts, tr.bob_accepts, tr.mac_accepts)
             runs.append(entry)
-        for i, x in enumerate(messages):
-            for y in messages[i + 1:]:
-                if x in trial_views and y in trial_views:
-                    for r in range(1, rounds + 1):
-                        d = trace_distance(trial_views[x][r - 1], trial_views[y][r - 1])
-                        distance_rows.append({"trial": trial, "x": x, "y": y,
-                                              "round": r, "distance": d})
+        if avg_kinds:
+            distance_rows += ({"trial": trial, "x": x, "y": y, "round": r, "distance": d}
+                              for x, y, r, d in adversary.pairwise_distances(messages,
+                                                                             trial_views))
 
     results: dict = {"runs": runs}
     assertions = []
     if honest:
-        assertions.append({
-            "name": "honest_recovery",
-            "passed": all_correct and verdicts_ok,
-            "detail": "every receiver decoded the sent message and no verdict rejected",
-        })
+        assertions.append(dict(name="honest_recovery", passed=recovered, detail="every receiver "
+                               "decoded the sent message and no verdict rejected"))
     if config.snapshots:
         results["per_run_mixedness"] = {str(r): mixedness[r] for r in sorted(mixedness)}
         if not keyed:
-            worst = max(mixedness.values())
-            assertions.append({
-                "name": "per_run_snapshots_maximally_mixed",
-                "passed": worst <= ATOL_DENSITY,
-                "detail": f"max deviation {worst:.3e} vs {ATOL_DENSITY}",
-            })
-    if averaged_dev:
-        results["averaged_views"] = {
-            str(r): {"deviation_from_mixed": averaged_dev[r], "runs": averaged_runs[r]}
-            for r in sorted(averaged_dev)
-        }
+            assertions.append(_at_most("per_run_snapshots_maximally_mixed", "deviation",
+                                       max(mixedness.values()), ATOL_DENSITY))
+    if averaged:
+        results["averaged_views"] = {str(r): averaged[r] for r in sorted(averaged)}
         if exploratory:
-            assertions.append({
-                "name": "averaged_views_valid_states",
-                "passed": view_defect <= ATOL_DENSITY,
-                "detail": f"max density-matrix defect {view_defect:.3e} vs {ATOL_DENSITY}",
-            })
+            assertions.append(_at_most("averaged_views_valid_states", "density-matrix defect",
+                                       view_defect, ATOL_DENSITY))
         else:
-            worst = max(averaged_dev.values())
-            assertions.append({
-                "name": "averaged_views_maximally_mixed",
-                "passed": worst <= ATOL_SCALAR,
-                "detail": f"max deviation {worst:.3e} vs {ATOL_SCALAR}",
-            })
+            assertions.append(_at_most(
+                "averaged_views_maximally_mixed", "deviation",
+                max(record["deviation_from_mixed"] for record in averaged.values()),
+                ATOL_SCALAR))
     if distance_rows:
         results["distance_tables"] = {"across_messages": distance_rows}
         if not exploratory:
-            worst = max(row["distance"] for row in distance_rows)
-            assertions.append({
-                "name": "message_independence",
-                "passed": worst <= ATOL_SCALAR,
-                "detail": f"max pairwise distance {worst:.3e} vs {ATOL_SCALAR}",
-            })
+            assertions.append(_at_most("message_independence", "pairwise distance",
+                                       max(row["distance"] for row in distance_rows),
+                                       ATOL_SCALAR))
     results["assertions"] = assertions
     return results
-
-
-def _load_pin(path: str, want_perm: bool, n: int, l: int, flag: str):
-    from .oracles import BooleanFunction, BooleanPermutation, read_table
-
-    table = read_table(path)
-    if want_perm and not isinstance(table, BooleanPermutation):
-        raise ConfigError(f"{flag} must hold a permutation, {path} has a function")
-    if not want_perm and isinstance(table, BooleanPermutation):
-        raise ConfigError(f"{flag} must hold a tag function, {path} has a permutation")
-    if table.n != n or (not want_perm and table.l != l):
-        raise ConfigError(
-            f"{flag} table shape {table.n}->{table.out_width} does not match "
-            f"the session ({n}->{n if want_perm else l})"
-        )
-    return table
-
-
-def _pin_keys(config: ExperimentConfig, keys):
-    """--sa-file pins Alice's tag function, --sb-file Bob's."""
-    pins = {name: _load_pin(path, False, config.n, config.l, flag)
-            for name, path, flag in (("alice_tag", config.sa_file, "--sa-file"),
-                                     ("bob_tag", config.sb_file, "--sb-file")) if path}
-    return replace(keys, **pins) if pins else keys
-
-
-def _pin_draws(config: ExperimentConfig, draws):
-    """--fa-file pins the sender's permutation, --fb-file the receiver's."""
-    pins = {name: _load_pin(path, True, config.n, 0, flag)
-            for name, path, flag in (("sender_perm", config.fa_file, "--fa-file"),
-                                     ("receiver_perm", config.fb_file, "--fb-file")) if path}
-    return replace(draws, **pins) if pins else draws
 
 
 def _mim_split_results(config: ExperimentConfig) -> dict:
@@ -485,11 +446,8 @@ def _mim_split_results(config: ExperimentConfig) -> dict:
                          "eve_recovered": out.eve_recovered,
                          "bob_recovered": out.bob_recovered})
             ok = ok and out.eve_recovered == x and out.bob_recovered == x_eve
-    assertions = [{
-        "name": "mim_split_deterministic",
-        "passed": ok,
-        "detail": "Eve learns the message and Bob receives Eve's choice, every run",
-    }]
+    assertions = [dict(name="mim_split_deterministic", passed=ok,
+                       detail="Eve learns the message and Bob receives Eve's choice, every run")]
     return {"mim_runs": rows, "assertions": assertions}
 
 
@@ -502,13 +460,10 @@ def _echo_detection_results(config: ExperimentConfig) -> dict:
     threshold = 1.0 - 2.0 ** (-config.n)
     sigma = (threshold * (1 - threshold) / config.trials) ** 0.5
     lo, hi = binomial_ci(stats.rejections, stats.trials)
-    passed = stats.rejection_rate >= threshold - 3 * sigma
-    assertions = [{
-        "name": "echo_detection_rate",
-        "passed": passed,
-        "detail": (f"rate {stats.rejection_rate:.4f} vs floor "
-                   f"{threshold:.4f} - 3*{sigma:.4f}"),
-    }]
+    assertions = [dict(name="echo_detection_rate",
+                       passed=stats.rejection_rate >= threshold - 3 * sigma,
+                       detail=f"rate {stats.rejection_rate:.4f} vs floor "
+                              f"{threshold:.4f} - 3*{sigma:.4f}")]
     return {
         "detection": {
             "trials": stats.trials,
@@ -524,37 +479,26 @@ def _echo_detection_results(config: ExperimentConfig) -> dict:
 
 def _mac_attack_results(config: ExperimentConfig) -> dict:
     """Authenticated protocol under an in-transit flip, all keys tried."""
-    attack = adversary.parse_attack(config.attack)
-    from .auth import MacKey
-
     root = make_rng(config.seed)
     key_rng, run_rng = root.spawn(2)
     base_keys = proto.sample_shared_keys(config.protocol, config.n, config.l,
                                          config.t, key_rng)
     messages = config.message_set()
-    total = 0
-    rejections = 0
-    for x in messages:
-        for a in range(1 << config.t):
-            for b in range(1 << config.t):
-                keys = replace(base_keys, mac_key=MacKey(config.t, a, b))
-                tr = proto.run_protocol6(
-                    x, config.n, config.l, config.t, keys, rng=run_rng,
-                    attack=attack, snapshots=False, qubit_cap=config.qubit_cap,
-                )
-                total += 1
-                if not tr.mac_accepts:
-                    rejections += 1
+    halves = range(1 << config.t)
+    rejections = sum(
+        not proto.run_protocol6(x, config.n, config.l, config.t,
+                                replace(base_keys, mac_key=MacKey(config.t, a, b)), rng=run_rng,
+                                attack=config.parsed_attack, snapshots=False,
+                                qubit_cap=config.qubit_cap).mac_accepts
+        for x, a, b in itertools.product(messages, halves, halves))
+    total = len(messages) * len(halves) ** 2
     bound = 1.0 - 2.0 ** (1 - config.t)
     fraction = rejections / total
-    assertions = [{
-        "name": "mac_rejection_fraction",
-        "passed": fraction >= bound,
-        "detail": f"rejected {rejections}/{total} = {fraction:.4f}, bound {bound:.4f}",
-    }]
+    assertions = [dict(name="mac_rejection_fraction", passed=fraction >= bound,
+                       detail=f"rejected {rejections}/{total} = {fraction:.4f}, bound {bound:.4f}")]
     return {
         "mac_attack": {
-            "keys_per_message": 1 << (2 * config.t),
+            "keys_per_message": len(halves) ** 2,
             "messages": list(messages),
             "total_runs": total,
             "rejections": rejections,
@@ -563,6 +507,26 @@ def _mac_attack_results(config: ExperimentConfig) -> dict:
         },
         "assertions": assertions,
     }
+
+
+class Experiment(NamedTuple):
+    """One kind of experiment: its runner, its name in refusals, and the
+    config fields it ignores (and so refuses when they are set)."""
+
+    run: Callable[[ExperimentConfig], dict]
+    name: str
+    ignores: tuple[str, ...]
+
+
+EXPERIMENTS = {
+    "sessions": Experiment(_session_results, "the session grid", ()),
+    "mim split": Experiment(_mim_split_results, "the mim split",
+                            ("include_matrices", "fa_file", "fb_file")),
+    "echo": Experiment(_echo_detection_results, "echo detection",
+                       ("messages", "average", "include_matrices")),
+    "key sweep": Experiment(_mac_attack_results, "the exhaustive key sweep",
+                            ("trials", "average", "include_matrices")),
+}
 
 
 def _first_difference(stored, fresh, path: str = "body"):

@@ -29,7 +29,8 @@ one-shot broadcast (nonint). STAGES lists all eight ids once, as their
 stages: the exchange, the sending party, the message width (n+t and t
 in p6) and the tag functions used. PROTOCOL_IDS, ROUND_COUNTS,
 peak_live_width, the runners, sample_draws and the averaging lookup all
-derive from it, and so does ProtocolParams, the one session validator.
+derive from it, and so does ProtocolParams, the one session validator;
+each session's key bundle and permutation widths are checked against it.
 An exchange takes its parties as Party(name, rng, tags_with,
 strips_with) values, so an adversary can play a side with substitute
 tables. run_session runs any protocol by id, looking its public run_*
@@ -150,7 +151,6 @@ class ProtocolParams:
     l: int = 0
     t: int = 0
     qubit_cap: int = DEFAULT_QUBIT_CAP
-    enum_limit: int = DEFAULT_ENUM_LIMIT
     snapshots: bool = False
     messages: tuple[int, ...] = ()
 
@@ -181,10 +181,6 @@ class ProtocolParams:
         for x in self.messages:
             if not 0 <= x < (1 << self.n):
                 raise ProtocolError(f"message {x} does not fit in {self.n} bits")
-
-    @property
-    def rounds(self) -> int:
-        return ROUND_COUNTS[self.protocol]
 
     @property
     def widest(self) -> int:
@@ -405,8 +401,6 @@ def _run_untagged_three_pass(
     attached and later uncomputed. The receiver's final
     Hadamard-and-measure recovers x with certainty in an honest run.
     """
-    if draws.sender_perm.n != n or draws.receiver_perm.n != n:
-        raise ProtocolError("permutation width does not match the message width")
     sh, rh = _HOLDERS[sender.name], _HOLDERS[receiver.name]
 
     state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
@@ -443,13 +437,6 @@ def _p2_draws(n: int, l: int, sender_rng, receiver_rng) -> P2Draws:
     )
 
 
-def _check_tag_fn(fn: BooleanFunction, n: int, l: int, who: str) -> None:
-    if fn.n != n or fn.l != l:
-        raise ProtocolError(
-            f"{who} tag function has shape {fn.n}->{fn.l}, session needs {n}->{l}"
-        )
-
-
 def _run_tagged_three_pass(
     channel: Channel,
     x: int,
@@ -466,8 +453,6 @@ def _run_tagged_three_pass(
     with a freshly padded sender tag. Tags are stripped by the party
     that knows them, leaving the bare pad, which is measured and logged.
     """
-    _check_tag_fn(sender.tags_with, n, l, sender.name)
-    _check_tag_fn(receiver.tags_with, n, l, receiver.name)
     sh, rh = _HOLDERS[sender.name], _HOLDERS[receiver.name]
 
     state = init_basis_state([Register("R1", n, sh)], {"R1": x},
@@ -534,8 +519,6 @@ def _run_inverted_two_pass(
     Only two passes total, and the message never appears in any
     computational-basis population.
     """
-    _check_tag_fn(sender.tags_with, n, l, sender.name)
-    _check_tag_fn(receiver.tags_with, n, l, receiver.name)
     sh, rh = _HOLDERS[sender.name], _HOLDERS[receiver.name]
 
     state = init_basis_state([Register("R1", n, rh)], None, qubit_cap=channel.qubit_cap)
@@ -653,6 +636,10 @@ class Stage(NamedTuple):
         exchange = self.exchange
         return exchange.copies * self.bits(n, t) + (l if exchange.tagged else 0)
 
+    def tag_owner(self, senders_tag: bool) -> str:
+        """The party whose tag function lies under a pass."""
+        return self.sender if senders_tag else _PEER[self.sender]
+
 
 # p3 and p5 send the message, echo it back with the roles swapped, and
 # send it again; p6 sends message and MAC tag together, then echoes the
@@ -708,23 +695,41 @@ def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict):
 
 
 def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit_cap):
-    """Check a session's parameters and open it.
+    """Check a session's parameters, keys and draws, and open it.
 
     Returns the channel and `stage(i, message)`, which runs stage i of
     STAGES[protocol] between the honest parties and returns the value
     its receiver decoded. Draws left as None come from `_sample_draws`,
-    on the streams the session measures with. With no keys (p1) the
-    parties carry no tag functions.
+    on the streams the session measures with. Each tag function a pass
+    carries, each permutation and p6's MAC key must fit its stage. With no
+    keys (p1) the parties carry no tag functions.
     """
     ProtocolParams(protocol, n, l, t, qubit_cap, snapshots=snapshots, messages=(x,))
+    mac_key = getattr(keys, "mac_key", None)
+    if protocol in AUTHENTICATED and getattr(mac_key, "t", None) != t:
+        raise ProtocolError(f"{protocol} needs a one-time authentication key of width t={t}, "
+                            f"got {'none' if mac_key is None else mac_key.t}")
     alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
     rngs = {ALICE: alice_rng, BOB: bob_rng}
     if draws is None:
         draws = _sample_draws(protocol, n, l, t, rngs)
-    tr = Transcript(protocol, n, l, t, x, draws=draws)
-    channel = Channel(tr, attack, eve_rng, snapshots, qubit_cap)
     stages = STAGES[protocol]
     stage_draws = draws.stages if _staged(protocol) else (draws,)
+    for s, d in zip(stages, stage_draws):
+        bits = s.bits(n, t)
+        for name in s.exchange.perms:
+            if getattr(d, name).n != bits:
+                raise ProtocolError(f"{name} has width {getattr(d, name).n}, but the "
+                                    f"stage's message register has {bits}")
+        for _, senders_tag in filter(None, s.exchange.passes):
+            attr = f"{s.tag_owner(senders_tag)}_tag{s.keys}"
+            fn = getattr(keys, attr, None)
+            if fn is None or (fn.n, fn.l) != (bits, l):
+                got = "none" if fn is None else f"{fn.n}->{fn.l}"
+                raise ProtocolError(f"{protocol} needs the tag function {attr} of shape "
+                                    f"{bits}->{l}, got {got}")
+    tr = Transcript(protocol, n, l, t, x, draws=draws)
+    channel = Channel(tr, attack, eve_rng, snapshots, qubit_cap)
 
     def stage(i: int, message: int) -> int:
         s, r = stages[i].sender, _PEER[stages[i].sender]
@@ -820,12 +825,6 @@ def run_protocol6(
     the one-time key. Stage two returns the tag he received through a
     second exchange; Alice accepts when it equals the tag she computed.
     """
-    if keys.mac_key is None:
-        raise ProtocolError("p6 needs a one-time authentication key")
-    if keys.mac_key.t != t:
-        raise ProtocolError(f"authentication key width {keys.mac_key.t} != t={t}")
-    if keys.alice_tag_echo is None or keys.bob_tag_echo is None:
-        raise ProtocolError("p6 needs tag functions for the echo stage")
     channel, stage = _open_session("p6", x, n, l, t, keys, rng, draws, attack,
                                    snapshots, qubit_cap)
     tr = channel.transcript
@@ -912,7 +911,7 @@ def _round_secrets(protocol: str, round_index: int):
     if carried is None:
         raise ValueError("the untagged protocol has no secrets to average over")
     field_name, senders_tag = carried
-    owner = stage.sender if senders_tag else _PEER[stage.sender]
+    owner = stage.tag_owner(senders_tag)
     return index, field_name, owner, f"{owner}_tag{stage.keys}"
 
 
@@ -965,7 +964,8 @@ def eve_average_view(
         check_enumeration(kinds, base_fn.n, l, enum_limit)
         averaged = tuple(label for kind, label in (("pads", f"{pad_field}[stage {stage}]"),
                                                    ("keys", tag_attr)) if kind in kinds)
-        base_pad = _get_pad(transcript.draws, protocol, stage, pad_field)
+        draws = transcript.draws.stages[stage] if _staged(protocol) else transcript.draws
+        base_pad = getattr(draws, pad_field)
         plans.append((r, base_pad, base_fn, averaged))
 
     redo = run_session(
@@ -992,7 +992,3 @@ def eve_average_view(
         runs = len(pad_values) * len(fn_values)
         views.append(EveView(DensityMatrix(rho_sum / runs), r, averaged, runs))
     return tuple(views)
-
-
-def _get_pad(draws, protocol: str, stage: int, field_name: str) -> int:
-    return getattr(draws.stages[stage] if _staged(protocol) else draws, field_name)

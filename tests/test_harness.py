@@ -14,8 +14,6 @@ from qnokey.harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
-    _pin_draws,
-    _pin_keys,
     binomial_ci,
     canonical_json,
     decode_matrix,
@@ -31,7 +29,7 @@ from qnokey.oracles import (
     sample_permutation,
     save_table,
 )
-from qnokey.protocols import ProtocolError, sample_draws, sample_shared_keys
+from qnokey.protocols import ProtocolError
 
 
 # -- configuration validation ------------------------------------------------------
@@ -106,6 +104,10 @@ def test_config_rejects_bad_fields():
         ExperimentConfig("p1", n=2, attack="mim", include_matrices=True)
     with pytest.raises(ConfigError, match="mim split ignores fb_file"):
         ExperimentConfig("p1", n=2, attack="mim", fb_file="whatever")
+    # Field types are checked at construction too, not only in from_dict.
+    for field, value in (("snapshots", "no"), ("n", 2.0), ("trials", 2.5), ("n", "2")):
+        with pytest.raises(ConfigError, match=f"config field '{field}' has the wrong type"):
+            ExperimentConfig("p1", **{"n": 2, field: value})
 
 
 def test_config_inherits_protocol_validation():
@@ -322,10 +324,9 @@ def test_pinned_tables_override_samples(tmp_path):
     save_table(fa, fa_path)
     config = ExperimentConfig("p2", n=n, l=l, sa_file=str(sa_path),
                               fa_file=str(fa_path))
-    keys = _pin_keys(config, sample_shared_keys("p2", n, l, 0, make_rng(0)))
-    assert keys.alice_tag.table == sa.table
-    draws = _pin_draws(config, sample_draws("p2", n, l, 0, make_rng(0)))
-    assert draws.sender_perm.table == fa.table
+    assert config.pins["alice_tag"].table == sa.table
+    assert config.pins["sender_perm"].table == fa.table
+    assert set(config.pins) == {"alice_tag", "sender_perm"}
     # And the pinned run still decodes and certifies as usual.
     report = run_experiment(config)
     assert report.passed
@@ -351,22 +352,41 @@ def test_pinned_run_snapshot_follows_the_pinned_tag(tmp_path):
 
 
 def test_pin_validation_errors(tmp_path):
+    # The constructor itself refuses a pin of the wrong kind or shape.
     n, l = 2, 1
     perm_path, func_path = tmp_path / "perm.txt", tmp_path / "func.txt"
     save_table(sample_permutation(n, make_rng(1)), perm_path)
     save_table(sample_function(n, l, make_rng(1)), func_path)
     with pytest.raises(ConfigError, match="must hold a tag function"):
-        run_experiment(ExperimentConfig("p2", n=n, l=l, sa_file=str(perm_path)))
+        ExperimentConfig("p2", n=n, l=l, sa_file=str(perm_path))
     with pytest.raises(ConfigError, match="must hold a permutation"):
-        run_experiment(ExperimentConfig("p2", n=n, l=l, fa_file=str(func_path)))
+        ExperimentConfig("p2", n=n, l=l, fa_file=str(func_path))
     with pytest.raises(ConfigError, match="no sender permutation"):
-        run_experiment(ExperimentConfig("p4", n=n, l=l, fa_file=str(perm_path)))
+        ExperimentConfig("p4", n=n, l=l, fa_file=str(perm_path))
     with pytest.raises(ConfigError, match="no permutations"):
-        run_experiment(ExperimentConfig("nonint", n=n, l=l, fa_file=str(perm_path)))
+        ExperimentConfig("nonint", n=n, l=l, fa_file=str(perm_path))
     wrong = tmp_path / "wrong.txt"
     save_table(sample_function(3, l, make_rng(2)), wrong)
     with pytest.raises(ConfigError, match="does not match"):
-        run_experiment(ExperimentConfig("p2", n=n, l=l, sa_file=str(wrong)))
+        ExperimentConfig("p2", n=n, l=l, sa_file=str(wrong))
+    save_table(sample_permutation(3, make_rng(2)), wrong)
+    with pytest.raises(ConfigError, match=r"--fb-file table shape 3->3 does not match"):
+        ExperimentConfig("p4", n=n, l=l, fb_file=str(wrong))
+
+
+def test_pin_files_are_read_once_per_config(tmp_path, monkeypatch):
+    import qnokey.harness as harness
+
+    path = tmp_path / "fb.txt"
+    save_table(sample_permutation(2, make_rng(5)), path)
+    reads = []
+    real = harness.read_table
+    monkeypatch.setattr(harness, "read_table", lambda p: reads.append(p) or real(p))
+    config = ExperimentConfig("p4", n=2, l=1, trials=5, fb_file=str(path))
+    report = run_experiment(config)
+    assert report.passed
+    assert len(report.body["results"]["runs"]) == 5 * 4
+    assert reads == [str(path)]
 
 
 # -- report files and reproduction ----------------------------------------------------------

@@ -411,6 +411,28 @@ def test_p1_draw_width_validated():
     draws = sample_draws("p1", 3, 0, 0, make_rng(0))
     with pytest.raises(ProtocolError, match="width"):
         run_protocol1(1, 2, rng=make_rng(0), draws=draws)
+    draws = sample_draws("p2", 3, 1, 0, make_rng(0))
+    keys = sample_shared_keys("p2", 2, 1, 0, make_rng(0))
+    with pytest.raises(ProtocolError, match="sender_perm has width 3"):
+        run_protocol2(1, 2, 1, keys, rng=make_rng(0), draws=draws)
+
+
+@pytest.mark.parametrize("protocol", [p for p in PROTOCOL_IDS if p != "p1"])
+def test_keyed_session_without_keys_is_refused(protocol):
+    t = 2 if protocol == "p6" else 0
+    with pytest.raises(ProtocolError, match=f"{protocol} needs"):
+        run_session(protocol, 1, 2, 1, t, None)
+
+
+def test_tag_function_shape_checked_against_the_stage():
+    keys = sample_shared_keys("nonint", 3, 1, 0, make_rng(0))
+    with pytest.raises(ProtocolError, match=r"alice_tag of shape 2->1, got 3->1"):
+        run_session("nonint", 1, 2, 1, 0, keys)
+    keys = sample_shared_keys("p6", 2, 1, 2, make_rng(0))
+    keys = replace(keys, bob_tag_echo=None)
+    with pytest.raises(ProtocolError, match="p6 needs the tag function bob_tag_echo of shape "
+                                            "2->1, got none"):
+        run_protocol6(1, 2, 1, 2, keys, rng=make_rng(0))
 
 
 # -- authenticated protocol verdicts ---------------------------------------------------
