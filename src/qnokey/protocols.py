@@ -367,11 +367,11 @@ class Channel(NamedTuple):
         )
         return state.with_holder(names, _HOLDERS[receiver.name])
 
-    def measure(self, state: CompositeState, party: Party, name: str):
-        outcome, state = state.measure(name, party.rng)
-        self.transcript.measurements.append(
-            MeasurementRecord(party.name, name, state.register(name).width, outcome)
-        )
+    def measure(self, state: CompositeState, party: Party, name: str, *,
+                discard: bool = False):
+        width = state.register(name).width
+        outcome, state = state.measure(name, party.rng, discard=discard)
+        self.transcript.measurements.append(MeasurementRecord(party.name, name, width, outcome))
         return outcome, state
 
 
@@ -411,12 +411,10 @@ def _run_untagged_three_pass(
     state = state.extend("R3", n, rh, source="R1", table=draws.receiver_perm.table)
     state = channel.send(state, ("R1",), receiver, sender)
 
-    state = state.apply_xor_oracle("R1", "R2", draws.sender_perm.table)  # uncompute
-    state = state.discard("R2")
+    state = state.discard("R2", source="R1", table=draws.sender_perm.table)  # uncompute
     state = channel.send(state, ("R1",), sender, receiver)
 
-    state = state.apply_xor_oracle("R1", "R3", draws.receiver_perm.table)  # uncompute
-    state = state.discard("R3")
+    state = state.discard("R3", source="R1", table=draws.receiver_perm.table)  # uncompute
     state = state.apply_hadamard("R1")
     outcome, state = channel.measure(state, receiver, "R1")
     return outcome
@@ -464,27 +462,22 @@ def _run_tagged_three_pass(
 
     # Receiver: expose and log the sender's pad, then bind own secrets.
     state = state.apply_xor_oracle("R1", "R3", receiver.strips_with.table)
-    _, state = channel.measure(state, receiver, "R3")
-    state = state.discard("R3")
+    _, state = channel.measure(state, receiver, "R3", discard=True)
     state = state.extend("R4", n, rh, source="R1", table=draws.receiver_perm.table)
     state = state.extend("R5", l, rh, draws.reply_pad, source="R1", table=receiver.tags_with.table)
     state = channel.send(state, ("R1", "R5"), receiver, sender)
 
     # Sender: detach own permutation, expose the receiver's pad, re-tag.
-    state = state.apply_xor_oracle("R1", "R2", draws.sender_perm.table)
-    state = state.discard("R2")
+    state = state.discard("R2", source="R1", table=draws.sender_perm.table)
     state = state.apply_xor_oracle("R1", "R5", sender.strips_with.table)
-    _, state = channel.measure(state, sender, "R5")
-    state = state.discard("R5")
+    _, state = channel.measure(state, sender, "R5", discard=True)
     state = state.extend("R6", l, sh, draws.final_pad, source="R1", table=sender.tags_with.table)
     state = channel.send(state, ("R1", "R6"), sender, receiver)
 
     # Receiver: detach own permutation, expose the final pad, decode.
-    state = state.apply_xor_oracle("R1", "R4", draws.receiver_perm.table)
-    state = state.discard("R4")
+    state = state.discard("R4", source="R1", table=draws.receiver_perm.table)
     state = state.apply_xor_oracle("R1", "R6", receiver.strips_with.table)
-    _, state = channel.measure(state, receiver, "R6")
-    state = state.discard("R6")
+    _, state = channel.measure(state, receiver, "R6", discard=True)
     state = state.apply_hadamard("R1")
     outcome, state = channel.measure(state, receiver, "R1")
     return outcome
@@ -530,18 +523,15 @@ def _run_inverted_two_pass(
 
     # Sender: expose the receiver's pad, write the message into phases.
     state = state.apply_xor_oracle("R1", "R3", sender.strips_with.table)
-    _, state = channel.measure(state, sender, "R3")
-    state = state.discard("R3")
+    _, state = channel.measure(state, sender, "R3", discard=True)
     state = state.apply_phase_flip("R1", x)
     state = state.extend("R4", l, sh, draws.sender_pad, source="R1", table=sender.tags_with.table)
     state = channel.send(state, ("R1", "R4"), sender, receiver)
 
     # Receiver: expose the sender's pad, unscramble, decode the phases.
     state = state.apply_xor_oracle("R1", "R4", receiver.strips_with.table)
-    _, state = channel.measure(state, receiver, "R4")
-    state = state.discard("R4")
-    state = state.apply_xor_oracle("R1", "R2", draws.receiver_perm.table)
-    state = state.discard("R2")
+    _, state = channel.measure(state, receiver, "R4", discard=True)
+    state = state.discard("R2", source="R1", table=draws.receiver_perm.table)
     state = state.apply_hadamard("R1")
     outcome, state = channel.measure(state, receiver, "R1")
     return outcome
@@ -576,8 +566,7 @@ def _run_broadcast(
     state = channel.send(state, ("R1", "R2"), sender, receiver)
 
     state = state.apply_xor_oracle("R1", "R2", receiver.strips_with.table)
-    _, state = channel.measure(state, receiver, "R2")
-    state = state.discard("R2")
+    _, state = channel.measure(state, receiver, "R2", discard=True)
     state = state.apply_hadamard("R1")
     outcome, state = channel.measure(state, receiver, "R1")
     return outcome

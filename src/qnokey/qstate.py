@@ -10,7 +10,10 @@ axes (a `(left, size, right)` view around one register, or a row per
 source value for an oracle), so no operation builds a full-length index
 array. A fresh register computed from an oracle, |m>|f(m) XOR p>, is
 written in the same pass that appends it, with the bits that appending
-|p> and then applying the XOR oracle would give.
+|p> and then applying the XOR oracle would give. A register is dropped
+without building the state that is discarded: uncomputing it gathers
+the one row the uncompute leaves, and measuring it keeps only the
+observed row, each with the bits of the two steps it replaces.
 
 The partial trace writes its result directly when it is diagonal with
 one float's square per entry, as for most channel states the protocols
@@ -143,7 +146,36 @@ class CompositeState:
 
     def _axis_view(self, name: str) -> np.ndarray:
         """Amplitudes as a (left, value of `name`, right) view."""
-        return self.amplitudes.reshape(-1, 1 << self.register(name).width, 1 << self.shift(name))
+        right = 0
+        for reg in reversed(self.registers):
+            if reg.name == name:
+                return self.amplitudes.reshape(-1, 1 << reg.width, 1 << right)
+            right += reg.width
+        raise RegisterError(f"no register named {name!r} in layout {self.names()}")
+
+    def _oracle_view(
+        self, src: str, dst: str, table: Sequence[int] | np.ndarray, pad: int
+    ) -> tuple[list[int], np.ndarray, bool]:
+        """Checked offsets of an oracle src -> dst, the amplitudes as a
+        (before, first, between, second, after) view, and whether the
+        source comes first."""
+        if src == dst:
+            raise RegisterError("oracle source and destination must differ")
+        names = self.names()
+        for name in (src, dst):
+            if name not in names:
+                raise RegisterError(f"no register named {name!r} in layout {names}")
+        i, j = names.index(src), names.index(dst)
+        widths = [r.width for r in self.registers]
+        offsets = _oracle_offsets(src, 1 << widths[i], widths[j], table, "pad", pad)
+        lo, hi = min(i, j), max(i, j)
+        shape = (1 << sum(widths[:lo]), 1 << widths[lo], 1 << sum(widths[lo + 1:hi]),
+                 1 << widths[hi], 1 << sum(widths[hi + 1:]))
+        return offsets, self.amplitudes.reshape(shape), i < j
+
+    def _without(self, name: str, rest: np.ndarray) -> "CompositeState":
+        regs = tuple(r for r in self.registers if r.name != name)
+        return CompositeState(regs, rest, self.qubit_cap)
 
     # -- layout-changing operations -------------------------------------
 
@@ -200,29 +232,68 @@ class CompositeState:
         )
         return CompositeState(regs, self.amplitudes, self.qubit_cap)
 
-    def discard(self, name: str) -> "CompositeState":
+    def discard(
+        self,
+        name: str,
+        *,
+        source: str | None = None,
+        table: Sequence[int] | np.ndarray | None = None,
+    ) -> "CompositeState":
         """Drop an unentangled register from the layout.
 
         The register must factor out of the session (reduced purity
         within ATOL_DENSITY of 1), otherwise EntangledRegisterError.
         The purity is taken over the rows of nonzero weight only: a zero
         row adds exact zeros, and after an uncompute or a measurement
-        there is one such row.
+        there is one such row, whose purity is its weight squared.
+
+        With a source and a table the register is uncomputed first, with
+        the bits of apply_xor_oracle(source, name, table) then discard(name).
+        The row the uncompute leaves is gathered straight into the smaller
+        state; only when another row would keep weight does it take the
+        two steps, so the same states are refused with the same purity.
         """
+        if (source is None) != (table is None):
+            raise RegisterError("give both a source register and a table, or neither")
+        if source is not None:
+            return self._uncompute_and_discard(name, source, table)
         view = self._axis_view(name)
         if len(self.registers) == 1:
             raise RegisterError("cannot discard the last register")
         row_weights = _row_weights(view)
         live = np.flatnonzero(row_weights)
-        mat = view[:, live, :].transpose(1, 0, 2).reshape(live.size, -1)
-        rho = mat @ mat.conj().T
-        purity = float(np.sum(np.abs(rho) ** 2).real)
+        if live.size == 1:
+            purity = float(row_weights[live[0]]) ** 2
+        else:
+            mat = view[:, live, :].transpose(1, 0, 2).reshape(live.size, -1)
+            rho = mat @ mat.conj().T
+            purity = float(np.sum(np.abs(rho) ** 2).real)
         if purity < 1.0 - ATOL_DENSITY:
             raise EntangledRegisterError(name, purity)
         pick = int(np.argmax(row_weights))
-        rest = view[:, pick, :].ravel() / math.sqrt(row_weights[pick])
-        regs = tuple(r for r in self.registers if r.name != name)
-        return CompositeState(regs, rest, self.qubit_cap)
+        return self._without(name, view[:, pick, :].ravel() / math.sqrt(row_weights[pick]))
+
+    def _uncompute_and_discard(self, name: str, source: str, table) -> "CompositeState":
+        offsets, a, first = self._oracle_view(source, name, table, 0)
+        nonzero = self.amplitudes != 0
+        # The row the uncompute leaves holds the first nonzero amplitude.
+        at = np.unravel_index(int(nonzero.argmax()), a.shape)
+        src_at, dst_at = (at[1], at[3]) if first else (at[3], at[1])
+        row = int(dst_at) ^ offsets[int(src_at)]
+        axis = 3 if first else 1
+        rest = np.empty(a.shape[:axis] + a.shape[axis + 1:], dtype=np.complex128)
+        for m, k in enumerate(offsets):
+            if first:
+                rest[:, m] = a[:, m, :, row ^ k]
+            else:
+                rest[:, :, m] = a[:, row ^ k, :, m]
+        weight = _kept_weight(rest.reshape(-1, math.prod(a.shape[axis + 1:])))
+        # Every nonzero amplitude is in this row, and it passes the purity check.
+        if (np.count_nonzero(rest) == np.count_nonzero(nonzero)
+                and float(weight) ** 2 >= 1.0 - ATOL_DENSITY):
+            rest /= math.sqrt(weight)
+            return self._without(name, rest.reshape(-1))
+        return self.apply_xor_oracle(source, name, table).discard(name)
 
     # -- unitary operations ---------------------------------------------
 
@@ -276,39 +347,34 @@ class CompositeState:
         second, after), and each source value's row is gathered along the
         destination axis through a 2**w_dst-entry index.
         """
-        if src == dst:
-            raise RegisterError("oracle source and destination must differ")
-        sreg, dreg = self.register(src), self.register(dst)
-        offsets = _oracle_offsets(src, 1 << sreg.width, dreg.width, table, "pad", pad)
-        names = self.names()
-        i, j = names.index(src), names.index(dst)
-        lo, hi = min(i, j), max(i, j)
-        widths = [r.width for r in self.registers]
-        shape = (1 << sum(widths[:lo]), 1 << widths[lo], 1 << sum(widths[lo + 1:hi]),
-                 1 << widths[hi], 1 << sum(widths[hi + 1:]))
-        a = self.amplitudes.reshape(shape)
-        out = np.empty(shape, dtype=a.dtype)
+        offsets, a, first = self._oracle_view(src, dst, table, pad)
+        out = np.empty(a.shape, dtype=a.dtype)
         # A source row drops the source axis; the destination axis is then
         # 2 (source first) or 1 (destination first).
-        lead, axis = ((slice(None),), 2) if i < j else ((slice(None),) * 3, 1)
-        ys = np.arange(1 << dreg.width)
-        for m, k in enumerate(offsets.tolist()):
+        lead, axis = ((slice(None),), 2) if first else ((slice(None),) * 3, 1)
+        ys = np.arange(a.shape[3 if first else 1])
+        for m, k in enumerate(offsets):
             row = lead + (m,)
             a[row].take(ys ^ k, axis, out[row], "clip")
         return CompositeState(self.registers, out.reshape(-1), self.qubit_cap)
 
     # -- measurement ----------------------------------------------------
 
-    def measure(self, name: str, rng: np.random.Generator) -> tuple[int, "CompositeState"]:
+    def measure(
+        self, name: str, rng: np.random.Generator, *, discard: bool = False
+    ) -> tuple[int, "CompositeState"]:
         """Projective measurement of a register in the computational basis.
 
         Returns (outcome, collapsed state). The register stays in the
-        layout, holding the observed basis value. Sampling draws one
-        uniform variate from `rng` and walks the cumulative Born
-        weights, so a given stream position always yields the same
-        outcome.
+        layout, holding the observed basis value; with `discard` it is
+        dropped, with the bits of measure then discard and without
+        building the collapsed state. Sampling draws one uniform variate
+        from `rng` and walks the cumulative Born weights, so a given
+        stream position always yields the same outcome.
         """
         view = self._axis_view(name)
+        if discard and len(self.registers) == 1:
+            raise RegisterError("cannot discard the last register")
         probs = _row_weights(view)
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
@@ -323,8 +389,14 @@ class CompositeState:
             # u landed on the rounding slack past the last cumulative
             # step: take the largest value with any weight at all.
             outcome = int(np.flatnonzero(probs > 0.0)[-1])
+        kept = view[:, outcome, :] / math.sqrt(float(probs[outcome]))
+        if discard:
+            # A register holding one basis value always factors out: its
+            # purity is its renormalised weight squared, 1 to rounding.
+            kept /= math.sqrt(_kept_weight(kept))
+            return outcome, self._without(name, kept.reshape(-1))
         amps = np.zeros_like(view)
-        amps[:, outcome, :] = view[:, outcome, :] / math.sqrt(float(probs[outcome]))
+        amps[:, outcome, :] = kept
         return outcome, CompositeState(self.registers, amps.reshape(-1), self.qubit_cap)
 
     # -- density matrices -----------------------------------------------
@@ -385,16 +457,16 @@ class CompositeState:
 
 def _oracle_offsets(
     src: str | None, size: int, width: int, table, what: str, pad: int
-) -> np.ndarray:
+) -> list[int]:
     """table[m] XOR pad for each of the `size` source values, checked to fit `width` bits."""
-    tab = np.asarray(table, dtype=np.int64)
-    if tab.shape != (size,):
-        raise RegisterError(f"table has {tab.size} entries, register {src!r} needs {size}")
-    if tab.min() < 0 or tab.max() >= (1 << width):
+    flat = table.ravel().tolist() if isinstance(table, np.ndarray) else list(table)
+    if len(flat) != size or getattr(table, "ndim", 1) != 1:
+        raise RegisterError(f"table has {len(flat)} entries, register {src!r} needs {size}")
+    if min(flat) < 0 or max(flat) >= (1 << width):
         raise RegisterError(f"table entries must fit in {width} bits")
     if not 0 <= pad < (1 << width):
         raise RegisterError(f"{what} {pad} does not fit in {width} bits")
-    return tab ^ pad
+    return [t ^ pad for t in flat]
 
 
 def _distinct(values: np.ndarray) -> bool:
@@ -429,6 +501,20 @@ def _row_weights(view: np.ndarray) -> np.ndarray:
     w = np.abs(view)
     np.square(w, out=w)
     return w.transpose(1, 0, 2).reshape(view.shape[1], -1).sum(axis=1)
+
+
+def _kept_weight(row: np.ndarray) -> np.float64:
+    """The weight `_row_weights` gives one row of a (left, size, right)
+    view, from that (left, right) row alone, with the same bits.
+
+    For a register that is not last, `_row_weights` copies each row into
+    a contiguous line, which numpy sums pairwise. For the last register
+    (right == 1) it sums a strided view, and numpy adds each row's
+    entries in order, as a running sum does.
+    """
+    w = np.abs(row)
+    np.square(w, out=w)
+    return np.add.accumulate(w.ravel())[-1] if row.shape[1] == 1 else w.sum()
 
 
 def init_basis_state(

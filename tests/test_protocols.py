@@ -18,6 +18,7 @@ from qnokey.oracles import EnumerationLimitError, enumerate_functions, make_rng
 from qnokey.protocols import (
     PROTOCOL_IDS,
     ROUND_COUNTS,
+    STAGES,
     ProtocolError,
     ProtocolParams,
     StagedDraws,
@@ -219,6 +220,29 @@ def test_channel_states_and_snapshots_are_exactly_real(protocol, monkeypatch):
             for tx in tr.transmissions:
                 assert not np.any(tx.snapshot.matrix.imag), (spec, seed, tx.round_index)
     assert len(real) == 12 * ROUND_COUNTS[protocol] and all(real)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+def test_uncomputed_registers_are_dropped_without_the_xor_oracle(protocol, monkeypatch):
+    # A party uncomputes a register only once it factors out, so each
+    # uncompute-and-discard gathers the row it leaves and never falls back
+    # to the XOR oracle plus the general discard: the only XOR calls left
+    # are the tag strips, one for each tagged pass, under every attack.
+    xor = CompositeState.apply_xor_oracle
+    calls = []
+
+    def counted(state, *args, **kwargs):
+        calls.append(args[:2])
+        return xor(state, *args, **kwargs)
+
+    monkeypatch.setattr(CompositeState, "apply_xor_oracle", counted)
+    strips = sum(p is not None for stage in STAGES[protocol] for p in stage.exchange.passes)
+    for spec in ("none", "passive", "measure", "phase:x=1"):
+        for seed in range(3):
+            calls.clear()
+            tr, _ = seeded_session(protocol, 1, 3, 2, 1, seed=seed, attack=parse_attack(spec))
+            assert len(calls) == strips, (spec, seed, calls)
+            assert len(tr.measurements) == strips + len(STAGES[protocol])
 
 
 def test_snapshot_accessor_errors():

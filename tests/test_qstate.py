@@ -358,6 +358,50 @@ def test_discard_last_register_rejected():
         state.discard("R1")
 
 
+def test_fused_uncompute_refuses_with_the_purity_of_the_two_steps():
+    # R2 copies R1, and the table undoes a different map: R2 is left holding
+    # a bijection of R1, so it stays maximally entangled with it.
+    copied = basis([("R2", 2), ("R1", 2)]).apply_hadamard("R1") \
+        .apply_xor_oracle("R1", "R2", [0, 1, 2, 3])
+    wrong = [0, 0, 1, 1]
+    with pytest.raises(EntangledRegisterError) as fused:
+        copied.discard("R2", source="R1", table=wrong)
+    with pytest.raises(EntangledRegisterError) as two_step:
+        copied.apply_xor_oracle("R1", "R2", wrong).discard("R2")
+    assert fused.value.register == two_step.value.register == "R2"
+    assert fused.value.purity == two_step.value.purity
+    assert abs(fused.value.purity - 0.25) <= 1e-12
+    # The right table leaves R1 alone.
+    undone = copied.discard("R2", source="R1", table=[0, 1, 2, 3])
+    assert undone.names() == ("R1",)
+    assert np.array_equal(undone.amplitudes, basis([("R1", 2)]).apply_hadamard("R1").amplitudes)
+
+
+def test_fused_uncompute_accepts_a_product_superposition():
+    # R2 keeps all four values after the uncompute, but in a product with R1.
+    state = basis([("R1", 2), ("R2", 2)]).apply_hadamard("R1").apply_hadamard("R2")
+    table = [3, 1, 0, 2]
+    fused = state.discard("R2", source="R1", table=table)
+    two_step = state.apply_xor_oracle("R1", "R2", table).discard("R2")
+    assert same_bits(fused.amplitudes, two_step.amplitudes)
+    assert np.allclose(fused.amplitudes, np.full(4, 0.5), atol=ATOL_STATE)
+
+
+def test_fused_forms_refuse_to_drop_the_last_register():
+    state = basis([("R1", 2)])
+    rng = np.random.default_rng(5)
+    with pytest.raises(RegisterError, match="last"):
+        state.measure("R1", rng, discard=True)
+    assert rng.random() == np.random.default_rng(5).random()  # no draw was taken
+    with pytest.raises(RegisterError, match="differ"):
+        state.discard("R1", source="R1", table=[0, 1, 2, 3])
+    with pytest.raises(RegisterError, match="no register named 'R0'"):
+        state.discard("R1", source="R0", table=[0, 1, 2, 3])
+    for kw in ({"source": "R1"}, {"table": [0, 1, 2, 3]}):
+        with pytest.raises(RegisterError, match="a source register and a table, or neither"):
+            state.discard("R1", **kw)
+
+
 # -- reduced density matrices --------------------------------------------------
 
 
@@ -648,6 +692,20 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_outcome(one, other):
+    """Both calls give a state with the same layout and bytes, or both are
+    refused for the same register with the same purity."""
+    results = []
+    for call in (one, other):
+        try:
+            out = call()
+        except EntangledRegisterError as err:
+            results.append(("refused", err.register, err.purity))
+        else:
+            results.append((out.names(), out.amplitudes.dtype, out.amplitudes.tobytes()))
+    return results[0] == results[1]
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.lists(st.integers(1, 4), min_size=2, max_size=4), st.data())
 def test_kernels_match_index_vector_formulas_bit_for_bit(widths, data):
@@ -671,13 +729,30 @@ def test_kernels_match_index_vector_formulas_bit_for_bit(widths, data):
     assert same_bits(flipped.amplitudes, index_phase_flip(amps, widths, pos, mask))
 
     # Measurement from the same stream position, then dropping the
-    # measured register wherever it sits in the layout.
-    outcome, collapsed = state.measure(names[pos], np.random.default_rng(seed))
-    expect_outcome, expect = index_measure(amps, widths, pos, np.random.default_rng(seed))
+    # measured register wherever it sits in the layout, in two steps and
+    # in one.
+    streams = [np.random.default_rng(seed) for _ in range(3)]
+    outcome, collapsed = state.measure(names[pos], streams[0])
+    expect_outcome, expect = index_measure(amps, widths, pos, streams[1])
     assert outcome == expect_outcome
     assert same_bits(collapsed.amplitudes, expect)
     dropped = collapsed.discard(names[pos])
     assert same_bits(dropped.amplitudes, index_discard(expect, widths, pos))
+    fused_outcome, fused = state.measure(names[pos], streams[2], discard=True)
+    assert fused_outcome == outcome
+    assert same_bits(fused.amplitudes, dropped.amplitudes)
+    assert fused.names() == dropped.names()
+    assert len({rng.random() for rng in streams}) == 1
+
+    # Uncompute and discard in one call against the two steps, the source
+    # before or after the dropped register, adjacent or not: on the
+    # entangled random state (refused with the same purity) and once the
+    # destination holds a basis value, XOR-ed with the table.
+    _, product = state.measure(names[dst], rng)
+    for base in (state, product.apply_xor_oracle(names[src], names[dst], table)):
+        assert same_outcome(
+            lambda: base.discard(names[dst], source=names[src], table=table),
+            lambda: base.apply_xor_oracle(names[src], names[dst], table).discard(names[dst]))
 
     # Extend with and without a source, against the outer product with a
     # basis vector followed by the index-vector XOR. A second state has
@@ -698,13 +773,21 @@ def test_kernels_match_index_vector_formulas_bit_for_bit(widths, data):
                            src, len(widths), copy_table, value)
         assert same_bits(fused.amplitudes, expect)
         assert fused.names() == grown.names() == tuple(names) + ("Z",)
-    # Uncompute the copy, then discard the register.
-    undone = state.extend("Z", width, A, value, source=names[src], table=copy_table) \
-        .apply_xor_oracle(names[src], "Z", copy_table)
+    # Uncompute the copy, then discard the register, in two steps and in
+    # one. The state with signed zeros is not normalised, so both refuse it.
+    copied = state.extend("Z", width, A, value, source=names[src], table=copy_table)
+    undone = copied.apply_xor_oracle(names[src], "Z", copy_table)
     grown = state.extend("Z", width, A, value)
     assert same_bits(undone.amplitudes, grown.amplitudes)
-    assert same_bits(undone.discard("Z").amplitudes,
-                     index_discard(grown.amplitudes, widths + [width], len(widths)))
+    expect = index_discard(grown.amplitudes, widths + [width], len(widths))
+    assert same_bits(undone.discard("Z").amplitudes, expect)
+    fused = copied.discard("Z", source=names[src], table=copy_table)
+    assert same_bits(fused.amplitudes, expect)
+    assert fused.names() == tuple(names)
+    copied = signed_zeros.extend("Z", width, A, value, source=names[src], table=copy_table)
+    assert same_outcome(
+        lambda: copied.discard("Z", source=names[src], table=copy_table),
+        lambda: copied.apply_xor_oracle(names[src], "Z", copy_table).discard("Z"))
 
     assert state.amplitudes.tobytes() == before
 
@@ -717,9 +800,9 @@ def test_kernels_allocate_at_most_one_and_a_half_states():
     budget = 1.5 * state.amplitudes.nbytes
     # A functional state: R2 is a permutation of R1 and R3 a function of it,
     # so the partial trace onto R2 is diagonal and needs no copy of the state.
+    perm, tags = rng.permutation(128), rng.integers(0, 64, size=128)
     functional = (basis([("R1", 7), ("R2", 7), ("R3", 6)]).apply_hadamard("R1")
-                  .apply_xor_oracle("R1", "R2", rng.permutation(128))
-                  .apply_xor_oracle("R1", "R3", rng.integers(0, 64, size=128)))
+                  .apply_xor_oracle("R1", "R2", perm).apply_xor_oracle("R1", "R3", tags))
     ops = {
         "xor R1->R3": lambda: state.apply_xor_oracle("R1", "R3", rng.integers(0, 64, size=128)),
         "xor R3->R2": lambda: state.apply_xor_oracle("R3", "R2", rng.integers(0, 128, size=64)),
@@ -730,9 +813,25 @@ def test_kernels_allocate_at_most_one_and_a_half_states():
     for name in ("R1", "R2", "R3"):
         ops[f"measure {name}"] = lambda name=name: state.measure(name, rng)
     output = {"trace to R2": (128 * 128) * 16}
+    # Dropping a register in the same call reads the magnitudes (half a
+    # state, or a whole one when `_row_weights` copies them for a middle
+    # register) and writes the smaller state: at most one state plus that
+    # output, against 1.5 to 2 for measure then discard. Uncomputing it
+    # gathers the one row left: three times that output and a byte per
+    # amplitude to find it, against 1.5 to 2 states for the XOR then discard.
+    limits = {}
+    for name in ("R1", "R2", "R3"):
+        label = f"measure and discard {name}"
+        ops[label] = lambda name=name: state.measure(name, rng, discard=True)
+        limits[label] = state.amplitudes.nbytes * (1 + 1 / (1 << state.register(name).width))
+    for name, table in (("R2", perm), ("R3", tags)):
+        label = f"uncompute and discard {name}"
+        ops[label] = lambda name=name, table=table: \
+            functional.discard(name, source="R1", table=table)
+        limits[label] = 3 * state.amplitudes.nbytes / (1 << state.register(name).width) \
+            + state.amplitudes.size
     # A fresh register computed from its oracle may take 1.5 times its output,
     # against 2 for the outer product followed by the XOR gather.
-    extend_limits = {}
     for layout, src, width in ([("R1", 7), ("R2", 7)], "R1", 6), \
             ([("R1", 7), ("R2", 7), ("R3", 5)], "R2", 1), ([("R1", 7), ("R2", 6)], "R2", 7):
         base = random_state(rng, layout)
@@ -740,7 +839,7 @@ def test_kernels_allocate_at_most_one_and_a_half_states():
         table = rng.integers(0, 1 << width, size=1 << base.register(src).width)
         ops[label] = lambda base=base, src=src, width=width, table=table: \
             base.extend("Z", width, A, 1, source=src, table=table)
-        extend_limits[label] = 1.5 * base.amplitudes.nbytes * (1 << width)
+        limits[label] = 1.5 * base.amplitudes.nbytes * (1 << width)
     tracemalloc.start()
     try:
         for label, op in ops.items():
@@ -749,7 +848,7 @@ def test_kernels_allocate_at_most_one_and_a_half_states():
             result = op()
             peak = tracemalloc.get_traced_memory()[1] - start
             del result
-            limit = extend_limits.get(label, budget + output.get(label, 0))
+            limit = limits.get(label, budget + output.get(label, 0))
             assert peak <= limit, f"{label}: peak {peak} B, budget {limit:.0f} B"
     finally:
         tracemalloc.stop()
