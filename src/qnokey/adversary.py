@@ -57,18 +57,15 @@ class PhaseAttack(Attack):
 
     mask: int
     passes: frozenset[int] | None = None
-    target: str = "R1"
 
     kind = "phase"
 
     def on_transmission(self, state, round_index, names, rng, events):
         if self.passes is not None and round_index not in self.passes:
             return state
-        if self.target not in names:
-            return state
         events.append({"attack": "phase", "round": round_index,
-                       "register": self.target, "mask": self.mask})
-        return state.apply_phase_flip(self.target, self.mask)
+                       "register": "R1", "mask": self.mask})
+        return state.apply_phase_flip("R1", self.mask)
 
     def describe(self) -> str:
         passes = "all" if self.passes is None else ",".join(map(str, sorted(self.passes)))
@@ -259,15 +256,17 @@ def impersonate_echo_stage(
     applies her usual echo verdict. The guess can only be uniform: every
     stage-one snapshot Eve measured is independent of x.
     """
-    if protocol not in ("p3", "p5"):
-        raise ValueError(f"echo impersonation targets p3 or p5, not {protocol!r}")
+    if protocol not in proto.ECHOED:
+        raise ValueError(f"echo impersonation targets {' or '.join(sorted(proto.ECHOED))}, "
+                         f"not {protocol!r}")
     root = make_rng(rng if rng is not None else 0)
     stage1_rng, eve_rng, alice_rng = root.spawn(3)
 
-    # Stage one, honest parties, Eve measuring on the line.
-    tap = MeasureResendAttack()
-    stage1 = proto.run_session({"p3": "p2", "p5": "p4"}[protocol], x, n, l, 0, keys,
-                               rng=stage1_rng, attack=tap, snapshots=False,
+    # Stage one, honest parties, Eve measuring on the line: the first
+    # single-stage protocol that is the echoed protocol's first stage.
+    first = next(p for p, stages in proto.STAGES.items() if stages == proto.STAGES[protocol][:1])
+    stage1 = proto.run_session(first, x, n, l, 0, keys, rng=stage1_rng,
+                               attack=MeasureResendAttack(), snapshots=False,
                                qubit_cap=qubit_cap)
 
     # Eve's guess: the message-register value she measured first. It is

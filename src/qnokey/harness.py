@@ -224,7 +224,7 @@ PIN_TARGETS = {"fa_file": ("--fa-file", "sender_perm"), "fb_file": ("--fb-file",
 
 
 def _pinned(record, pins: dict):
-    """`record` (keys or draws) with the fields it has replaced by their pins."""
+    """`record` (keys or a draw record) with the fields it has replaced by their pins."""
     own = {name: table for name, table in pins.items() if hasattr(record, name)}
     return replace(record, **own) if own else record
 
@@ -353,8 +353,8 @@ def _session_results(config: ExperimentConfig) -> dict:
         keys = _pinned(keys, config.pins)
         # One set of draws per trial: comparisons across messages then
         # isolate the message dependence alone.
-        draws = _pinned(proto.sample_draws(config.protocol, config.n, config.l, config.t,
-                                           draw_rng), config.pins)
+        draws = tuple(_pinned(record, config.pins) for record in
+                      proto.sample_draws(config.protocol, config.n, config.l, config.t, draw_rng))
         trial_views: dict[int, list[DensityMatrix]] = {}
         for x in messages:
             tr = proto.run_session(config.protocol, x, config.n, config.l, config.t, keys,

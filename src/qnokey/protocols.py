@@ -25,12 +25,14 @@ The family:
 
 The whole family is built from four exchanges: the untagged three-pass
 (p1), the tagged three-pass, the receiver-initiated two-pass and the
-one-shot broadcast (nonint). STAGES lists all eight ids once, as their
-stages: the exchange, the sending party, the message width (n+t and t
-in p6) and the tag functions used. PROTOCOL_IDS, ROUND_COUNTS,
-peak_live_width, the runners, sample_draws and the averaging lookup all
-derive from it, and so does ProtocolParams, the one session validator;
-each session's key bundle and permutation widths are checked against it.
+one-shot broadcast (nonint); each declares its draw record and the pad
+and tag owner of every pass, and Exchange.sample draws from that. STAGES
+lists all eight ids once, as their stages: the exchange, the sending
+party, the message width (n+t and t in p6) and the tag functions used.
+PROTOCOL_IDS, ROUND_COUNTS, peak_live_width, the runners, sample_draws
+(one record per stage) and the averaging lookup all derive from it, and
+so does ProtocolParams, the one session validator; each session's key
+bundle and draws are checked against it.
 An exchange takes its parties as Party(name, rng, tags_with,
 strips_with) values, so an adversary can play a side with substitute
 tables. run_session runs any protocol by id, looking its public run_*
@@ -209,7 +211,7 @@ def sample_shared_keys(protocol: str, n: int, l: int, t: int,
                        rng) -> SharedKeys:
     """Draw a full key bundle of the right shape for one protocol."""
     gen = make_rng(rng)
-    if protocol == "p6":
+    if protocol in AUTHENTICATED:
         return SharedKeys(
             alice_tag=sample_function(n + t, l, gen),
             bob_tag=sample_function(n + t, l, gen),
@@ -256,7 +258,7 @@ class Transcript:
     alice_accepts: bool | None = None
     bob_accepts: bool | None = None
     mac_accepts: bool | None = None
-    draws: object = None
+    draws: tuple | None = None  # one draw record per stage
 
     @property
     def rounds(self) -> int:
@@ -295,11 +297,6 @@ class P4Draws:
     receiver_perm: BooleanPermutation
     receiver_pad: int  # pad on the initiating tag
     sender_pad: int    # pad on the replying tag
-
-
-@dataclass(frozen=True)
-class StagedDraws:
-    stages: tuple
 
 
 @dataclass(frozen=True)
@@ -380,10 +377,6 @@ class Channel(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _p1_draws(n: int, l: int, sender_rng, receiver_rng) -> P1Draws:
-    return P1Draws(sample_permutation(n, sender_rng), sample_permutation(n, receiver_rng))
-
-
 def _run_untagged_three_pass(
     channel: Channel,
     x: int,
@@ -423,16 +416,6 @@ def _run_untagged_three_pass(
 # ---------------------------------------------------------------------------
 # Tagged three-pass exchange (shared by the keyed three-pass protocols)
 # ---------------------------------------------------------------------------
-
-
-def _p2_draws(n: int, l: int, sender_rng, receiver_rng) -> P2Draws:
-    return P2Draws(
-        sender_perm=sample_permutation(n, sender_rng),
-        receiver_perm=sample_permutation(n, receiver_rng),
-        first_pad=sample_pad(l, sender_rng).value,
-        reply_pad=sample_pad(l, receiver_rng).value,
-        final_pad=sample_pad(l, sender_rng).value,
-    )
 
 
 def _run_tagged_three_pass(
@@ -488,14 +471,6 @@ def _run_tagged_three_pass(
 # ---------------------------------------------------------------------------
 
 
-def _p4_draws(n: int, l: int, sender_rng, receiver_rng) -> P4Draws:
-    return P4Draws(
-        receiver_perm=sample_permutation(n, receiver_rng),
-        receiver_pad=sample_pad(l, receiver_rng).value,
-        sender_pad=sample_pad(l, sender_rng).value,
-    )
-
-
 def _run_inverted_two_pass(
     channel: Channel,
     x: int,
@@ -542,10 +517,6 @@ def _run_inverted_two_pass(
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_draws(n: int, l: int, sender_rng, receiver_rng) -> NonintDraws:
-    return NonintDraws(sample_pad(l, sender_rng).value)
-
-
 def _run_broadcast(
     channel: Channel,
     x: int,
@@ -578,15 +549,15 @@ def _run_broadcast(
 
 
 class Exchange(NamedTuple):
-    """A two-party exchange: `run` returns the receiver's value and
-    `sample` draws its permutations and pads. At its peak `copies`
-    message-width registers are live, plus the tag register of a tagged
-    exchange. `perms` names the draw fields that hold permutations, and
-    `passes` names, pass by pass, the pad field the pass carries and
-    whether the tag under it is the sender's (None: the pass is untagged)."""
+    """A two-party exchange: `run` returns the receiver's value from a
+    `record` of its draws. At its peak `copies` message-width registers
+    are live, plus the tag register of a tagged exchange. `perms` names
+    the record's permutation fields, and `passes` names, pass by pass,
+    the pad field the pass carries and whether the tag under it is the
+    sender's (None: the pass is untagged)."""
 
     run: Callable
-    sample: Callable
+    record: type
     copies: int
     perms: tuple[str, ...]
     passes: tuple[tuple[str, bool] | None, ...]
@@ -595,15 +566,24 @@ class Exchange(NamedTuple):
     def tagged(self) -> bool:
         return self.passes[0] is not None
 
+    def sample(self, n: int, l: int, sender_rng, receiver_rng):
+        """Draw the record: each permutation in `perms` order from its
+        owner's stream, then each tagged pass's pad from its tag owner's."""
+        values = {name: sample_permutation(n, sender_rng if name == "sender_perm"
+                                           else receiver_rng) for name in self.perms}
+        for pad, senders_tag in filter(None, self.passes):
+            values[pad] = sample_pad(l, sender_rng if senders_tag else receiver_rng).value
+        return self.record(**values)
 
-UNTAGGED_THREE_PASS = Exchange(_run_untagged_three_pass, _p1_draws, 3,
+
+UNTAGGED_THREE_PASS = Exchange(_run_untagged_three_pass, P1Draws, 3,
                                ("sender_perm", "receiver_perm"), (None, None, None))
-TAGGED_THREE_PASS = Exchange(_run_tagged_three_pass, _p2_draws, 3,
+TAGGED_THREE_PASS = Exchange(_run_tagged_three_pass, P2Draws, 3,
                              ("sender_perm", "receiver_perm"),
                              (("first_pad", True), ("reply_pad", False), ("final_pad", True)))
-INVERTED_TWO_PASS = Exchange(_run_inverted_two_pass, _p4_draws, 2, ("receiver_perm",),
+INVERTED_TWO_PASS = Exchange(_run_inverted_two_pass, P4Draws, 2, ("receiver_perm",),
                              (("receiver_pad", False), ("sender_pad", True)))
-BROADCAST = Exchange(_run_broadcast, _broadcast_draws, 1, (), (("pad", True),))
+BROADCAST = Exchange(_run_broadcast, NonintDraws, 1, (), (("pad", True),))
 
 
 class Stage(NamedTuple):
@@ -666,21 +646,13 @@ def round_widths(protocol: str, n: int, t: int = 0) -> tuple[int, ...]:
                  for _ in stage.exchange.passes)
 
 
-def _staged(protocol: str) -> bool:
-    """Whether a protocol's draws are a StagedDraws, one record a stage."""
-    return len(STAGES[protocol]) > 1
-
-
-def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict):
-    """Every random choice of a session, drawn from the parties' streams."""
+def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict) -> tuple:
+    """Every random choice of a session, one record per stage, from the parties' streams."""
     if protocol not in STAGES:
         raise ProtocolError(f"unknown protocol {protocol!r}")
-    stages = tuple(
-        stage.exchange.sample(stage.bits(n, t), l, rngs[stage.sender],
-                              rngs[_PEER[stage.sender]])
-        for stage in STAGES[protocol]
-    )
-    return StagedDraws(stages) if _staged(protocol) else stages[0]
+    return tuple(stage.exchange.sample(stage.bits(n, t), l, rngs[stage.sender],
+                                       rngs[_PEER[stage.sender]])
+                 for stage in STAGES[protocol])
 
 
 def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit_cap):
@@ -689,9 +661,9 @@ def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qub
     Returns the channel and `stage(i, message)`, which runs stage i of
     STAGES[protocol] between the honest parties and returns the value
     its receiver decoded. Draws left as None come from `_sample_draws`,
-    on the streams the session measures with. Each tag function a pass
-    carries, each permutation and p6's MAC key must fit its stage. With no
-    keys (p1) the parties carry no tag functions.
+    on the streams the session measures with. Each stage's draw record,
+    tag functions and permutations, and p6's MAC key, must fit the stage.
+    With no keys (p1) the parties carry no tag functions.
     """
     ProtocolParams(protocol, n, l, t, qubit_cap, snapshots=snapshots, messages=(x,))
     mac_key = getattr(keys, "mac_key", None)
@@ -703,8 +675,13 @@ def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qub
     if draws is None:
         draws = _sample_draws(protocol, n, l, t, rngs)
     stages = STAGES[protocol]
-    stage_draws = draws.stages if _staged(protocol) else (draws,)
-    for s, d in zip(stages, stage_draws):
+    want = tuple(s.exchange.record for s in stages)
+    got = tuple(map(type, draws)) if isinstance(draws, tuple) else type(draws)
+    if got != want:
+        shown = [c.__name__ for c in got] if isinstance(got, tuple) else got.__name__
+        raise ProtocolError(f"{protocol} draws are a tuple of one record per stage, "
+                            f"{[c.__name__ for c in want]}, got {shown}")
+    for s, d in zip(stages, draws):
         bits = s.bits(n, t)
         for name in s.exchange.perms:
             if getattr(d, name).n != bits:
@@ -726,7 +703,7 @@ def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qub
         sender = Party(s, rngs[s], tag[s], tag[r])
         receiver = Party(r, rngs[r], tag[r], tag[s])
         return stages[i].exchange.run(channel, message, stages[i].bits(n, t), l,
-                                      sender, receiver, stage_draws[i])
+                                      sender, receiver, draws[i])
 
     return channel, stage
 
@@ -754,7 +731,7 @@ def run_protocol1(
     n: int,
     *,
     rng=None,
-    draws: P1Draws | None = None,
+    draws: tuple | None = None,
     attack=None,
     snapshots: bool = True,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
@@ -801,7 +778,7 @@ def run_protocol6(
     keys: SharedKeys,
     *,
     rng=None,
-    draws: StagedDraws | None = None,
+    draws: tuple | None = None,
     attack=None,
     snapshots: bool = True,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
@@ -864,7 +841,7 @@ def noninteractive_view(
     """
     ProtocolParams("nonint", n, l, qubit_cap=qubit_cap, snapshots=True, messages=(x,))
     blank = BooleanFunction(n, l, (0,) * (1 << n))
-    (view,) = eve_average_view(Transcript("nonint", n, l, 0, x, draws=NonintDraws(0)), (1,),
+    (view,) = eve_average_view(Transcript("nonint", n, l, 0, x, draws=(NonintDraws(0),)), (1,),
                                keys=SharedKeys(blank, blank), average_over=("pads", "keys"),
                                enum_limit=enum_limit, qubit_cap=qubit_cap)
     return view.rho
@@ -953,9 +930,7 @@ def eve_average_view(
         check_enumeration(kinds, base_fn.n, l, enum_limit)
         averaged = tuple(label for kind, label in (("pads", f"{pad_field}[stage {stage}]"),
                                                    ("keys", tag_attr)) if kind in kinds)
-        draws = transcript.draws.stages[stage] if _staged(protocol) else transcript.draws
-        base_pad = getattr(draws, pad_field)
-        plans.append((r, base_pad, base_fn, averaged))
+        plans.append((r, getattr(transcript.draws[stage], pad_field), base_fn, averaged))
 
     redo = run_session(
         protocol, transcript.message, transcript.n, l, transcript.t, keys,

@@ -1,11 +1,14 @@
 """Command-line front end: subcommands, exit codes, file placement."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qnokey
 from qnokey.cli import OUTPUT_DIR_ENV, main
 from qnokey.harness import ExperimentReport
 
@@ -231,10 +234,15 @@ def test_sweep_rejects_unknown_protocol(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "entry.json"
+    # The child imports the same qnokey as this process, whether it is
+    # installed or found on pytest's own path.
+    package_root = str(Path(qnokey.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qnokey", "run", "--protocol", "p1", "--n", "1",
          "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

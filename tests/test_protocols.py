@@ -13,15 +13,30 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qnokey import adversary
 from qnokey.adversary import PhaseAttack, parse_attack
-from qnokey.oracles import EnumerationLimitError, enumerate_functions, make_rng
+from qnokey.oracles import (
+    EnumerationLimitError,
+    enumerate_functions,
+    make_rng,
+    party_streams,
+    sample_pad,
+    sample_permutation,
+)
 from qnokey.protocols import (
+    BROADCAST,
+    INVERTED_TWO_PASS,
     PROTOCOL_IDS,
     ROUND_COUNTS,
     STAGES,
+    TAGGED_THREE_PASS,
+    UNTAGGED_THREE_PASS,
+    NonintDraws,
+    P1Draws,
+    P2Draws,
+    P4Draws,
     ProtocolError,
     ProtocolParams,
-    StagedDraws,
     Transcript,
     _round_secrets,
     eve_average_view,
@@ -165,7 +180,7 @@ def test_p2_per_run_snapshots_are_tag_graphs():
     # padded tag map active that round.
     n, l = 2, 2
     tr, keys = seeded_session("p2", 3, n, l, seed=7)
-    d = tr.draws
+    (d,) = tr.draws
     graphs = [
         (keys.alice_tag, d.first_pad),
         (keys.bob_tag, d.reply_pad),
@@ -189,7 +204,7 @@ def test_p2_per_run_snapshot_is_not_maximally_mixed():
 def test_p4_per_run_snapshots_are_tag_graphs():
     n, l = 2, 2
     tr, keys = seeded_session("p4", 2, n, l, seed=11)
-    d = tr.draws
+    (d,) = tr.draws
     graphs = [(keys.bob_tag, d.receiver_pad), (keys.alice_tag, d.sender_pad)]
     for r, (fn, pad) in enumerate(graphs, start=1):
         expect = np.zeros((1 << (n + l), 1 << (n + l)), dtype=np.complex128)
@@ -313,17 +328,15 @@ def rerun_average(tr, round_index, keys, kinds):
     """Reference mixture: re-run the honest session once per enumerated
     secret with that secret substituted, and average the snapshots."""
     stage, pad_field, _, tag_attr = _round_secrets(tr.protocol, round_index)
-    staged = isinstance(tr.draws, StagedDraws)
-    stages = list(tr.draws.stages) if staged else [tr.draws]
+    stages = list(tr.draws)
     base_fn = getattr(keys, tag_attr)
     pads = range(1 << tr.l) if "pads" in kinds else [getattr(stages[stage], pad_field)]
     fns = list(enumerate_functions(base_fn.n, base_fn.l)) if "keys" in kinds else [base_fn]
     total = None
     for pad, fn in itertools.product(pads, fns):
         stages[stage] = replace(stages[stage], **{pad_field: pad})
-        draws = StagedDraws(tuple(stages)) if staged else stages[0]
         redo = run_session(tr.protocol, tr.message, tr.n, tr.l, tr.t,
-                           replace(keys, **{tag_attr: fn}), rng=0, draws=draws)
+                           replace(keys, **{tag_attr: fn}), rng=0, draws=tuple(stages))
         snap = redo.snapshot(round_index).matrix
         total = snap if total is None else total + snap
     return total / (len(pads) * len(fns))
@@ -439,6 +452,69 @@ def test_p1_draw_width_validated():
     keys = sample_shared_keys("p2", 2, 1, 0, make_rng(0))
     with pytest.raises(ProtocolError, match="sender_perm has width 3"):
         run_protocol2(1, 2, 1, keys, rng=make_rng(0), draws=draws)
+
+
+def test_draws_of_the_wrong_shape_are_refused():
+    # Draws are a tuple with one record per stage, each of its stage's
+    # exchange record type; any other shape is refused before running.
+    n, l = 2, 1
+    keys = sample_shared_keys("p3", n, l, 0, make_rng(0))
+    (single,) = sample_draws("p2", n, l, 0, make_rng(0))
+    staged = sample_draws("p3", n, l, 0, make_rng(0))
+    (inverted,) = sample_draws("p4", n, l, 0, make_rng(0))
+    for protocol, draws in [("p3", single), ("p3", (single,)), ("p3", staged[:2] + (inverted,)),
+                            ("p2", staged), ("p2", single), ("p2", (inverted,)),
+                            ("p2", [single]), ("p4", (single,))]:
+        with pytest.raises(ProtocolError, match=f"{protocol} draws are a tuple of one record"):
+            run_session(protocol, 1, n, l, 0, keys, rng=make_rng(0), draws=draws)
+    assert run_session("p3", 1, n, l, 0, keys, rng=make_rng(0), draws=staged).recovered == 1
+
+
+def _reference_draws(exchange, n, l, sender_rng, receiver_rng):
+    """Each exchange's draws written out by hand, in the order its secrets
+    are drawn: the permutations, then each pass's pad from its owner."""
+    if exchange is UNTAGGED_THREE_PASS:
+        return P1Draws(sample_permutation(n, sender_rng), sample_permutation(n, receiver_rng))
+    if exchange is TAGGED_THREE_PASS:
+        return P2Draws(
+            sender_perm=sample_permutation(n, sender_rng),
+            receiver_perm=sample_permutation(n, receiver_rng),
+            first_pad=sample_pad(l, sender_rng).value,
+            reply_pad=sample_pad(l, receiver_rng).value,
+            final_pad=sample_pad(l, sender_rng).value,
+        )
+    if exchange is INVERTED_TWO_PASS:
+        return P4Draws(
+            receiver_perm=sample_permutation(n, receiver_rng),
+            receiver_pad=sample_pad(l, receiver_rng).value,
+            sender_pad=sample_pad(l, sender_rng).value,
+        )
+    assert exchange is BROADCAST
+    return NonintDraws(sample_pad(l, sender_rng).value)
+
+
+def test_exchange_sample_matches_the_reference_samplers(monkeypatch):
+    exchanges = {stage.exchange for stages in STAGES.values() for stage in stages}
+    assert exchanges == {UNTAGGED_THREE_PASS, TAGGED_THREE_PASS, INVERTED_TWO_PASS, BROADCAST}
+    for exchange, n, l, seed in itertools.product(exchanges, (1, 2, 3, 5), (1, 2, 3), range(8)):
+        derived = party_streams(seed, 2)
+        reference = party_streams(seed, 2)
+        assert exchange.sample(n, l, *derived) == _reference_draws(exchange, n, l, *reference)
+        # Both streams are left at the same position.
+        assert [int(g.integers(1 << 30)) for g in derived] == \
+            [int(g.integers(1 << 30)) for g in reference]
+
+    # The echo-stage hijack runs stage one as the single-stage protocol
+    # that is the echoed protocol's first stage.
+    ran = []
+    real_run_session = adversary.proto.run_session
+    monkeypatch.setattr(adversary.proto, "run_session",
+                        lambda protocol, *a, **kw: ran.append(protocol)
+                        or real_run_session(protocol, *a, **kw))
+    for protocol in ("p3", "p5"):
+        keys = sample_shared_keys(protocol, 2, 1, 0, make_rng(1))
+        adversary.impersonate_echo_stage(protocol, 1, 2, 1, keys, rng=make_rng(2))
+    assert ran == ["p2", "p4"]
 
 
 @pytest.mark.parametrize("protocol", [p for p in PROTOCOL_IDS if p != "p1"])
