@@ -134,15 +134,20 @@ def parse_attack(spec: str | None) -> Attack | None:
                     options["passes"] += "," + key
                     continue
                 raise AttackSpecError(f"malformed attack option {token!r} in {spec!r}")
+            if key in options:
+                raise AttackSpecError(f"repeated option {key!r} in {spec!r}")
             options[key] = value
     def parse_passes() -> frozenset[int] | None:
         raw = options.pop("passes", None)
         if raw is None or raw == "all":
             return None
         try:
-            return frozenset(int(v, 0) for v in raw.split(",") if v)
+            passes = frozenset(int(v, 0) for v in raw.split(",") if v)
         except ValueError as exc:
             raise AttackSpecError(f"bad passes list {raw!r} in {spec!r}") from exc
+        if not passes:
+            raise AttackSpecError(f"empty passes list in {spec!r}")
+        return passes
 
     if head == "passive":
         attack = PassiveAttack()
@@ -320,6 +325,8 @@ def echo_detection_experiment(
     Messages and keys are redrawn every trial so the statistic covers
     the whole ensemble, not one lucky key.
     """
+    if trials < 1:
+        raise ValueError(f"echo detection needs trials >= 1, got {trials}")
     root = make_rng(rng if rng is not None else 0)
     rejections = 0
     for _ in range(trials):
@@ -366,6 +373,8 @@ def passive_snapshot(
     Draws are held identical across messages so the comparison isolates
     the message dependence.
     """
+    if not messages:
+        raise ValueError("passive_snapshot needs at least one message")
     t = keys.mac_key.t if (keys is not None and keys.mac_key is not None) else 0
     base = proto.run_session(protocol, messages[0], n, l, t, keys,
                              rng=rng if rng is not None else 0,

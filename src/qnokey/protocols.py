@@ -1,38 +1,35 @@
 """Runners for the no-key protocol family on the exact simulator.
 
-Every runner executes one full session between Alice and Bob as a
-single composite pure state, taking a channel snapshot (reduced density
-matrix of the in-transit registers) at each transmission and logging
-every measurement into a transcript.
+Every session runs between Alice and Bob as a single composite pure
+state, taking a channel snapshot (reduced density matrix of the
+in-transit registers) at each transmission and logging every
+measurement into a transcript.
 
-The family:
+The family is built from one move, repeated hop by hop: a party binds a
+random Boolean permutation to the travelling message register R1
+through an XOR oracle, tags it, and later uncomputes it. Exchange.run is
+the one runner of it. The opener (the sender, or the receiver of an
+inverted exchange, which starts from a blank register) applies a
+Hadamard to R1. Then, turn by turn, the party holding R1 uncomputes the
+permutation it bound, strips the tag of the pass it received and
+measures the bare pad, binds its own permutation on its first turn,
+imprints the message as phases if it is an inverted exchange's sender,
+and tags and sends the next pass. The last receiver uncomputes, strips,
+applies a Hadamard and measures R1.
 
-* three-pass scrambling (run_protocol1): no pre-shared secret, the
-  message register crosses the channel three times between two
-  self-inverting permutation oracles.
-* tagged three-pass (run_protocol2): adds pre-shared tag functions and
-  one-time pads so each party can recognise the other's touch.
-* echoed tagged three-pass (run_protocol3): three tagged exchanges,
-  message out, echo back, message again, with accept verdicts.
-* inverted two-pass (run_protocol4): the receiver initiates with a
-  blank superposition; the sender imprints the message as phases.
-* echoed two-pass (run_protocol5): three inverted exchanges with the
-  same verdict structure as run_protocol3.
-* authenticated two-pass (run_protocol6): one inverted exchange carries
-  message plus one-time tag, a second returns the tag for cross-check.
-* one-shot broadcast (run_noninteractive): a single transmission of the
-  phase-encoded message with a tag register; exploratory only.
-
-The whole family is built from four exchanges: the untagged three-pass
-(p1), the tagged three-pass, the receiver-initiated two-pass and the
-one-shot broadcast (nonint); each declares its draw record and the pad
-and tag owner of every pass, and Exchange.sample draws from that. STAGES
-lists all eight ids once, as their stages: the exchange, the sending
-party, the message width (n+t and t in p6) and the tag functions used.
-PROTOCOL_IDS, ROUND_COUNTS, peak_live_width, the runners, sample_draws
-(one record per stage) and the averaging lookup all derive from it, and
-so does ProtocolParams, the one session validator; each session's key
-bundle and draws are checked against it.
+Four exchanges declare the rest in their pass tables: the untagged
+three-pass (p1), the tagged three-pass (p2), the inverted two-pass (p4,
+two-round) and the one-shot broadcast (nonint, exploratory only); each
+names its draw record, its permutations, and the pad and tag owner of
+every pass, and Exchange.sample draws from that. STAGES lists all eight
+ids once, as their stages: the exchange, the sending party, the message
+width (n+t and t in p6) and the tag functions used. p3 and p5 send,
+echo back and send again, with accept verdicts; p6 sends message plus
+one-time MAC tag, then echoes the tag. PROTOCOL_IDS, ROUND_COUNTS,
+peak_live_width, sample_draws (one record per stage) and the averaging
+lookup all derive from STAGES, and so does ProtocolParams, the one
+session validator; each session's key bundle and draws are checked
+against it.
 An exchange takes its parties as Party(name, rng, tags_with,
 strips_with) values, so an adversary can play a side with substitute
 tables. run_session runs any protocol by id, looking its public run_*
@@ -54,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -373,194 +370,28 @@ class Channel(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Untagged three-pass exchange, no pre-shared secret
-# ---------------------------------------------------------------------------
-
-
-def _run_untagged_three_pass(
-    channel: Channel,
-    x: int,
-    n: int,
-    l: int,
-    sender: Party,
-    receiver: Party,
-    draws: P1Draws,
-) -> int:
-    """Message out, scramble, scramble back, unscramble: three passes.
-
-    The sender phase-encodes x into a full superposition, binds it to
-    its secret permutation, and the register crosses the channel three
-    times while first its and then the receiver's permutation are
-    attached and later uncomputed. The receiver's final
-    Hadamard-and-measure recovers x with certainty in an honest run.
-    """
-    sh, rh = _HOLDERS[sender.name], _HOLDERS[receiver.name]
-
-    state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
-    state = state.apply_hadamard("R1")
-    state = state.extend("R2", n, sh, source="R1", table=draws.sender_perm.table)
-    state = channel.send(state, ("R1",), sender, receiver)
-
-    state = state.extend("R3", n, rh, source="R1", table=draws.receiver_perm.table)
-    state = channel.send(state, ("R1",), receiver, sender)
-
-    state = state.discard("R2", source="R1", table=draws.sender_perm.table)  # uncompute
-    state = channel.send(state, ("R1",), sender, receiver)
-
-    state = state.discard("R3", source="R1", table=draws.receiver_perm.table)  # uncompute
-    state = state.apply_hadamard("R1")
-    outcome, state = channel.measure(state, receiver, "R1")
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# Tagged three-pass exchange (shared by the keyed three-pass protocols)
-# ---------------------------------------------------------------------------
-
-
-def _run_tagged_three_pass(
-    channel: Channel,
-    x: int,
-    n: int,
-    l: int,
-    sender: Party,
-    receiver: Party,
-    draws: P2Draws,
-) -> int:
-    """One tagged three-pass exchange; returns the receiver's value.
-
-    Pass 1 carries the scrambled message plus the sender's padded tag;
-    pass 2 returns it with the receiver's tag; pass 3 goes out again
-    with a freshly padded sender tag. Tags are stripped by the party
-    that knows them, leaving the bare pad, which is measured and logged.
-    """
-    sh, rh = _HOLDERS[sender.name], _HOLDERS[receiver.name]
-
-    state = init_basis_state([Register("R1", n, sh)], {"R1": x},
-                             qubit_cap=channel.qubit_cap)
-    state = state.apply_hadamard("R1")
-    state = state.extend("R2", n, sh, source="R1", table=draws.sender_perm.table)
-    state = state.extend("R3", l, sh, draws.first_pad, source="R1", table=sender.tags_with.table)
-    state = channel.send(state, ("R1", "R3"), sender, receiver)
-
-    # Receiver: expose and log the sender's pad, then bind own secrets.
-    state = state.apply_xor_oracle("R1", "R3", receiver.strips_with.table)
-    _, state = channel.measure(state, receiver, "R3", discard=True)
-    state = state.extend("R4", n, rh, source="R1", table=draws.receiver_perm.table)
-    state = state.extend("R5", l, rh, draws.reply_pad, source="R1", table=receiver.tags_with.table)
-    state = channel.send(state, ("R1", "R5"), receiver, sender)
-
-    # Sender: detach own permutation, expose the receiver's pad, re-tag.
-    state = state.discard("R2", source="R1", table=draws.sender_perm.table)
-    state = state.apply_xor_oracle("R1", "R5", sender.strips_with.table)
-    _, state = channel.measure(state, sender, "R5", discard=True)
-    state = state.extend("R6", l, sh, draws.final_pad, source="R1", table=sender.tags_with.table)
-    state = channel.send(state, ("R1", "R6"), sender, receiver)
-
-    # Receiver: detach own permutation, expose the final pad, decode.
-    state = state.discard("R4", source="R1", table=draws.receiver_perm.table)
-    state = state.apply_xor_oracle("R1", "R6", receiver.strips_with.table)
-    _, state = channel.measure(state, receiver, "R6", discard=True)
-    state = state.apply_hadamard("R1")
-    outcome, state = channel.measure(state, receiver, "R1")
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# Inverted two-pass exchange (shared by the receiver-initiated protocols)
-# ---------------------------------------------------------------------------
-
-
-def _run_inverted_two_pass(
-    channel: Channel,
-    x: int,
-    n: int,
-    l: int,
-    sender: Party,
-    receiver: Party,
-    draws: P4Draws,
-) -> int:
-    """One receiver-initiated exchange; returns the receiver's value.
-
-    The receiver sends a blank scrambled superposition with its tag;
-    the sender imprints the message purely as phase flips and re-tags.
-    Only two passes total, and the message never appears in any
-    computational-basis population.
-    """
-    sh, rh = _HOLDERS[sender.name], _HOLDERS[receiver.name]
-
-    state = init_basis_state([Register("R1", n, rh)], None, qubit_cap=channel.qubit_cap)
-    state = state.apply_hadamard("R1")
-    state = state.extend("R2", n, rh, source="R1", table=draws.receiver_perm.table)
-    state = state.extend("R3", l, rh, draws.receiver_pad, source="R1",
-                         table=receiver.tags_with.table)
-    state = channel.send(state, ("R1", "R3"), receiver, sender)
-
-    # Sender: expose the receiver's pad, write the message into phases.
-    state = state.apply_xor_oracle("R1", "R3", sender.strips_with.table)
-    _, state = channel.measure(state, sender, "R3", discard=True)
-    state = state.apply_phase_flip("R1", x)
-    state = state.extend("R4", l, sh, draws.sender_pad, source="R1", table=sender.tags_with.table)
-    state = channel.send(state, ("R1", "R4"), sender, receiver)
-
-    # Receiver: expose the sender's pad, unscramble, decode the phases.
-    state = state.apply_xor_oracle("R1", "R4", receiver.strips_with.table)
-    _, state = channel.measure(state, receiver, "R4", discard=True)
-    state = state.discard("R2", source="R1", table=draws.receiver_perm.table)
-    state = state.apply_hadamard("R1")
-    outcome, state = channel.measure(state, receiver, "R1")
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# One-shot broadcast exchange (exploratory)
-# ---------------------------------------------------------------------------
-
-
-def _run_broadcast(
-    channel: Channel,
-    x: int,
-    n: int,
-    l: int,
-    sender: Party,
-    receiver: Party,
-    draws: NonintDraws,
-) -> int:
-    """Single transmission of the phase-encoded message plus a padded tag.
-
-    The receiver strips the sender's tag, logs the pad and decodes.
-    """
-    sh = _HOLDERS[sender.name]
-    state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
-    state = state.apply_hadamard("R1")
-    state = state.extend("R2", l, sh, draws.pad, source="R1", table=sender.tags_with.table)
-    state = channel.send(state, ("R1", "R2"), sender, receiver)
-
-    state = state.apply_xor_oracle("R1", "R2", receiver.strips_with.table)
-    _, state = channel.measure(state, receiver, "R2", discard=True)
-    state = state.apply_hadamard("R1")
-    outcome, state = channel.measure(state, receiver, "R1")
-    return outcome
-
-
-# ---------------------------------------------------------------------------
 # The stage table of the whole family
 # ---------------------------------------------------------------------------
 
 
 class Exchange(NamedTuple):
-    """A two-party exchange: `run` returns the receiver's value from a
-    `record` of its draws. At its peak `copies` message-width registers
-    are live, plus the tag register of a tagged exchange. `perms` names
-    the record's permutation fields, and `passes` names, pass by pass,
-    the pad field the pass carries and whether the tag under it is the
-    sender's (None: the pass is untagged)."""
+    """A two-party exchange of the message register R1, run from a
+    `record` of its draws. `perms` names the record's permutation fields,
+    and `passes` names, pass by pass, the pad field the pass carries and
+    whether the tag under it is the exchange sender's (None: the pass is
+    untagged); the party that sends a pass tags it. An `inverted`
+    exchange is opened by the receiver, and its sender imprints the
+    message as phases instead of opening with it."""
 
-    run: Callable
     record: type
-    copies: int
     perms: tuple[str, ...]
     passes: tuple[tuple[str, bool] | None, ...]
+    inverted: bool = False
+
+    @property
+    def copies(self) -> int:
+        """Message-width registers live at the peak: R1 and each permutation's."""
+        return 1 + len(self.perms)
 
     @property
     def tagged(self) -> bool:
@@ -575,15 +406,69 @@ class Exchange(NamedTuple):
             values[pad] = sample_pad(l, sender_rng if senders_tag else receiver_rng).value
         return self.record(**values)
 
+    def run(self, channel: Channel, x: int, n: int, l: int, sender: Party,
+            receiver: Party, draws) -> int:
+        """Run the exchange on `draws`, an instance of `record`, and return
+        the value its receiver decodes.
 
-UNTAGGED_THREE_PASS = Exchange(_run_untagged_three_pass, P1Draws, 3,
-                               ("sender_perm", "receiver_perm"), (None, None, None))
-TAGGED_THREE_PASS = Exchange(_run_tagged_three_pass, P2Draws, 3,
-                             ("sender_perm", "receiver_perm"),
+        The opener (the sender, or the receiver when inverted) makes R1 as
+        |x> (|0> when inverted) and applies a Hadamard. Then the party
+        holding R1, turn by turn: uncomputes the permutation it bound;
+        strips the tag of the pass it received and measures the bare pad;
+        on its first turn binds its own permutation, if `perms` names one;
+        imprints x as phases if it is an inverted exchange's sender; and
+        tags and sends the next pass. The last receiver uncomputes and
+        strips, then applies a Hadamard and measures R1. Registers are
+        named R1, R2, ... in the order they are made.
+        """
+        inverted, passes, last = self.inverted, self.passes, len(self.passes)
+        # Side 0 opens; side i & 1 holds R1 on turn i.
+        sides = (receiver, sender) if inverted else (sender, receiver)
+        holders = (_HOLDERS[sides[0].name], _HOLDERS[sides[1].name])
+        perms = [None, None]  # the table each side binds; the sender is side 1 when inverted
+        for name in self.perms:
+            perms[(name == "sender_perm") == inverted] = getattr(draws, name).table
+        state = init_basis_state([Register("R1", n, holders[0])],
+                                 None if inverted else {"R1": x}, qubit_cap=channel.qubit_cap)
+        state = state.apply_hadamard("R1")
+        made, bound, tag = 1, [None, None], None
+        for i in range(last + 1):
+            side = i & 1
+            party = sides[side]
+            if bound[side] is not None:
+                state = state.discard(bound[side], source="R1", table=perms[side])
+            if tag is not None:
+                state = state.apply_xor_oracle("R1", tag, party.strips_with.table)
+                _, state = channel.measure(state, party, tag, discard=True)
+            if i == last:
+                break
+            if i < 2 and perms[side] is not None:
+                made += 1
+                bound[side] = f"R{made}"
+                state = state.extend(bound[side], n, holders[side], source="R1",
+                                     table=perms[side])
+            if inverted and side:
+                state = state.apply_phase_flip("R1", x)
+            if passes[i] is None:
+                tag, names = None, ("R1",)
+            else:
+                made += 1
+                tag = f"R{made}"
+                names = ("R1", tag)
+                state = state.extend(tag, l, holders[side], getattr(draws, passes[i][0]),
+                                     source="R1", table=party.tags_with.table)
+            state = channel.send(state, names, party, sides[1 - side])
+        state = state.apply_hadamard("R1")
+        outcome, _ = channel.measure(state, party, "R1")
+        return outcome
+
+
+UNTAGGED_THREE_PASS = Exchange(P1Draws, ("sender_perm", "receiver_perm"), (None, None, None))
+TAGGED_THREE_PASS = Exchange(P2Draws, ("sender_perm", "receiver_perm"),
                              (("first_pad", True), ("reply_pad", False), ("final_pad", True)))
-INVERTED_TWO_PASS = Exchange(_run_inverted_two_pass, P4Draws, 2, ("receiver_perm",),
-                             (("receiver_pad", False), ("sender_pad", True)))
-BROADCAST = Exchange(_run_broadcast, NonintDraws, 1, (), (("pad", True),))
+INVERTED_TWO_PASS = Exchange(P4Draws, ("receiver_perm",),
+                             (("receiver_pad", False), ("sender_pad", True)), inverted=True)
+BROADCAST = Exchange(NonintDraws, (), (("pad", True),))
 
 
 class Stage(NamedTuple):

@@ -88,6 +88,16 @@ def test_parse_rejects_malformed_strings():
         parse_attack("measure:passes=a")
     with pytest.raises(AttackSpecError, match="malformed attack option"):
         parse_attack("measure:3")
+    # A repeated option is ambiguous, and an empty pass list would give an
+    # attack that touches no pass yet still counts as an attack.
+    with pytest.raises(AttackSpecError, match="repeated option 'x'"):
+        parse_attack("phase:x=1,x=2")
+    with pytest.raises(AttackSpecError, match="repeated option 'passes'"):
+        parse_attack("measure:passes=1,passes=2")
+    with pytest.raises(AttackSpecError, match="empty passes list"):
+        parse_attack("phase:x=1,passes=")
+    with pytest.raises(AttackSpecError, match="empty passes list"):
+        parse_attack("measure:passes=,")
 
 
 # -- phase flips in transit ----------------------------------------------------------
@@ -232,6 +242,9 @@ def test_mim_halves_are_honest_sessions():
 def test_impersonation_rejects_wrong_protocol():
     with pytest.raises(ValueError, match="p3 or p5"):
         impersonate_echo_stage("p2", 0, 2, 1, keys_for("p2", 2, 1))
+    # No trials would leave a rejection rate of 0/0.
+    with pytest.raises(ValueError, match="trials >= 1, got 0"):
+        echo_detection_experiment("p3", 2, 1, 0)
 
 
 @pytest.mark.parametrize("protocol", ["p3", "p5"])
@@ -303,6 +316,8 @@ def test_passive_snapshot_single_message_has_no_distances():
     comp = passive_snapshot("p1", [1], 2)
     assert comp.distances == {}
     assert len(comp.views[1]) == 3
+    with pytest.raises(ValueError, match="at least one message"):
+        passive_snapshot("p1", [], 2)
 
 
 def test_passive_snapshot_separates_tag_graphs_per_run():

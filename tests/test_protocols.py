@@ -20,21 +20,27 @@ from qnokey.oracles import (
     enumerate_functions,
     make_rng,
     party_streams,
+    sample_function,
     sample_pad,
     sample_permutation,
 )
 from qnokey.protocols import (
+    ALICE,
+    BOB,
     BROADCAST,
+    EVE,
     INVERTED_TWO_PASS,
     PROTOCOL_IDS,
     ROUND_COUNTS,
     STAGES,
+    Channel,
     TAGGED_THREE_PASS,
     UNTAGGED_THREE_PASS,
     NonintDraws,
     P1Draws,
     P2Draws,
     P4Draws,
+    Party,
     ProtocolError,
     ProtocolParams,
     Transcript,
@@ -50,7 +56,15 @@ from qnokey.protocols import (
     sample_draws,
     sample_shared_keys,
 )
-from qnokey.qstate import CompositeState, is_maximally_mixed, trace_distance
+from qnokey.qstate import (
+    DEFAULT_QUBIT_CAP,
+    CompositeState,
+    Holder,
+    Register,
+    init_basis_state,
+    is_maximally_mixed,
+    trace_distance,
+)
 
 def seeded_session(protocol, x, n, l=0, t=0, seed=0, **kw):
     rng = make_rng(seed)
@@ -533,6 +547,148 @@ def test_tag_function_shape_checked_against_the_stage():
     with pytest.raises(ProtocolError, match="p6 needs the tag function bob_tag_echo of shape "
                                             "2->1, got none"):
         run_protocol6(1, 2, 1, 2, keys, rng=make_rng(0))
+
+
+# -- the exchange runner against hand-written references ------------------------------
+#
+# Each exchange's turns written out by hand, the reference for
+# Exchange.run, which reads them from the pass table. They share no code
+# with it beyond the state kernels and the channel.
+
+
+def _reference_untagged_three_pass(channel, x, n, l, sender, receiver, draws):
+    sh, rh = Holder(sender.name), Holder(receiver.name)
+    state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
+    state = state.apply_hadamard("R1")
+    state = state.extend("R2", n, sh, source="R1", table=draws.sender_perm.table)
+    state = channel.send(state, ("R1",), sender, receiver)
+
+    state = state.extend("R3", n, rh, source="R1", table=draws.receiver_perm.table)
+    state = channel.send(state, ("R1",), receiver, sender)
+
+    state = state.discard("R2", source="R1", table=draws.sender_perm.table)
+    state = channel.send(state, ("R1",), sender, receiver)
+
+    state = state.discard("R3", source="R1", table=draws.receiver_perm.table)
+    state = state.apply_hadamard("R1")
+    outcome, state = channel.measure(state, receiver, "R1")
+    return outcome
+
+
+def _reference_tagged_three_pass(channel, x, n, l, sender, receiver, draws):
+    sh, rh = Holder(sender.name), Holder(receiver.name)
+    state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
+    state = state.apply_hadamard("R1")
+    state = state.extend("R2", n, sh, source="R1", table=draws.sender_perm.table)
+    state = state.extend("R3", l, sh, draws.first_pad, source="R1", table=sender.tags_with.table)
+    state = channel.send(state, ("R1", "R3"), sender, receiver)
+
+    state = state.apply_xor_oracle("R1", "R3", receiver.strips_with.table)
+    _, state = channel.measure(state, receiver, "R3", discard=True)
+    state = state.extend("R4", n, rh, source="R1", table=draws.receiver_perm.table)
+    state = state.extend("R5", l, rh, draws.reply_pad, source="R1", table=receiver.tags_with.table)
+    state = channel.send(state, ("R1", "R5"), receiver, sender)
+
+    state = state.discard("R2", source="R1", table=draws.sender_perm.table)
+    state = state.apply_xor_oracle("R1", "R5", sender.strips_with.table)
+    _, state = channel.measure(state, sender, "R5", discard=True)
+    state = state.extend("R6", l, sh, draws.final_pad, source="R1", table=sender.tags_with.table)
+    state = channel.send(state, ("R1", "R6"), sender, receiver)
+
+    state = state.discard("R4", source="R1", table=draws.receiver_perm.table)
+    state = state.apply_xor_oracle("R1", "R6", receiver.strips_with.table)
+    _, state = channel.measure(state, receiver, "R6", discard=True)
+    state = state.apply_hadamard("R1")
+    outcome, state = channel.measure(state, receiver, "R1")
+    return outcome
+
+
+def _reference_inverted_two_pass(channel, x, n, l, sender, receiver, draws):
+    sh, rh = Holder(sender.name), Holder(receiver.name)
+    state = init_basis_state([Register("R1", n, rh)], None, qubit_cap=channel.qubit_cap)
+    state = state.apply_hadamard("R1")
+    state = state.extend("R2", n, rh, source="R1", table=draws.receiver_perm.table)
+    state = state.extend("R3", l, rh, draws.receiver_pad, source="R1",
+                         table=receiver.tags_with.table)
+    state = channel.send(state, ("R1", "R3"), receiver, sender)
+
+    state = state.apply_xor_oracle("R1", "R3", sender.strips_with.table)
+    _, state = channel.measure(state, sender, "R3", discard=True)
+    state = state.apply_phase_flip("R1", x)
+    state = state.extend("R4", l, sh, draws.sender_pad, source="R1", table=sender.tags_with.table)
+    state = channel.send(state, ("R1", "R4"), sender, receiver)
+
+    # The one order that differs from Exchange.run: strip, then uncompute.
+    state = state.apply_xor_oracle("R1", "R4", receiver.strips_with.table)
+    _, state = channel.measure(state, receiver, "R4", discard=True)
+    state = state.discard("R2", source="R1", table=draws.receiver_perm.table)
+    state = state.apply_hadamard("R1")
+    outcome, state = channel.measure(state, receiver, "R1")
+    return outcome
+
+
+def _reference_broadcast(channel, x, n, l, sender, receiver, draws):
+    sh = Holder(sender.name)
+    state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
+    state = state.apply_hadamard("R1")
+    state = state.extend("R2", l, sh, draws.pad, source="R1", table=sender.tags_with.table)
+    state = channel.send(state, ("R1", "R2"), sender, receiver)
+
+    state = state.apply_xor_oracle("R1", "R2", receiver.strips_with.table)
+    _, state = channel.measure(state, receiver, "R2", discard=True)
+    state = state.apply_hadamard("R1")
+    outcome, state = channel.measure(state, receiver, "R1")
+    return outcome
+
+
+REFERENCE_RUNS = {
+    UNTAGGED_THREE_PASS: _reference_untagged_three_pass,
+    TAGGED_THREE_PASS: _reference_tagged_three_pass,
+    INVERTED_TWO_PASS: _reference_inverted_two_pass,
+    BROADCAST: _reference_broadcast,
+}
+
+
+def _observed_exchange(run, exchange, n, l, spec, seed, eve_sends):
+    """Run one exchange with `run` and return all it left observable: the
+    decoded value, the measurement records, the attack events, each pass's
+    registers and snapshot bytes, and where each party's stream stands."""
+    key_rng, sender_rng, receiver_rng, eve_rng = party_streams(seed, 4)
+    own, peer = sample_function(n, l, key_rng), sample_function(n, l, key_rng)
+    if eve_sends:
+        # Eve in the sender's seat of the echo-stage hijack: her tables are
+        # substitutes, and the receiver strips with the real shared function.
+        sender = Party(EVE, sender_rng, sample_function(n, l, key_rng),
+                       sample_function(n, l, key_rng))
+        receiver = Party(ALICE, receiver_rng, own, peer)
+    else:
+        sender = Party(ALICE, sender_rng, own, peer)
+        receiver = Party(BOB, receiver_rng, peer, own)
+    draws = exchange.sample(n, l, sender_rng, receiver_rng)
+    tr = Transcript("exchange", n, l, 0, seed % (1 << n))
+    channel = Channel(tr, parse_attack(spec), eve_rng, True, DEFAULT_QUBIT_CAP)
+    decoded = run(channel, tr.message, n, l, sender, receiver, draws)
+    return (
+        decoded,
+        [(m.owner, m.register, m.width, m.outcome) for m in tr.measurements],
+        tr.attack_events,
+        [(tx.round_index, tx.sender, tx.receiver, tx.registers, tx.snapshot.matrix.tobytes())
+         for tx in tr.transmissions],
+        [int(g.integers(1 << 30)) for g in (sender_rng, receiver_rng, eve_rng)],
+    )
+
+
+@pytest.mark.parametrize("exchange", list(REFERENCE_RUNS), ids=lambda e: e.record.__name__)
+def test_exchange_run_matches_the_reference_runners(exchange):
+    exchanges = {stage.exchange for stages in STAGES.values() for stage in stages}
+    assert exchanges == set(REFERENCE_RUNS)
+    cases = itertools.product(("none", "passive", "phase:x=1", "measure"), (1, 2, 3),
+                              range(6), (False, True))
+    for spec, n, seed, eve_sends in cases:
+        l = 1 + seed % 2
+        args = (exchange, n, l, spec, seed, eve_sends)
+        assert _observed_exchange(exchange.run, *args) == \
+            _observed_exchange(REFERENCE_RUNS[exchange], *args), args
 
 
 # -- authenticated protocol verdicts ---------------------------------------------------
