@@ -86,10 +86,8 @@ class ExperimentConfig:
             object.__setattr__(self, "messages", tuple(self.messages))
         if self.average not in AVERAGE_KINDS:
             raise ConfigError(f"unknown averaging mode {self.average!r}")
-        # Averaging reruns take snapshots, so they count against the cap too.
         params = proto.ProtocolParams(self.protocol, self.n, self.l, self.t, self.qubit_cap,
-                                      self.snapshots or self.average != "none",
-                                      self.messages or ())
+                                      messages=self.messages or ())
         # Refuse fields no session of the protocol would use.
         if self.protocol not in proto.AUTHENTICATED and self.t != 0:
             raise ConfigError(f"only p6 carries an authentication tag; {self.protocol} "
@@ -120,6 +118,10 @@ class ExperimentConfig:
             if f.name in experiment.ignores and getattr(self, f.name) != f.default:
                 raise ConfigError(f"{experiment.name} ignores {f.name}; leave it at "
                                   f"{f.default!r}, got {getattr(self, f.name)!r}")
+        # Only the session grid takes snapshots, and averaging reruns take
+        # them in any experiment: those alone count against the snapshot cap.
+        if self.average != "none" or (self.snapshots and experiment is EXPERIMENTS["sessions"]):
+            replace(params, snapshots=True)
         object.__setattr__(self, "parsed_attack", attack)
         object.__setattr__(self, "experiment", experiment)
         object.__setattr__(self, "pins", self._load_pins())
@@ -137,9 +139,9 @@ class ExperimentConfig:
                 raise ConfigError("table pinning applies to single-exchange protocols only")
             if not perm and not exchange.tagged:
                 raise ConfigError("the untagged protocol has no tag functions to pin")
-            if perm and not exchange.perms:
+            if perm and not any(exchange.binds):
                 raise ConfigError(f"{self.protocol} has no permutations to pin")
-            if perm and target not in exchange.perms:
+            if perm and not exchange.binds[target == "receiver_perm"]:
                 raise ConfigError(f"{self.protocol} has no sender permutation; use --fb-file")
             table = pins[target] = read_table(path)
             if perm != isinstance(table, BooleanPermutation):

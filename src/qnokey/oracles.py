@@ -133,6 +133,8 @@ def sample_permutation(n: int, rng: np.random.Generator) -> BooleanPermutation:
 
 def sample_function(n: int, l: int, rng: np.random.Generator) -> BooleanFunction:
     """Uniform function table: each entry an independent l-bit draw."""
+    if not 1 <= n <= DEFAULT_TABLE_WIDTH_CAP:
+        raise ValueError(f"function input width {n} outside 1..{DEFAULT_TABLE_WIDTH_CAP}")
     if l < 1:
         raise ValueError(f"function output width must be >= 1, got {l}")
     entries = rng.integers(0, 1 << l, size=1 << n)

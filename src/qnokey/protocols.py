@@ -17,19 +17,21 @@ imprints the message as phases if it is an inverted exchange's sender,
 and tags and sends the next pass. The last receiver uncomputes, strips,
 applies a Hadamard and measures R1.
 
-Four exchanges declare the rest in their pass tables: the untagged
-three-pass (p1), the tagged three-pass (p2), the inverted two-pass (p4,
-two-round) and the one-shot broadcast (nonint, exploratory only); each
-names its draw record, its permutations, and the pad and tag owner of
-every pass, and Exchange.sample draws from that. STAGES lists all eight
-ids once, as their stages: the exchange, the sending party, the message
-width (n+t and t in p6) and the tag functions used. p3 and p5 send,
-echo back and send again, with accept verdicts; p6 sends message plus
-one-time MAC tag, then echoes the tag. PROTOCOL_IDS, ROUND_COUNTS,
-peak_live_width, sample_draws (one record per stage) and the averaging
-lookup all derive from STAGES, and so does ProtocolParams, the one
-session validator; each session's key bundle and draws are checked
-against it.
+Four exchanges, each declared by four facts (which sides bind a
+permutation, the pass count, whether passes are tagged, whether the
+receiver opens), build the family: the untagged three-pass (p1), the
+tagged three-pass (p2), the inverted two-pass (p4, two-round) and the
+one-shot broadcast (nonint, exploratory only). Exchange.sender_sends
+says who sends, and so tags, each pass; a Draws record holds each side's
+permutation and one pad per pass. STAGES lists all eight ids once, as
+their stages: the exchange, the sending party, the message width (n+t
+and t in p6) and the tag functions used. One driver, _run_stages, runs
+every id: p3 and p5 send, echo back and send again, with accept
+verdicts; p6 sends message plus one-time MAC tag, then echoes the tag.
+PROTOCOL_IDS, ROUND_COUNTS, peak_live_width, sample_draws (one record
+per stage) and the averaging lookup all derive from STAGES, and so does
+ProtocolParams, the one session validator; each session's key bundle
+and draws are checked against it.
 An exchange takes its parties as Party(name, rng, tags_with,
 strips_with) values, so an adversary can play a side with substitute
 tables. run_session runs any protocol by id, looking its public run_*
@@ -58,6 +60,7 @@ import numpy as np
 from .auth import MacKey, mac_keygen, mac_tag, mac_verify
 from .oracles import (
     DEFAULT_ENUM_LIMIT,
+    DEFAULT_TABLE_WIDTH_CAP,
     BooleanFunction,
     BooleanPermutation,
     EnumerationLimitError,
@@ -139,7 +142,8 @@ def check_enumeration(kinds, width: int, l: int, enum_limit: int) -> None:
 @dataclass(frozen=True)
 class ProtocolParams:
     """The session validator: protocol id, widths, the peak-width cap,
-    the snapshot cap when `snapshots` is on, and the message range.
+    the truth-table width cap, the snapshot cap when `snapshots` is on,
+    and the message range.
 
     Every session, `noninteractive_view` and `ExperimentConfig` build one,
     so each refusal is made in one place and before anything runs.
@@ -167,6 +171,10 @@ class ProtocolParams:
             _, formula = peak_live_width(self.protocol, self.n, self.l, self.t)
             raise ProtocolError(f"{self.protocol} needs peak live width {formula} qubits, "
                                 f"cap is {self.qubit_cap}")
+        if self.widest > DEFAULT_TABLE_WIDTH_CAP:
+            terms = f"n+t={self.n}+{self.t}" if self.protocol in AUTHENTICATED else f"n={self.n}"
+            raise ProtocolError(f"{self.protocol} message register {terms} is {self.widest} "
+                                f"bits, above the {DEFAULT_TABLE_WIDTH_CAP}-bit truth-table cap")
         # A k-qubit snapshot is a 2**k x 2**k matrix, as many entries as a
         # 2k-qubit state, and the widest one carries the widest stage plus
         # its tag register.
@@ -270,35 +278,16 @@ class Transcript:
         raise ValueError(f"no transmission with round index {round_index}")
 
 
-# Draw records hold every random choice a session consumes, so a run
-# can be replayed exactly with any subset overridden.
-
-
 @dataclass(frozen=True)
-class P1Draws:
-    sender_perm: BooleanPermutation
-    receiver_perm: BooleanPermutation
+class Draws:
+    """Every random choice of one exchange, so a run can be replayed
+    exactly with any subset overridden: each side's permutation (None on
+    a side that binds none) and one pad per pass, in pass order (none
+    when the exchange is untagged)."""
 
-
-@dataclass(frozen=True)
-class P2Draws:
-    sender_perm: BooleanPermutation
-    receiver_perm: BooleanPermutation
-    first_pad: int    # sender's pad on the outbound tag
-    reply_pad: int    # receiver's pad on the return tag
-    final_pad: int    # sender's pad on the last tag
-
-
-@dataclass(frozen=True)
-class P4Draws:
-    receiver_perm: BooleanPermutation
-    receiver_pad: int  # pad on the initiating tag
-    sender_pad: int    # pad on the replying tag
-
-
-@dataclass(frozen=True)
-class NonintDraws:
-    pad: int
+    sender_perm: BooleanPermutation | None = None
+    receiver_perm: BooleanPermutation | None = None
+    pads: tuple[int, ...] = ()
 
 
 def sample_draws(protocol: str, n: int, l: int, t: int, rng):
@@ -375,59 +364,59 @@ class Channel(NamedTuple):
 
 
 class Exchange(NamedTuple):
-    """A two-party exchange of the message register R1, run from a
-    `record` of its draws. `perms` names the record's permutation fields,
-    and `passes` names, pass by pass, the pad field the pass carries and
-    whether the tag under it is the exchange sender's (None: the pass is
-    untagged); the party that sends a pass tags it. An `inverted`
+    """A two-party exchange of the message register R1 in `passes`
+    passes. `binds` says whether the sender and the receiver each bind a
+    permutation, and a `tagged` exchange tags every pass. An `inverted`
     exchange is opened by the receiver, and its sender imprints the
-    message as phases instead of opening with it."""
+    message as phases instead of opening with it. The party that sends a
+    pass tags it, and the two parties take turns, so `sender_sends`
+    fixes who sends and tags each pass."""
 
-    record: type
-    perms: tuple[str, ...]
-    passes: tuple[tuple[str, bool] | None, ...]
+    binds: tuple[bool, bool]
+    passes: int
+    tagged: bool = False
     inverted: bool = False
 
     @property
     def copies(self) -> int:
         """Message-width registers live at the peak: R1 and each permutation's."""
-        return 1 + len(self.perms)
+        return 1 + sum(self.binds)
 
-    @property
-    def tagged(self) -> bool:
-        return self.passes[0] is not None
+    def sender_sends(self, i: int) -> bool:
+        """Whether the sender sends, and tags, pass i: the opener sends the even passes."""
+        return i % 2 == self.inverted
 
-    def sample(self, n: int, l: int, sender_rng, receiver_rng):
-        """Draw the record: each permutation in `perms` order from its
-        owner's stream, then each tagged pass's pad from its tag owner's."""
-        values = {name: sample_permutation(n, sender_rng if name == "sender_perm"
-                                           else receiver_rng) for name in self.perms}
-        for pad, senders_tag in filter(None, self.passes):
-            values[pad] = sample_pad(l, sender_rng if senders_tag else receiver_rng).value
-        return self.record(**values)
+    def sample(self, n: int, l: int, sender_rng, receiver_rng) -> Draws:
+        """Draw each side's permutation from its own stream, then each
+        pass's pad from the stream of the party that sends the pass."""
+        rngs = (sender_rng, receiver_rng)
+        perms = [sample_permutation(n, rng) if bound else None
+                 for rng, bound in zip(rngs, self.binds)]
+        pads = tuple(sample_pad(l, rngs[not self.sender_sends(i)]).value
+                     for i in range(self.passes if self.tagged else 0))
+        return Draws(*perms, pads)
 
     def run(self, channel: Channel, x: int, n: int, l: int, sender: Party,
-            receiver: Party, draws) -> int:
-        """Run the exchange on `draws`, an instance of `record`, and return
-        the value its receiver decodes.
+            receiver: Party, draws: Draws) -> int:
+        """Run the exchange on `draws` and return the value its receiver
+        decodes.
 
         The opener (the sender, or the receiver when inverted) makes R1 as
         |x> (|0> when inverted) and applies a Hadamard. Then the party
         holding R1, turn by turn: uncomputes the permutation it bound;
         strips the tag of the pass it received and measures the bare pad;
-        on its first turn binds its own permutation, if `perms` names one;
+        on its first turn binds its own permutation, if it has one;
         imprints x as phases if it is an inverted exchange's sender; and
-        tags and sends the next pass. The last receiver uncomputes and
-        strips, then applies a Hadamard and measures R1. Registers are
-        named R1, R2, ... in the order they are made.
+        tags pass i with `draws.pads[i]` and sends it. The last receiver
+        uncomputes and strips, then applies a Hadamard and measures R1.
+        Registers are named R1, R2, ... in the order they are made.
         """
-        inverted, passes, last = self.inverted, self.passes, len(self.passes)
+        inverted, tagged, pads, last = self.inverted, self.tagged, draws.pads, self.passes
+        sides, perms = (sender, receiver), (draws.sender_perm, draws.receiver_perm)
+        if not self.sender_sends(0):
+            sides, perms = sides[::-1], perms[::-1]
         # Side 0 opens; side i & 1 holds R1 on turn i.
-        sides = (receiver, sender) if inverted else (sender, receiver)
         holders = (_HOLDERS[sides[0].name], _HOLDERS[sides[1].name])
-        perms = [None, None]  # the table each side binds; the sender is side 1 when inverted
-        for name in self.perms:
-            perms[(name == "sender_perm") == inverted] = getattr(draws, name).table
         state = init_basis_state([Register("R1", n, holders[0])],
                                  None if inverted else {"R1": x}, qubit_cap=channel.qubit_cap)
         state = state.apply_hadamard("R1")
@@ -436,7 +425,7 @@ class Exchange(NamedTuple):
             side = i & 1
             party = sides[side]
             if bound[side] is not None:
-                state = state.discard(bound[side], source="R1", table=perms[side])
+                state = state.discard(bound[side], source="R1", table=perms[side].table)
             if tag is not None:
                 state = state.apply_xor_oracle("R1", tag, party.strips_with.table)
                 _, state = channel.measure(state, party, tag, discard=True)
@@ -446,16 +435,16 @@ class Exchange(NamedTuple):
                 made += 1
                 bound[side] = f"R{made}"
                 state = state.extend(bound[side], n, holders[side], source="R1",
-                                     table=perms[side])
+                                     table=perms[side].table)
             if inverted and side:
                 state = state.apply_phase_flip("R1", x)
-            if passes[i] is None:
-                tag, names = None, ("R1",)
+            if not tagged:
+                names = ("R1",)
             else:
                 made += 1
                 tag = f"R{made}"
                 names = ("R1", tag)
-                state = state.extend(tag, l, holders[side], getattr(draws, passes[i][0]),
+                state = state.extend(tag, l, holders[side], pads[i],
                                      source="R1", table=party.tags_with.table)
             state = channel.send(state, names, party, sides[1 - side])
         state = state.apply_hadamard("R1")
@@ -463,12 +452,10 @@ class Exchange(NamedTuple):
         return outcome
 
 
-UNTAGGED_THREE_PASS = Exchange(P1Draws, ("sender_perm", "receiver_perm"), (None, None, None))
-TAGGED_THREE_PASS = Exchange(P2Draws, ("sender_perm", "receiver_perm"),
-                             (("first_pad", True), ("reply_pad", False), ("final_pad", True)))
-INVERTED_TWO_PASS = Exchange(P4Draws, ("receiver_perm",),
-                             (("receiver_pad", False), ("sender_pad", True)), inverted=True)
-BROADCAST = Exchange(NonintDraws, (), (("pad", True),))
+UNTAGGED_THREE_PASS = Exchange((True, True), 3)
+TAGGED_THREE_PASS = Exchange((True, True), 3, tagged=True)
+INVERTED_TWO_PASS = Exchange((False, True), 2, tagged=True, inverted=True)
+BROADCAST = Exchange((False, False), 1, tagged=True)
 
 
 class Stage(NamedTuple):
@@ -490,9 +477,9 @@ class Stage(NamedTuple):
         exchange = self.exchange
         return exchange.copies * self.bits(n, t) + (l if exchange.tagged else 0)
 
-    def tag_owner(self, senders_tag: bool) -> str:
-        """The party whose tag function lies under a pass."""
-        return self.sender if senders_tag else _PEER[self.sender]
+    def tag_owner(self, i: int) -> str:
+        """The party that sends pass i, whose tag function lies under it."""
+        return self.sender if self.exchange.sender_sends(i) else _PEER[self.sender]
 
 
 # p3 and p5 send the message, echo it back with the roles swapped, and
@@ -515,7 +502,7 @@ STAGES: dict[str, tuple[Stage, ...]] = {
 }
 
 PROTOCOL_IDS = tuple(STAGES)
-ROUND_COUNTS = {protocol: sum(len(stage.exchange.passes) for stage in stages)
+ROUND_COUNTS = {protocol: sum(stage.exchange.passes for stage in stages)
                 for protocol, stages in STAGES.items()}
 # The ids whose passes carry no tag (p1), whose stages carry the t-bit
 # MAC tag (p6), and which send, echo and send again (p3, p5).
@@ -528,7 +515,7 @@ ECHOED = frozenset(p for p, stages in STAGES.items() if len(stages) == 3)
 def round_widths(protocol: str, n: int, t: int = 0) -> tuple[int, ...]:
     """The width of the message register R1 in each round, in order."""
     return tuple(stage.bits(n, t) for stage in STAGES[protocol]
-                 for _ in stage.exchange.passes)
+                 for _ in range(stage.exchange.passes))
 
 
 def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict) -> tuple:
@@ -540,15 +527,21 @@ def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict) -> tuple:
                  for stage in STAGES[protocol])
 
 
-def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit_cap):
-    """Check a session's parameters, keys and draws, and open it.
+def _run_stages(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit_cap):
+    """Check a session's parameters, keys and draws, run its stages and
+    set its verdicts.
 
-    Returns the channel and `stage(i, message)`, which runs stage i of
-    STAGES[protocol] between the honest parties and returns the value
-    its receiver decoded. Draws left as None come from `_sample_draws`,
-    on the streams the session measures with. Each stage's draw record,
-    tag functions and permutations, and p6's MAC key, must fit the stage.
-    With no keys (p1) the parties carry no tag functions.
+    Draws left as None come from `_sample_draws`, on the streams the
+    session measures with. Each stage's draw record, tag functions and
+    permutations, and p6's MAC key, must fit the stage; with no keys (p1)
+    the parties carry no tag functions. Each party tags with its own
+    function in whichever role it plays; permutations and pads are fresh
+    every stage. A single-stage id sends x once. An ECHOED id sends x,
+    echoes back what Bob decoded with the roles swapped, and sends x
+    again: Alice accepts when the echo matches what she sent, and Bob when
+    both of his receptions agree. An AUTHENTICATED id sends x with its
+    one-time MAC tag in the low t bits, and Bob checks the tag; then he
+    echoes the tag he received, and Alice accepts when it is hers.
     """
     ProtocolParams(protocol, n, l, t, qubit_cap, snapshots=snapshots, messages=(x,))
     mac_key = getattr(keys, "mac_key", None)
@@ -560,20 +553,23 @@ def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qub
     if draws is None:
         draws = _sample_draws(protocol, n, l, t, rngs)
     stages = STAGES[protocol]
-    want = tuple(s.exchange.record for s in stages)
-    got = tuple(map(type, draws)) if isinstance(draws, tuple) else type(draws)
+    # A record's shape: whether each side binds a permutation, and its pad count.
+    want = [(*s.exchange.binds, s.exchange.passes if s.exchange.tagged else 0) for s in stages]
+    got = [(d.sender_perm is not None, d.receiver_perm is not None, len(d.pads))
+           if isinstance(d, Draws) else type(d).__name__ for d in draws] \
+        if isinstance(draws, tuple) else type(draws).__name__
     if got != want:
-        shown = [c.__name__ for c in got] if isinstance(got, tuple) else got.__name__
-        raise ProtocolError(f"{protocol} draws are a tuple of one record per stage, "
-                            f"{[c.__name__ for c in want]}, got {shown}")
+        raise ProtocolError(f"{protocol} draws are a tuple of one record per stage, Draws "
+                            f"shaped (sender binds, receiver binds, pads) {want}, got {got}")
     for s, d in zip(stages, draws):
         bits = s.bits(n, t)
-        for name in s.exchange.perms:
-            if getattr(d, name).n != bits:
-                raise ProtocolError(f"{name} has width {getattr(d, name).n}, but the "
+        for name in ("sender_perm", "receiver_perm"):
+            perm = getattr(d, name)
+            if perm is not None and perm.n != bits:
+                raise ProtocolError(f"{name} has width {perm.n}, but the "
                                     f"stage's message register has {bits}")
-        for _, senders_tag in filter(None, s.exchange.passes):
-            attr = f"{s.tag_owner(senders_tag)}_tag{s.keys}"
+        for i in range(len(d.pads)):
+            attr = f"{s.tag_owner(i)}_tag{s.keys}"
             fn = getattr(keys, attr, None)
             if fn is None or (fn.n, fn.l) != (bits, l):
                 got = "none" if fn is None else f"{fn.n}->{fn.l}"
@@ -590,24 +586,17 @@ def _open_session(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qub
         return stages[i].exchange.run(channel, message, stages[i].bits(n, t), l,
                                       sender, receiver, draws[i])
 
-    return channel, stage
-
-
-def _run_stages(protocol, x, n, l, keys, rng, draws, attack, snapshots, qubit_cap):
-    """Send x in the one stage, or send it, echo it back, send it again.
-
-    The echo stage swaps the roles; each party keeps using its own tag
-    function in whichever role it plays. Permutations and pads are fresh
-    every stage; the tag functions persist. Alice accepts when the echo
-    matches what she sent, and Bob when both of his receptions agree.
-    """
-    channel, stage = _open_session(protocol, x, n, l, 0, keys, rng, draws, attack,
-                                   snapshots, qubit_cap)
-    tr = channel.transcript
-    tr.recovered = stage(0, x)
-    if protocol in ECHOED:
-        tr.alice_accepts = stage(1, tr.recovered) == x
-        tr.bob_accepts = stage(2, x) == tr.recovered
+    if protocol in AUTHENTICATED:
+        auth_tag = mac_tag(mac_key, x, n)
+        received = stage(0, (x << t) | auth_tag)
+        tr.recovered, got_tag = received >> t, received & ((1 << t) - 1)
+        tr.mac_accepts = tr.bob_accepts = mac_verify(mac_key, tr.recovered, n, got_tag)
+        tr.alice_accepts = stage(1, got_tag) == auth_tag
+    else:
+        tr.recovered = stage(0, x)
+        if protocol in ECHOED:
+            tr.alice_accepts = stage(1, tr.recovered) == x
+            tr.bob_accepts = stage(2, x) == tr.recovered
     return tr
 
 
@@ -622,7 +611,7 @@ def run_protocol1(
     qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> Transcript:
     """Three untagged passes from Alice to Bob, with no pre-shared secret."""
-    return _run_stages("p1", x, n, 0, None, rng, draws, attack, snapshots, qubit_cap)
+    return _run_stages("p1", x, n, 0, 0, None, rng, draws, attack, snapshots, qubit_cap)
 
 
 def _stage_runner(protocol: str, name: str, doc: str):
@@ -630,7 +619,7 @@ def _stage_runner(protocol: str, name: str, doc: str):
 
     def runner(x: int, n: int, l: int, keys: SharedKeys, *, rng=None, draws=None, attack=None,
                snapshots: bool = True, qubit_cap: int = DEFAULT_QUBIT_CAP) -> Transcript:
-        return _run_stages(protocol, x, n, l, keys, rng, draws, attack, snapshots, qubit_cap)
+        return _run_stages(protocol, x, n, l, 0, keys, rng, draws, attack, snapshots, qubit_cap)
 
     runner.__name__ = runner.__qualname__ = name
     runner.__doc__ = doc
@@ -676,21 +665,7 @@ def run_protocol6(
     the one-time key. Stage two returns the tag he received through a
     second exchange; Alice accepts when it equals the tag she computed.
     """
-    channel, stage = _open_session("p6", x, n, l, t, keys, rng, draws, attack,
-                                   snapshots, qubit_cap)
-    tr = channel.transcript
-
-    auth_tag = mac_tag(keys.mac_key, x, n)
-    received = stage(0, (x << t) | auth_tag)
-    got_message = received >> t
-    got_tag = received & ((1 << t) - 1)
-    tr.mac_accepts = mac_verify(keys.mac_key, got_message, n, got_tag)
-
-    echoed = stage(1, got_tag)
-    tr.recovered = got_message
-    tr.alice_accepts = echoed == auth_tag
-    tr.bob_accepts = tr.mac_accepts
-    return tr
+    return _run_stages("p6", x, n, l, t, keys, rng, draws, attack, snapshots, qubit_cap)
 
 
 def run_session(protocol: str, x: int, n: int, l: int, t: int, keys, **kw) -> Transcript:
@@ -726,7 +701,7 @@ def noninteractive_view(
     """
     ProtocolParams("nonint", n, l, qubit_cap=qubit_cap, snapshots=True, messages=(x,))
     blank = BooleanFunction(n, l, (0,) * (1 << n))
-    (view,) = eve_average_view(Transcript("nonint", n, l, 0, x, draws=(NonintDraws(0),)), (1,),
+    (view,) = eve_average_view(Transcript("nonint", n, l, 0, x, draws=(Draws(pads=(0,)),)), (1,),
                                keys=SharedKeys(blank, blank), average_over=("pads", "keys"),
                                enum_limit=enum_limit, qubit_cap=qubit_cap)
     return view.rho
@@ -748,22 +723,22 @@ class EveView:
 
 
 def _round_secrets(protocol: str, round_index: int):
-    """Which pad field and which party's tag function a round carries.
+    """Which pad and which party's tag function a round carries.
 
-    Returns (stage_index, pad_field_name, tag_owner, tag_attr) where
-    tag_attr is the SharedKeys attribute name for the carried tag.
+    Returns (stage_index, pass_index, tag_owner, tag_attr): the round's
+    pad is `draws[stage_index].pads[pass_index]`, and tag_attr is the
+    SharedKeys attribute name for the carried tag.
     """
     rounds = ROUND_COUNTS[protocol]
     if not 1 <= round_index <= rounds:
         raise ValueError(f"{protocol} has rounds 1..{rounds}, got {round_index}")
-    passes = [(index, stage, pad) for index, stage in enumerate(STAGES[protocol])
-              for pad in stage.exchange.passes]
-    index, stage, carried = passes[round_index - 1]
-    if carried is None:
+    passes = [(index, stage, i) for index, stage in enumerate(STAGES[protocol])
+              for i in range(stage.exchange.passes)]
+    index, stage, i = passes[round_index - 1]
+    if not stage.exchange.tagged:
         raise ValueError("the untagged protocol has no secrets to average over")
-    field_name, senders_tag = carried
-    owner = stage.tag_owner(senders_tag)
-    return index, field_name, owner, f"{owner}_tag{stage.keys}"
+    owner = stage.tag_owner(i)
+    return index, i, owner, f"{owner}_tag{stage.keys}"
 
 
 def eve_average_view(
@@ -808,14 +783,14 @@ def eve_average_view(
     l = transcript.l
     plans = []
     for r in wanted:
-        stage, pad_field, _, tag_attr = _round_secrets(protocol, r)
+        stage, pad, _, tag_attr = _round_secrets(protocol, r)
         if keys is None:
             raise ValueError("keyed protocols need the session keys to average")
         base_fn: BooleanFunction = getattr(keys, tag_attr)
         check_enumeration(kinds, base_fn.n, l, enum_limit)
-        averaged = tuple(label for kind, label in (("pads", f"{pad_field}[stage {stage}]"),
+        averaged = tuple(label for kind, label in (("pads", f"pads[{pad}][stage {stage}]"),
                                                    ("keys", tag_attr)) if kind in kinds)
-        plans.append((r, getattr(transcript.draws[stage], pad_field), base_fn, averaged))
+        plans.append((r, transcript.draws[stage].pads[pad], base_fn, averaged))
 
     redo = run_session(
         protocol, transcript.message, transcript.n, l, transcript.t, keys,

@@ -207,9 +207,16 @@ def test_unused_fields_and_large_averages_exit_two(tmp_path, capsys):
         (("--protocol", "p1", "--n", "2", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("--protocol", "p2", "--n", "2", "--l", "1", "--attack", "phase:x=1,passes=9"),
          "p2 has rounds 1..3, the attack names pass 9"),
+        (("--protocol", "nonint", "--n", "18", "--l", "1", "--no-snapshots"),
+         "n=18 is 18 bits, above the 16-bit truth-table cap"),
     ):
         assert run_cli("run", *argv, "--out", str(out)) == 2
         assert message in capsys.readouterr().err
+    # A function table wider than the cap is refused before any entry is drawn.
+    for n in ("17", "40"):
+        assert run_cli("tables", "sample", "--kind", "func", "--n", n, "--l", "1",
+                       "--out", str(out)) == 2
+        assert f"function input width {n} outside 1..16" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -87,6 +87,13 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ProtocolError, match="--no-snapshots"):
         ExperimentConfig("p4", n=9, l=4, snapshots=False, average="pads")
     ExperimentConfig("p4", n=9, l=4, snapshots=False)
+    # Echo detection and the key sweep take no snapshots, so the snapshot cap spares them.
+    ExperimentConfig("p3", n=1, l=19, attack="mim", trials=2)
+    ExperimentConfig("p6", n=2, l=7, t=3, attack="phase:x=0x8,passes=2", exhaustive_keys=True,
+                     messages=(1,))
+    # Tag functions are truth tables of at most 16 input bits.
+    with pytest.raises(ProtocolError, match="n=18 is 18 bits, above the 16-bit truth-table cap"):
+        ExperimentConfig("nonint", n=18, l=1, snapshots=False)
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         ExperimentConfig("p1", n=2, seed=-1)
     with pytest.raises(ConfigError, match="include_matrices .* needs snapshots on"):

@@ -36,10 +36,7 @@ from qnokey.protocols import (
     Channel,
     TAGGED_THREE_PASS,
     UNTAGGED_THREE_PASS,
-    NonintDraws,
-    P1Draws,
-    P2Draws,
-    P4Draws,
+    Draws,
     Party,
     ProtocolError,
     ProtocolParams,
@@ -188,24 +185,27 @@ def test_p1_per_run_snapshots_are_exactly_mixed():
                 assert ok and dev < 1e-10
 
 
-def test_p2_per_run_snapshots_are_tag_graphs():
+@pytest.mark.parametrize("protocol", ["p2", "p3", "p4", "p5", "p6", "two-round"])
+def test_per_run_snapshots_are_tag_graphs(protocol):
     # Round k in transit: R1 entangled with a kept bijection of itself,
     # so the channel state is diagonal, uniform over the graph of the
-    # padded tag map active that round.
-    n, l = 2, 2
-    tr, keys = seeded_session("p2", 3, n, l, seed=7)
-    (d,) = tr.draws
-    graphs = [
-        (keys.alice_tag, d.first_pad),
-        (keys.bob_tag, d.reply_pad),
-        (keys.alice_tag, d.final_pad),
-    ]
-    for r, (fn, pad) in enumerate(graphs, start=1):
-        expect = np.zeros((1 << (n + l), 1 << (n + l)), dtype=np.complex128)
-        for m in range(1 << n):
-            idx = (m << l) | (fn.table[m] ^ pad)
-            expect[idx, idx] = 1 / (1 << n)
-        assert np.allclose(tr.snapshot(r).matrix, expect, atol=1e-12)
+    # padded tag map active that round. The tag is the sender's own, read
+    # here from the transcript, under that pass's pad.
+    n, l, t = 2, 2, 1 if protocol == "p6" else 0
+    rounds = [(stage, i) for stage, s in enumerate(STAGES[protocol])
+              for i in range(s.exchange.passes)]
+    for seed in range(4):
+        tr, keys = seeded_session(protocol, 1, n, l, t, seed=seed)
+        assert len(tr.transmissions) == len(rounds)
+        for tx, (stage, i) in zip(tr.transmissions, rounds):
+            s = STAGES[protocol][stage]
+            fn = getattr(keys, f"{tx.sender}_tag{s.keys}")
+            pad, width = tr.draws[stage].pads[i], s.bits(n, t)
+            expect = np.zeros((1 << (width + l), 1 << (width + l)), dtype=np.complex128)
+            for m in range(1 << width):
+                idx = (m << l) | (fn.table[m] ^ pad)
+                expect[idx, idx] = 1 / (1 << width)
+            assert np.allclose(tx.snapshot.matrix, expect, atol=1e-12), (seed, tx.round_index)
 
 
 def test_p2_per_run_snapshot_is_not_maximally_mixed():
@@ -213,19 +213,6 @@ def test_p2_per_run_snapshot_is_not_maximally_mixed():
     ok, dev = is_maximally_mixed(tr.snapshot(1))
     assert not ok
     assert dev >= 1 / 8  # a diagonal graph state sits far from I/2^(n+l)
-
-
-def test_p4_per_run_snapshots_are_tag_graphs():
-    n, l = 2, 2
-    tr, keys = seeded_session("p4", 2, n, l, seed=11)
-    (d,) = tr.draws
-    graphs = [(keys.bob_tag, d.receiver_pad), (keys.alice_tag, d.sender_pad)]
-    for r, (fn, pad) in enumerate(graphs, start=1):
-        expect = np.zeros((1 << (n + l), 1 << (n + l)), dtype=np.complex128)
-        for m in range(1 << n):
-            idx = (m << l) | (fn.table[m] ^ pad)
-            expect[idx, idx] = 1 / (1 << n)
-        assert np.allclose(tr.snapshot(r).matrix, expect, atol=1e-12)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_IDS)
@@ -265,7 +252,7 @@ def test_uncomputed_registers_are_dropped_without_the_xor_oracle(protocol, monke
         return xor(state, *args, **kwargs)
 
     monkeypatch.setattr(CompositeState, "apply_xor_oracle", counted)
-    strips = sum(p is not None for stage in STAGES[protocol] for p in stage.exchange.passes)
+    strips = sum(stage.exchange.passes for stage in STAGES[protocol] if stage.exchange.tagged)
     for spec in ("none", "passive", "measure", "phase:x=1"):
         for seed in range(3):
             calls.clear()
@@ -341,14 +328,16 @@ def test_average_rejects_unknown_kind_and_limits():
 def rerun_average(tr, round_index, keys, kinds):
     """Reference mixture: re-run the honest session once per enumerated
     secret with that secret substituted, and average the snapshots."""
-    stage, pad_field, _, tag_attr = _round_secrets(tr.protocol, round_index)
+    stage, i, _, tag_attr = _round_secrets(tr.protocol, round_index)
     stages = list(tr.draws)
     base_fn = getattr(keys, tag_attr)
-    pads = range(1 << tr.l) if "pads" in kinds else [getattr(stages[stage], pad_field)]
+    pads = range(1 << tr.l) if "pads" in kinds else [stages[stage].pads[i]]
     fns = list(enumerate_functions(base_fn.n, base_fn.l)) if "keys" in kinds else [base_fn]
     total = None
     for pad, fn in itertools.product(pads, fns):
-        stages[stage] = replace(stages[stage], **{pad_field: pad})
+        stage_pads = list(stages[stage].pads)
+        stage_pads[i] = pad
+        stages[stage] = replace(stages[stage], pads=tuple(stage_pads))
         redo = run_session(tr.protocol, tr.message, tr.n, tr.l, tr.t,
                            replace(keys, **{tag_attr: fn}), rng=0, draws=tuple(stages))
         snap = redo.snapshot(round_index).matrix
@@ -488,23 +477,24 @@ def _reference_draws(exchange, n, l, sender_rng, receiver_rng):
     """Each exchange's draws written out by hand, in the order its secrets
     are drawn: the permutations, then each pass's pad from its owner."""
     if exchange is UNTAGGED_THREE_PASS:
-        return P1Draws(sample_permutation(n, sender_rng), sample_permutation(n, receiver_rng))
+        return Draws(sample_permutation(n, sender_rng), sample_permutation(n, receiver_rng))
     if exchange is TAGGED_THREE_PASS:
-        return P2Draws(
+        return Draws(
             sender_perm=sample_permutation(n, sender_rng),
             receiver_perm=sample_permutation(n, receiver_rng),
-            first_pad=sample_pad(l, sender_rng).value,
-            reply_pad=sample_pad(l, receiver_rng).value,
-            final_pad=sample_pad(l, sender_rng).value,
+            pads=(sample_pad(l, sender_rng).value,
+                  sample_pad(l, receiver_rng).value,
+                  sample_pad(l, sender_rng).value),
         )
     if exchange is INVERTED_TWO_PASS:
-        return P4Draws(
+        return Draws(
+            sender_perm=None,
             receiver_perm=sample_permutation(n, receiver_rng),
-            receiver_pad=sample_pad(l, receiver_rng).value,
-            sender_pad=sample_pad(l, sender_rng).value,
+            pads=(sample_pad(l, receiver_rng).value,
+                  sample_pad(l, sender_rng).value),
         )
     assert exchange is BROADCAST
-    return NonintDraws(sample_pad(l, sender_rng).value)
+    return Draws(None, None, (sample_pad(l, sender_rng).value,))
 
 
 def test_exchange_sample_matches_the_reference_samplers(monkeypatch):
@@ -580,19 +570,19 @@ def _reference_tagged_three_pass(channel, x, n, l, sender, receiver, draws):
     state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
     state = state.extend("R2", n, sh, source="R1", table=draws.sender_perm.table)
-    state = state.extend("R3", l, sh, draws.first_pad, source="R1", table=sender.tags_with.table)
+    state = state.extend("R3", l, sh, draws.pads[0], source="R1", table=sender.tags_with.table)
     state = channel.send(state, ("R1", "R3"), sender, receiver)
 
     state = state.apply_xor_oracle("R1", "R3", receiver.strips_with.table)
     _, state = channel.measure(state, receiver, "R3", discard=True)
     state = state.extend("R4", n, rh, source="R1", table=draws.receiver_perm.table)
-    state = state.extend("R5", l, rh, draws.reply_pad, source="R1", table=receiver.tags_with.table)
+    state = state.extend("R5", l, rh, draws.pads[1], source="R1", table=receiver.tags_with.table)
     state = channel.send(state, ("R1", "R5"), receiver, sender)
 
     state = state.discard("R2", source="R1", table=draws.sender_perm.table)
     state = state.apply_xor_oracle("R1", "R5", sender.strips_with.table)
     _, state = channel.measure(state, sender, "R5", discard=True)
-    state = state.extend("R6", l, sh, draws.final_pad, source="R1", table=sender.tags_with.table)
+    state = state.extend("R6", l, sh, draws.pads[2], source="R1", table=sender.tags_with.table)
     state = channel.send(state, ("R1", "R6"), sender, receiver)
 
     state = state.discard("R4", source="R1", table=draws.receiver_perm.table)
@@ -608,14 +598,14 @@ def _reference_inverted_two_pass(channel, x, n, l, sender, receiver, draws):
     state = init_basis_state([Register("R1", n, rh)], None, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
     state = state.extend("R2", n, rh, source="R1", table=draws.receiver_perm.table)
-    state = state.extend("R3", l, rh, draws.receiver_pad, source="R1",
+    state = state.extend("R3", l, rh, draws.pads[0], source="R1",
                          table=receiver.tags_with.table)
     state = channel.send(state, ("R1", "R3"), receiver, sender)
 
     state = state.apply_xor_oracle("R1", "R3", sender.strips_with.table)
     _, state = channel.measure(state, sender, "R3", discard=True)
     state = state.apply_phase_flip("R1", x)
-    state = state.extend("R4", l, sh, draws.sender_pad, source="R1", table=sender.tags_with.table)
+    state = state.extend("R4", l, sh, draws.pads[1], source="R1", table=sender.tags_with.table)
     state = channel.send(state, ("R1", "R4"), sender, receiver)
 
     # The one order that differs from Exchange.run: strip, then uncompute.
@@ -631,7 +621,7 @@ def _reference_broadcast(channel, x, n, l, sender, receiver, draws):
     sh = Holder(sender.name)
     state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
-    state = state.extend("R2", l, sh, draws.pad, source="R1", table=sender.tags_with.table)
+    state = state.extend("R2", l, sh, draws.pads[0], source="R1", table=sender.tags_with.table)
     state = channel.send(state, ("R1", "R2"), sender, receiver)
 
     state = state.apply_xor_oracle("R1", "R2", receiver.strips_with.table)
@@ -678,7 +668,8 @@ def _observed_exchange(run, exchange, n, l, spec, seed, eve_sends):
     )
 
 
-@pytest.mark.parametrize("exchange", list(REFERENCE_RUNS), ids=lambda e: e.record.__name__)
+@pytest.mark.parametrize("exchange", list(REFERENCE_RUNS),
+                         ids=lambda e: REFERENCE_RUNS[e].__name__.removeprefix("_reference_"))
 def test_exchange_run_matches_the_reference_runners(exchange):
     exchanges = {stage.exchange for stages in STAGES.values() for stage in stages}
     assert exchanges == set(REFERENCE_RUNS)
