@@ -5,6 +5,8 @@ hook, `on_transmission`, that the runners invoke while the registers
 sit on the channel; they receive an explicit random stream and an event
 log and return the (possibly modified) state. Whole-session strategies,
 like the full impersonation procedures, drive their own protocol runs.
+`ATTACK_KINDS` declares each kind once, as its class and the options
+`parse_attack` reads for it.
 
 Every result produced here certifies exactly the strategies implemented
 in this module, nothing stronger.
@@ -41,9 +43,6 @@ class Attack:
     ) -> CompositeState:
         return state
 
-    def describe(self) -> str:
-        return self.kind
-
 
 @dataclass
 class PhaseAttack(Attack):
@@ -67,10 +66,6 @@ class PhaseAttack(Attack):
                        "register": "R1", "mask": self.mask})
         return state.apply_phase_flip("R1", self.mask)
 
-    def describe(self) -> str:
-        passes = "all" if self.passes is None else ",".join(map(str, sorted(self.passes)))
-        return f"phase:x={self.mask:#x},passes={passes}"
-
 
 @dataclass
 class MeasureResendAttack(Attack):
@@ -89,10 +84,6 @@ class MeasureResendAttack(Attack):
                            "register": name, "outcome": outcome})
         return state
 
-    def describe(self) -> str:
-        passes = "all" if self.passes is None else ",".join(map(str, sorted(self.passes)))
-        return f"measure:passes={passes}"
-
 
 @dataclass
 class PassiveAttack(Attack):
@@ -109,67 +100,6 @@ class PassiveAttack(Attack):
                        "registers": list(names)})
         return state
 
-    def describe(self) -> str:
-        return "passive"
-
-
-def parse_attack(spec: str | None) -> Attack | None:
-    """Parse the CLI mini-language for attack strategies.
-
-    Grammar: "none", "passive", "mim", "phase:x=<int>[,passes=a,b,..]",
-    "measure[:passes=a,b,...]".  Integers accept 0x prefixes.  "mim" is
-    handled by the experiment drivers, not as an in-transit hook, and
-    parses to the marker returned here.
-    """
-    if spec is None or spec == "" or spec == "none":
-        return None
-    head, _, rest = spec.partition(":")
-    options: dict[str, str] = {}
-    if rest:
-        for token in rest.split(","):
-            key, eq, value = token.partition("=")
-            if not eq:
-                # bare continuation of a passes list: "passes=1,2,3"
-                if "passes" in options:
-                    options["passes"] += "," + key
-                    continue
-                raise AttackSpecError(f"malformed attack option {token!r} in {spec!r}")
-            if key in options:
-                raise AttackSpecError(f"repeated option {key!r} in {spec!r}")
-            options[key] = value
-    def parse_passes() -> frozenset[int] | None:
-        raw = options.pop("passes", None)
-        if raw is None or raw == "all":
-            return None
-        try:
-            passes = frozenset(int(v, 0) for v in raw.split(",") if v)
-        except ValueError as exc:
-            raise AttackSpecError(f"bad passes list {raw!r} in {spec!r}") from exc
-        if not passes:
-            raise AttackSpecError(f"empty passes list in {spec!r}")
-        return passes
-
-    if head == "passive":
-        attack = PassiveAttack()
-    elif head == "phase":
-        raw_mask = options.pop("x", None)
-        if raw_mask is None:
-            raise AttackSpecError(f"phase attack needs x=<mask> in {spec!r}")
-        try:
-            mask = int(raw_mask, 0)
-        except ValueError as exc:
-            raise AttackSpecError(f"bad mask {raw_mask!r} in {spec!r}") from exc
-        attack = PhaseAttack(mask, parse_passes())
-    elif head == "measure":
-        attack = MeasureResendAttack(parse_passes())
-    elif head == "mim":
-        attack = MimMarker()
-    else:
-        raise AttackSpecError(f"unknown attack kind {head!r} in {spec!r}")
-    if options:
-        raise AttackSpecError(f"unknown options {sorted(options)} in {spec!r}")
-    return attack
-
 
 @dataclass
 class MimMarker(Attack):
@@ -178,12 +108,70 @@ class MimMarker(Attack):
     kind = "mim"
 
     def on_transmission(self, state, round_index, names, rng, events):
-        raise AttackSpecError(
-            "mim is a whole-session strategy; use the impersonation drivers"
-        )
+        raise AttackSpecError("mim is a whole-session strategy; use the impersonation experiments")
 
-    def describe(self) -> str:
-        return "mim"
+
+# Each attack kind's class and the options it takes. An option may be
+# left out when its field has a default, which makes it a class attribute.
+ATTACK_KINDS = {
+    "passive": (PassiveAttack, ()),
+    "mim": (MimMarker, ()),
+    "phase": (PhaseAttack, ("x", "passes")),
+    "measure": (MeasureResendAttack, ("passes",)),
+}
+# Each option's field and the reader of its entries. Only a list option
+# has more than one entry.
+OPTIONS = {"x": ("mask", lambda v: int(v[0], 0)),
+           "passes": ("passes", lambda v: None if v == ["all"] else frozenset(int(p, 0) for p in v))}
+LIST_OPTIONS = {"passes"}
+
+
+def parse_attack(spec: str | None) -> Attack | None:
+    """Parse the CLI mini-language for attack strategies.
+
+    Grammar: "none", or a kind of `ATTACK_KINDS` with its options:
+    "passive", "mim", "phase:x=<int>[,passes=a,b,..]",
+    "measure[:passes=a,b,...]". Integers accept 0x prefixes, and
+    "passes=all" means every pass. A list option runs to the next
+    option: each bare value after it is one more entry, and an empty
+    entry is refused. "mim" is handled by the experiment runners, not as
+    an in-transit hook, and parses to the marker returned here.
+    """
+    if spec is None or spec == "" or spec == "none":
+        return None
+    head, _, rest = spec.partition(":")
+    if head not in ATTACK_KINDS:
+        raise AttackSpecError(f"unknown attack kind {head!r} in {spec!r}")
+    cls, takes = ATTACK_KINDS[head]
+    key, given = None, {}  # the option a bare value would continue; each option's entries
+    for token in rest.split(",") if rest else ():
+        name, eq, value = token.partition("=")
+        if eq:
+            if name in given:
+                raise AttackSpecError(f"repeated option {name!r} in {spec!r}")
+            key, given[name] = name, []
+        elif key in LIST_OPTIONS:
+            value = token
+        else:
+            raise AttackSpecError(f"malformed attack option {token!r} in {spec!r}: "
+                                  f"a bare value continues only a list option")
+        if key in LIST_OPTIONS and not value:
+            raise AttackSpecError(f"empty {key} list entry in {spec!r}")
+        given[key].append(value)
+    unknown = sorted(set(given) - set(takes))
+    if unknown:
+        raise AttackSpecError(f"unknown options {unknown} in {spec!r}")
+    kwargs = {}
+    for name in takes:
+        field, read = OPTIONS[name]
+        if name in given:
+            try:
+                kwargs[field] = read(given[name])
+            except ValueError as exc:
+                raise AttackSpecError(f"bad {field} {','.join(given[name])!r} in {spec!r}") from exc
+        elif not hasattr(cls, field):
+            raise AttackSpecError(f"{head} attack needs {name}=<{field}> in {spec!r}")
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +206,7 @@ def mim_full_impersonation(
     her choice. Both halves are deterministic honest runs; only the
     pairing is dishonest.
     """
-    eve_rng, session_rng = party_streams(rng if rng is not None else 0, 2)
+    eve_rng, session_rng = party_streams(rng, 2)
     toward_eve = proto.run_protocol1(x, n, rng=session_rng, snapshots=snapshots,
                                      qubit_cap=qubit_cap)
     toward_bob = proto.run_protocol1(x_eve, n, rng=eve_rng, snapshots=snapshots,
@@ -264,7 +252,7 @@ def impersonate_echo_stage(
     if protocol not in proto.ECHOED:
         raise ValueError(f"echo impersonation targets {' or '.join(sorted(proto.ECHOED))}, "
                          f"not {protocol!r}")
-    root = make_rng(rng if rng is not None else 0)
+    root = make_rng(rng)
     stage1_rng, eve_rng, alice_rng = root.spawn(3)
 
     # Stage one, honest parties, Eve measuring on the line: the first
@@ -327,7 +315,7 @@ def echo_detection_experiment(
     """
     if trials < 1:
         raise ValueError(f"echo detection needs trials >= 1, got {trials}")
-    root = make_rng(rng if rng is not None else 0)
+    root = make_rng(rng)
     rejections = 0
     for _ in range(trials):
         key_rng, msg_rng, trial_rng = root.spawn(3)
@@ -376,19 +364,16 @@ def passive_snapshot(
     if not messages:
         raise ValueError("passive_snapshot needs at least one message")
     t = keys.mac_key.t if (keys is not None and keys.mac_key is not None) else 0
-    base = proto.run_session(protocol, messages[0], n, l, t, keys,
-                             rng=rng if rng is not None else 0,
-                             attack=PassiveAttack(), snapshots=True, qubit_cap=qubit_cap)
-    rounds = proto.ROUND_COUNTS[protocol]
+    draws = proto.sample_draws(protocol, n, l, t, rng)
     views: dict[int, list[DensityMatrix]] = {}
     for x in messages:
-        redo = proto.run_session(protocol, x, n, l, t, keys, rng=0, draws=base.draws,
-                                 attack=PassiveAttack(), snapshots=True,
-                                 qubit_cap=qubit_cap)
-        if averaged:
-            views[x] = [view.rho for view in proto.eve_average_view(redo, keys=keys)]
+        if averaged:  # eve_average_view reruns the session honestly from its draws
+            seen = proto.Transcript(protocol, n, l, t, x, draws=draws)
+            views[x] = [v.rho for v in proto.eve_average_view(seen, keys=keys, qubit_cap=qubit_cap)]
         else:
-            views[x] = [redo.snapshot(r) for r in range(1, rounds + 1)]
+            redo = proto.run_session(protocol, x, n, l, t, keys, draws=draws, attack=PassiveAttack(),
+                                     snapshots=True, qubit_cap=qubit_cap)
+            views[x] = [tx.snapshot for tx in redo.transmissions]
     distances = {(x, y, r): d for x, y, r, d in pairwise_distances(messages, views)}
     return PassiveComparison(protocol, tuple(messages), views, distances)
 

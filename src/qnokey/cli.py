@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, default=1)
     run.add_argument("--attack", default=None,
                      help="none | passive | mim | phase:x=<int>[,passes=..] "
-                          "| measure[:passes=..]")
+                          "| measure[:passes=..]; a pass list ends at the next option")
     run.add_argument("--snapshots", action=argparse.BooleanOptionalAction,
                      default=True, help="record per-round channel snapshots")
     run.add_argument("--average", choices=("none", "pads", "pads+keys"), default="none")

@@ -35,10 +35,10 @@ class EnumerationLimitError(ValueError):
 
 
 def make_rng(seed) -> np.random.Generator:
-    """PCG64 stream from a seed, passing Generators through unchanged."""
+    """PCG64 stream from a seed (None means 0), passing Generators through unchanged."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(0 if seed is None else seed)))
 
 
 def party_streams(rng, count: int) -> list[np.random.Generator]:

@@ -297,7 +297,7 @@ def sample_draws(protocol: str, n: int, l: int, t: int, rng):
     the same sampler, so passing the result back in via `draws=`
     reproduces the session the same seed would have produced.
     """
-    alice_rng, bob_rng, _ = party_streams(rng if rng is not None else 0, 3)
+    alice_rng, bob_rng, _ = party_streams(rng, 3)
     return _sample_draws(protocol, n, l, t, {ALICE: alice_rng, BOB: bob_rng})
 
 
@@ -548,7 +548,7 @@ def _run_stages(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit
     if protocol in AUTHENTICATED and getattr(mac_key, "t", None) != t:
         raise ProtocolError(f"{protocol} needs a one-time authentication key of width t={t}, "
                             f"got {'none' if mac_key is None else mac_key.t}")
-    alice_rng, bob_rng, eve_rng = party_streams(rng if rng is not None else 0, 3)
+    alice_rng, bob_rng, eve_rng = party_streams(rng, 3)
     rngs = {ALICE: alice_rng, BOB: bob_rng}
     if draws is None:
         draws = _sample_draws(protocol, n, l, t, rngs)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnokey.adversary import (
+    ATTACK_KINDS,
+    Attack,
     AttackSpecError,
     MeasureResendAttack,
     MimMarker,
@@ -23,6 +26,8 @@ from qnokey.protocols import (
     run_protocol2,
     run_protocol3,
     run_protocol6,
+    run_session,
+    sample_draws,
     sample_shared_keys,
 )
 
@@ -43,7 +48,6 @@ def test_parse_none_forms():
 def test_parse_passive():
     attack = parse_attack("passive")
     assert isinstance(attack, PassiveAttack)
-    assert attack.describe() == "passive"
 
 
 def test_parse_phase_all_passes():
@@ -51,21 +55,18 @@ def test_parse_phase_all_passes():
     assert isinstance(attack, PhaseAttack)
     assert attack.mask == 3
     assert attack.passes is None
-    assert attack.describe() == "phase:x=0x3,passes=all"
 
 
 def test_parse_phase_with_pass_list():
     attack = parse_attack("phase:x=5,passes=1,3")
     assert attack.mask == 5
     assert attack.passes == frozenset({1, 3})
-    assert attack.describe() == "phase:x=0x5,passes=1,3"
 
 
 def test_parse_measure_variants():
     assert isinstance(parse_attack("measure"), MeasureResendAttack)
     attack = parse_attack("measure:passes=2")
     assert attack.passes == frozenset({2})
-    assert attack.describe() == "measure:passes=2"
 
 
 def test_parse_mim_marker():
@@ -98,6 +99,50 @@ def test_parse_rejects_malformed_strings():
         parse_attack("phase:x=1,passes=")
     with pytest.raises(AttackSpecError, match="empty passes list"):
         parse_attack("measure:passes=,")
+    # A pass list runs to the next option only, and has no empty entries.
+    with pytest.raises(AttackSpecError, match="malformed attack option '3'"):
+        parse_attack("phase:passes=1,x=5,3")
+    with pytest.raises(AttackSpecError, match="empty passes list entry"):
+        parse_attack("measure:passes=1,,3")
+    with pytest.raises(AttackSpecError, match="empty passes list entry"):
+        parse_attack("phase:x=1,passes=1,")
+
+
+SPEC_PIECES = ["phase", "measure", "passive", "mim", "none", "warp", ":", ",", "=",
+               "x", "passes", "all", "0x", "1", "3", "f", "-", " "]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(SPEC_PIECES)).map("".join)))
+def test_parse_any_text_gives_none_an_attack_or_a_refusal(spec):
+    try:
+        attack = parse_attack(spec)
+    except AttackSpecError:
+        return
+    assert attack is None or isinstance(attack, Attack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(ATTACK_KINDS)), mask=st.integers(0, 1 << 12),
+       order=st.lists(st.integers(1, 12), unique=True, max_size=4),
+       spell_all=st.booleans(), hexed=st.booleans(), passes_first=st.booleans())
+def test_parse_reads_every_declared_field(kind, mask, order, spell_all, hexed, passes_first):
+    number = hex if hexed else str
+    cls, takes = ATTACK_KINDS[kind]
+    options = {"x": f"x={number(mask)}"}
+    if order:
+        options["passes"] = "passes=" + ",".join(map(number, order))
+    elif spell_all:
+        options["passes"] = "passes=all"
+    chosen = [options[o] for o in takes if o in options]
+    if passes_first:
+        chosen.reverse()
+    attack = parse_attack(kind + (":" + ",".join(chosen) if chosen else ""))
+    assert type(attack) is cls
+    if "x" in takes:
+        assert attack.mask == mask
+    if "passes" in takes:
+        assert attack.passes == (frozenset(order) if order else None)
 
 
 # -- phase flips in transit ----------------------------------------------------------
@@ -327,6 +372,22 @@ def test_passive_snapshot_separates_tag_graphs_per_run():
     keys = keys_for("p2", 2, 1, seed=8)
     comp = passive_snapshot("p2", [0, 1], 2, 1, keys, averaged=False)
     assert max(comp.distances.values()) <= 1e-12
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2", "p3", "p6", "nonint"])
+def test_passive_snapshot_views_come_from_the_sampled_draws(protocol):
+    n, l, t = 2, 1, 2 if protocol == "p6" else 0
+    keys = None if protocol == "p1" else keys_for(protocol, n, l, t, seed=3)
+    draws = sample_draws(protocol, n, l, t, make_rng(5))
+    for averaged in (False, True) if keys is not None else (False,):
+        comp = passive_snapshot(protocol, [0, 3], n, l, keys, rng=make_rng(5),
+                                averaged=averaged)
+        for x in (0, 3):
+            tr = run_session(protocol, x, n, l, t, keys, draws=draws, snapshots=True)
+            want = [view.rho for view in eve_average_view(tr, keys=keys)] if averaged else \
+                [tr.snapshot(r) for r in range(1, tr.rounds + 1)]
+            assert [v.matrix.tobytes() for v in comp.views[x]] == \
+                [v.matrix.tobytes() for v in want]
 
 
 def test_eve_average_view_matches_passive_averaged():

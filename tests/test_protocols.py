@@ -447,6 +447,13 @@ def test_sample_draws_mirrors_runner_streams():
             [m.outcome for m in b.measurements]
 
 
+def test_no_seed_means_seed_zero():
+    # Every sampler reads rng=None as seed 0, as the runners always have.
+    assert sample_shared_keys("p2", 2, 1, 0, None) == sample_shared_keys("p2", 2, 1, 0, 0)
+    assert sample_draws("p3", 2, 1, 0, None) == sample_draws("p3", 2, 1, 0, 0)
+    assert run_protocol1(3, 2).draws == run_protocol1(3, 2, rng=0).draws
+
+
 def test_p1_draw_width_validated():
     draws = sample_draws("p1", 3, 0, 0, make_rng(0))
     with pytest.raises(ProtocolError, match="width"):
