@@ -30,16 +30,16 @@ from .protocols import (PROTOCOL_IDS, ROUND_COUNTS, EveView, ProtocolError,
                         run_protocol5, run_protocol6, run_session,
                         run_two_round, sample_draws, sample_shared_keys)
 from .qstate import (ATOL_DENSITY, ATOL_SCALAR, ATOL_STATE, DEFAULT_QUBIT_CAP,
-                     CompositeState, DensityMatrix, EntangledRegisterError,
-                     Holder, Register, RegisterError, hermitian_eigenvalues,
-                     init_basis_state, is_maximally_mixed, trace_distance)
+                     CompositeState, EntangledRegisterError, Holder, Register,
+                     RegisterError, hermitian_eigenvalues, init_basis_state,
+                     is_maximally_mixed, trace_distance)
 
 __all__ = [
     "ATOL_DENSITY", "ATOL_SCALAR", "ATOL_STATE", "DEFAULT_ENUM_LIMIT",
     "DEFAULT_QUBIT_CAP", "PROTOCOL_IDS", "REDUCTION_POLYS",
     "REPORT_FORMAT_VERSION", "ROUND_COUNTS",
     "AttackSpecError", "BooleanFunction", "BooleanPermutation",
-    "CompositeState", "ConfigError", "DensityMatrix", "DetectionStats",
+    "CompositeState", "ConfigError", "DetectionStats",
     "EntangledRegisterError", "EnumerationLimitError", "EveView",
     "ExperimentConfig", "ExperimentReport", "Holder", "ImpersonationTrial",
     "MacKey", "MeasureResendAttack", "MimMarker", "MimOutcome", "Pad",

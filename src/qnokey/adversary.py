@@ -21,7 +21,7 @@ import numpy as np
 
 from . import protocols as proto
 from .oracles import make_rng, party_streams, sample_function
-from .qstate import DEFAULT_QUBIT_CAP, CompositeState, DensityMatrix, trace_distance
+from .qstate import DEFAULT_QUBIT_CAP, CompositeState, trace_distance
 
 
 class AttackSpecError(ValueError):
@@ -339,7 +339,7 @@ class PassiveComparison:
 
     protocol: str
     messages: tuple[int, ...]
-    views: dict  # message -> list[DensityMatrix], one per round
+    views: dict  # message -> list of density matrices, one per round
     distances: dict  # (x, y, round_index) -> float
 
 
@@ -365,7 +365,7 @@ def passive_snapshot(
         raise ValueError("passive_snapshot needs at least one message")
     t = keys.mac_key.t if (keys is not None and keys.mac_key is not None) else 0
     draws = proto.sample_draws(protocol, n, l, t, rng)
-    views: dict[int, list[DensityMatrix]] = {}
+    views: dict[int, list[np.ndarray]] = {}
     for x in messages:
         if averaged:  # eve_average_view reruns the session honestly from its draws
             seen = proto.Transcript(protocol, n, l, t, x, draws=draws)
@@ -378,7 +378,7 @@ def passive_snapshot(
     return PassiveComparison(protocol, tuple(messages), views, distances)
 
 
-def pairwise_distances(messages: Sequence[int], views: dict[int, Sequence[DensityMatrix]]):
+def pairwise_distances(messages: Sequence[int], views: dict[int, Sequence[np.ndarray]]):
     """Yield (x, y, round, trace distance) between the views of each pair
     of messages, x before y in `messages`' order, then round by round."""
     for i, x in enumerate(messages):

@@ -143,15 +143,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    out_dir = Path(args.out_dir) if args.out_dir else _output_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     widths = [int(v) for v in args.n.split(",")]
     tags = [int(v) for v in args.l.split(",")]
-    failures = 0
     for protocol in protocols:
         if protocol not in PROTOCOL_IDS:
             raise ConfigError(f"unknown protocol {protocol!r}")
+    out_dir = Path(args.out_dir) if args.out_dir else _output_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    failures = 0
+    for protocol in protocols:
         for n in widths:
             for l in [0] if protocol in UNTAGGED else tags:
                 try:

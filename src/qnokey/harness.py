@@ -32,7 +32,8 @@ from . import adversary, protocols as proto
 from .auth import MacKey
 from .oracles import DEFAULT_ENUM_LIMIT, BooleanPermutation, make_rng, read_table
 from .protocols import ConfigError
-from .qstate import ATOL_DENSITY, ATOL_SCALAR, DEFAULT_QUBIT_CAP, DensityMatrix, is_maximally_mixed
+from .qstate import (ATOL_DENSITY, ATOL_SCALAR, DEFAULT_QUBIT_CAP, hermitian_eigenvalues,
+                     is_maximally_mixed)
 
 REPORT_FORMAT_VERSION = 1
 
@@ -231,24 +232,23 @@ def _pinned(record, pins: dict):
     return replace(record, **own) if own else record
 
 
-def encode_matrix(rho: DensityMatrix | np.ndarray) -> dict:
+def encode_matrix(rho: np.ndarray) -> dict:
     """Base64 payload: row-major entries, little-endian (re, im) doubles."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    m = np.ascontiguousarray(m, dtype=np.complex128)
+    m = np.ascontiguousarray(rho, dtype=np.complex128)
     flat = np.empty(m.size * 2, dtype="<f8")
     flat[0::2] = m.real.ravel()
     flat[1::2] = m.imag.ravel()
     return {"dim": int(m.shape[0]), "data": base64.b64encode(flat.tobytes()).decode("ascii")}
 
 
-def decode_matrix(payload: dict) -> DensityMatrix:
+def decode_matrix(payload: dict) -> np.ndarray:
     dim = int(payload["dim"])
     raw = base64.b64decode(payload["data"])
     flat = np.frombuffer(raw, dtype="<f8")
     if flat.size != dim * dim * 2:
         raise ValueError(f"payload holds {flat.size} doubles, expected {dim * dim * 2}")
     m = flat[0::2] + 1j * flat[1::2]
-    return DensityMatrix(m.reshape(dim, dim))
+    return m.reshape(dim, dim)
 
 
 def binomial_ci(successes: int, trials: int, confidence: float = 0.999) -> tuple[float, float]:
@@ -357,7 +357,7 @@ def _session_results(config: ExperimentConfig) -> dict:
         # isolate the message dependence alone.
         draws = tuple(_pinned(record, config.pins) for record in
                       proto.sample_draws(config.protocol, config.n, config.l, config.t, draw_rng))
-        trial_views: dict[int, list[DensityMatrix]] = {}
+        trial_views: dict[int, list[np.ndarray]] = {}
         for x in messages:
             tr = proto.run_session(config.protocol, x, config.n, config.l, config.t, keys,
                                    rng=run_rng, draws=draws, attack=attack,
@@ -390,9 +390,10 @@ def _session_results(config: ExperimentConfig) -> dict:
                     _, dev = is_maximally_mixed(view.rho)
                     record["deviation_from_mixed"] = max(record["deviation_from_mixed"], dev)
                     if exploratory:
-                        view_defect = max(view_defect, view.rho.hermiticity_defect(),
-                                          abs(view.rho.trace() - 1.0),
-                                          -view.rho.min_eigenvalue())
+                        rho = view.rho
+                        view_defect = max(view_defect, float(np.max(np.abs(rho - rho.conj().T))),
+                                          abs(float(np.trace(rho).real) - 1.0),
+                                          -float(hermitian_eigenvalues(rho)[0]))
                 trial_views[x] = [view.rho for view in views]
             recovered = recovered and tr.recovered == x and \
                 False not in (tr.alice_accepts, tr.bob_accepts, tr.mac_accepts)

@@ -75,7 +75,6 @@ from .oracles import (
 from .qstate import (
     DEFAULT_QUBIT_CAP,
     CompositeState,
-    DensityMatrix,
     Holder,
     Register,
     init_basis_state,
@@ -236,7 +235,7 @@ class Transmission:
     sender: str
     receiver: str
     registers: tuple[tuple[str, int], ...]
-    snapshot: DensityMatrix | None = None
+    snapshot: np.ndarray | None = None
 
 
 @dataclass
@@ -269,7 +268,7 @@ class Transcript:
     def rounds(self) -> int:
         return len(self.transmissions)
 
-    def snapshot(self, round_index: int) -> DensityMatrix:
+    def snapshot(self, round_index: int) -> np.ndarray:
         for tx in self.transmissions:
             if tx.round_index == round_index:
                 if tx.snapshot is None:
@@ -691,7 +690,7 @@ def noninteractive_view(
     l: int,
     enum_limit: int = DEFAULT_ENUM_LIMIT,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> DensityMatrix:
+) -> np.ndarray:
     """Exact channel state of the one-shot broadcast, all keys averaged.
 
     Averages the broadcast over every tag function and pad, so the
@@ -716,7 +715,7 @@ def noninteractive_view(
 class EveView:
     """Channel state at one round, averaged over enumerated secrets."""
 
-    rho: DensityMatrix
+    rho: np.ndarray
     round_index: int
     averaged_over: tuple[str, ...]
     runs: int
@@ -801,7 +800,7 @@ def eve_average_view(
         pad_values = range(1 << l) if "pads" in kinds else [base_pad]
         fn_values = list(enumerate_functions(base_fn.n, base_fn.l, enum_limit)) \
             if "keys" in kinds else [base_fn]
-        rho = redo.snapshot(r).matrix
+        rho = redo.snapshot(r)
         # The snapshot holds the message register R1 first and the tag last.
         (_, width), (_, tag_width) = redo.transmissions[r - 1].registers
         rows = (np.arange(1 << width) << tag_width)[:, None]
@@ -814,5 +813,5 @@ def eve_average_view(
             snap = rho[np.ix_(sigma, sigma)]
             rho_sum = snap if rho_sum is None else rho_sum + snap
         runs = len(pad_values) * len(fn_values)
-        views.append(EveView(DensityMatrix(rho_sum / runs), r, averaged, runs))
+        views.append(EveView(rho_sum / runs, r, averaged, runs))
     return tuple(views)

@@ -20,10 +20,9 @@ one float's square per entry, as for most channel states the protocols
 send (every gate here keeps the amplitudes real); any other state takes
 the dense Gram product. Both give the same bits.
 
-Density matrices produced here are plain dense arrays wrapped in a thin
-type that knows how to validate itself (Hermitian, unit trace, spectrum
-bounded below).  Every spectrum, for validation and for trace
-distances, comes from numpy's `eigvalsh`.
+Density matrices are plain complex128 arrays. Every spectrum, for trace
+distances and for the harness's validity checks, comes from numpy's
+`eigvalsh`.
 """
 
 from __future__ import annotations
@@ -401,7 +400,7 @@ class CompositeState:
 
     # -- density matrices -----------------------------------------------
 
-    def reduced_density_matrix(self, keep: Iterable[str]) -> "DensityMatrix":
+    def reduced_density_matrix(self, keep: Iterable[str]) -> np.ndarray:
         """Partial trace down to the registers in `keep`.
 
         Kept registers appear in layout order, most significant first,
@@ -450,9 +449,9 @@ class CompositeState:
                 # depend on which sessions ran before.
                 rho = np.full((keep_dim, keep_dim), 0.0, dtype=np.complex128)
                 rho[rows, rows] = v * v
-                return DensityMatrix(rho)
+                return rho
         mat = amps.reshape(shape).transpose(order).reshape(keep_dim, traced_dim)
-        return DensityMatrix(mat @ mat.conj().T)
+        return mat @ mat.conj().T
 
 
 def _oracle_offsets(
@@ -558,59 +557,13 @@ def init_basis_state(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Dense density matrix with self-checks.
-
-    Invariants (within ATOL_DENSITY): Hermitian, trace one, eigenvalues
-    bounded below by -ATOL_DENSITY.  `validate` enforces them; plain
-    construction does not, so intermediate arithmetic stays cheap.
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(hermitian_eigenvalues(self.matrix)[0])
-
-    def validate(self, tol: float = ATOL_DENSITY) -> "DensityMatrix":
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        defect = self.hermiticity_defect()
-        if defect > tol:
-            raise ValueError(f"hermiticity defect {defect} exceeds {tol}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > tol:
-            raise ValueError(f"trace {tr} differs from 1 beyond {tol}")
-        low = self.min_eigenvalue()
-        if low < -tol:
-            raise ValueError(f"eigenvalue {low} below -{tol}")
-        return self
-
-
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=np.complex128)
-
-
 def hermitian_eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, by LAPACK's `eigvalsh`.
 
     `eigvalsh` reads only the lower triangle, so a non-square or
     non-Hermitian input is refused here instead of silently answered.
     """
-    a = np.asarray(_as_matrix(matrix), dtype=np.complex128)
+    a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
     defect = float(np.max(np.abs(a - a.conj().T)))
@@ -626,7 +579,7 @@ def trace_distance(a, b) -> float:
     their raw bytes before subtracting, so swapping the arguments runs
     the identical computation.
     """
-    ma, mb = _as_matrix(a), _as_matrix(b)
+    ma, mb = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
     if ma.tobytes() > mb.tobytes():
@@ -637,7 +590,7 @@ def trace_distance(a, b) -> float:
 
 def is_maximally_mixed(rho, tol: float = ATOL_DENSITY) -> tuple[bool, float]:
     """Compare against I/dim elementwise; always reports the deviation."""
-    m = _as_matrix(rho)
+    m = np.asarray(rho, dtype=np.complex128)
     dim = m.shape[0]
     gap = np.abs(m)
     np.fill_diagonal(gap, np.abs(np.diagonal(m) - 1 / dim))

@@ -281,7 +281,7 @@ def test_c09_one_shot_broadcast_regression_values():
         got = trace_distance(views[x], views[y])
         worst = max(worst, abs(got - want))
     diag_dev = max(
-        float(np.max(np.abs(views[x].matrix.diagonal() - 1 / 8))) for x in views
+        float(np.max(np.abs(views[x].diagonal() - 1 / 8))) for x in views
     )
     ok = worst <= 1e-12 and diag_dev <= 1e-12
     _verdict(9, "one-shot broadcast distances match frozen regression values",
@@ -308,7 +308,7 @@ def test_c10_reductions_match_brute_force():
         state = sample_state()
         keep = [0] if rng.random() < 0.5 else [1]
         names = [layout[i][0] for i in keep]
-        got = state.reduced_density_matrix(names).matrix
+        got = state.reduced_density_matrix(names)
         want = _brute_partial_trace(state.amplitudes, [cut, total - cut], keep)
         worst_rdm = max(worst_rdm, float(np.max(np.abs(got - want))))
 
@@ -316,7 +316,7 @@ def test_c10_reductions_match_brute_force():
         rho_a = state.reduced_density_matrix(names)
         rho_b = other.reduced_density_matrix(names)
         got_d = trace_distance(rho_a, rho_b)
-        want_d = _brute_trace_distance(rho_a.matrix, rho_b.matrix)
+        want_d = _brute_trace_distance(rho_a, rho_b)
         worst_dist = max(worst_dist, abs(got_d - want_d))
         checked += 1
     ok = worst_rdm <= 1e-12 and worst_dist <= 1e-12

@@ -182,8 +182,7 @@ def test_phase_attack_leaves_snapshots_unchanged():
     attacked = run_protocol2(1, 2, 2, keys, rng=make_rng(11),
                              attack=PhaseAttack(3))
     for r in (1, 2, 3):
-        assert np.allclose(honest.snapshot(r).matrix,
-                           attacked.snapshot(r).matrix, atol=1e-12)
+        assert np.allclose(honest.snapshot(r), attacked.snapshot(r), atol=1e-12)
 
 
 def test_zero_mask_phase_attack_is_invisible():
@@ -339,7 +338,7 @@ def test_passive_attack_perturbs_nothing():
     assert [m.outcome for m in watched.measurements] == \
         [m.outcome for m in honest.measurements]
     for r in (1, 2, 3):
-        assert np.array_equal(honest.snapshot(r).matrix, watched.snapshot(r).matrix)
+        assert np.array_equal(honest.snapshot(r), watched.snapshot(r))
     assert len(watched.attack_events) == 3
 
 
@@ -386,8 +385,8 @@ def test_passive_snapshot_views_come_from_the_sampled_draws(protocol):
             tr = run_session(protocol, x, n, l, t, keys, draws=draws, snapshots=True)
             want = [view.rho for view in eve_average_view(tr, keys=keys)] if averaged else \
                 [tr.snapshot(r) for r in range(1, tr.rounds + 1)]
-            assert [v.matrix.tobytes() for v in comp.views[x]] == \
-                [v.matrix.tobytes() for v in want]
+            assert [v.tobytes() for v in comp.views[x]] == \
+                [v.tobytes() for v in want]
 
 
 def test_eve_average_view_matches_passive_averaged():
@@ -395,4 +394,4 @@ def test_eve_average_view_matches_passive_averaged():
     comp = passive_snapshot("p2", [1], 2, 1, keys, rng=make_rng(24), averaged=True)
     tr = run_protocol2(1, 2, 1, keys, rng=make_rng(24), attack=PassiveAttack())
     view = eve_average_view(tr, (1,), keys=keys)[0]
-    assert np.allclose(comp.views[1][0].matrix, view.rho.matrix, atol=1e-12)
+    assert np.allclose(comp.views[1][0], view.rho, atol=1e-12)

@@ -304,6 +304,34 @@ def test_cross_width_forgery_bound_t3():
                 assert forgery_fraction(3, x, x2, delta, 3, width_forged=2) <= bound
 
 
+def _oracle_tag(t, a, b, message, width):
+    """Tag by Horner over the field oracle, with the blocks encoded here."""
+    nblocks = -(-width // t)
+    padbits = nblocks * t - width
+    padded = message << padbits
+    blocks = [padbits] + [(padded >> (t * i)) & ((1 << t) - 1) for i in reversed(range(nblocks))]
+    acc = 0
+    for y in blocks:
+        acc = field_mul_oracle(t, acc ^ y, a)
+    return acc ^ b
+
+
+def test_forgery_fraction_equals_full_key_square_oracle():
+    # The count over a alone must give the float of the count over every
+    # key (a, b), for every forgery at t <= 3, across widths as well.
+    for t in (1, 2, 3):
+        for width_forged in sorted({t, 2}):
+            for x, x2, delta in product(range(1 << t), range(1 << width_forged), range(1 << t)):
+                if x == x2 and width_forged == t and delta == 0:
+                    continue
+                hits = sum(_oracle_tag(t, a, b, x2, width_forged) ==
+                           _oracle_tag(t, a, b, x, t) ^ delta
+                           for a in range(1 << t) for b in range(1 << t))
+                want = hits / 2 ** (2 * t)
+                assert forgery_fraction(t, x, x2, delta, t, width_forged=width_forged) == want, \
+                    (t, x, x2, delta, width_forged)
+
+
 def test_null_forgery_rejected():
     with pytest.raises(ValueError, match="forgery"):
         forgery_fraction(3, 5, 5, 0, 3)

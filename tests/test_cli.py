@@ -239,6 +239,17 @@ def test_sweep_rejects_unknown_protocol(tmp_path, capsys):
     assert rc == 2
 
 
+def test_sweep_checks_every_id_and_width_before_running(tmp_path):
+    # A bad id or width anywhere in the lists is refused before any report.
+    for i, (protocols, n, l) in enumerate([("p1,p9", "1", "1"), ("p1", "1,x", "1"),
+                                           ("p1,p2", "1", "1,")]):
+        out_dir = tmp_path / str(i)
+        rc = run_cli("sweep", "--protocols", protocols, "--n", n, "--l", l,
+                     "--out-dir", str(out_dir))
+        assert rc == 2
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "entry.json"
     # The child imports the same qnokey as this process, whether it is

@@ -156,8 +156,9 @@ def test_matrix_payload_round_trip_is_exact():
     for dim in (1, 2, 4, 8):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         out = decode_matrix(encode_matrix(m))
-        assert out.matrix.shape == (dim, dim)
-        assert np.array_equal(out.matrix, m)
+        assert type(out) is np.ndarray and out.dtype == np.complex128
+        assert out.shape == (dim, dim)
+        assert np.array_equal(out, m)
 
 
 def test_matrix_payload_size_checked():
@@ -243,7 +244,7 @@ def test_include_matrices_embeds_decodable_snapshots():
     snaps = report.body["results"]["runs"][0]["snapshots"]
     assert len(snaps) == 2
     rho = decode_matrix(snaps[0])
-    assert rho.matrix.shape == (8, 8)
+    assert rho.shape == (8, 8)
     assert abs(rho.trace() - 1.0) <= 1e-12
 
 
@@ -348,7 +349,7 @@ def test_pinned_run_snapshot_follows_the_pinned_tag(tmp_path):
                               sa_file=str(sa_path), include_matrices=True)
     report = run_experiment(config)
     diag = decode_matrix(report.body["results"]["runs"][0]["snapshots"][0]) \
-        .matrix.diagonal().real
+        .diagonal().real
     support = {}
     for m in range(1 << n):
         cols = [a for a in range(1 << l) if diag[(m << l) | a] > 1e-12]

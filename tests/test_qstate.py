@@ -19,7 +19,6 @@ from qnokey.qstate import (
     ATOL_SCALAR,
     ATOL_STATE,
     CompositeState,
-    DensityMatrix,
     EntangledRegisterError,
     Holder,
     Register,
@@ -408,7 +407,7 @@ def test_fused_forms_refuse_to_drop_the_last_register():
 def test_keep_all_registers_gives_rank_one_projector():
     rng = np.random.default_rng(21)
     state = random_state(rng, [("R1", 2), ("R2", 1)])
-    rho = state.reduced_density_matrix(["R1", "R2"]).matrix
+    rho = state.reduced_density_matrix(["R1", "R2"])
     expect = np.outer(state.amplitudes, state.amplitudes.conj())
     assert np.allclose(rho, expect, atol=1e-12)
 
@@ -443,7 +442,7 @@ def test_reduced_density_matrix_matches_brute_force():
         keep_count = int(rng.integers(1, 4))
         keep = sorted(rng.choice(3, size=keep_count, replace=False).tolist())
         names = [layout[i][0] for i in keep]
-        got = state.reduced_density_matrix(names).matrix
+        got = state.reduced_density_matrix(names)
         expect = brute_partial_trace(state.amplitudes, widths, keep)
         assert np.allclose(got, expect, atol=1e-12)
 
@@ -451,7 +450,7 @@ def test_reduced_density_matrix_matches_brute_force():
 def test_partial_trace_iterated_in_any_order_agrees():
     rng = np.random.default_rng(88)
     state = random_state(rng, [("R1", 2), ("R2", 1), ("R3", 2)])
-    direct = state.reduced_density_matrix(["R2"]).matrix
+    direct = state.reduced_density_matrix(["R2"])
     # same reduction through the brute-force oracle, one register at a time
     step1 = brute_partial_trace(state.amplitudes, [2, 1, 2], [0, 1])
     # step1 is a matrix, not a vector: re-trace via eigen-decomposition mixture
@@ -469,7 +468,7 @@ def test_partial_trace_reads_float_and_strided_amplitudes():
     regs = (Register("R1", 1, A), Register("R2", 1, A))
     for amps in (np.array([0.0, 1.0, 0.0, 0.0]),
                  np.array([0, 9, 1, 9, 0, 9, 0, 9], dtype=np.complex128)[::2]):
-        got = CompositeState(regs, amps).reduced_density_matrix(["R2"]).matrix
+        got = CompositeState(regs, amps).reduced_density_matrix(["R2"])
         assert np.array_equal(got, [[0, 0], [0, 1]])
 
 
@@ -479,18 +478,7 @@ def test_empty_keep_set_rejected():
         state.reduced_density_matrix([])
 
 
-# -- density matrix invariants and eigen solver --------------------------------
-
-
-def test_density_matrix_validate_accepts_proper_state():
-    rho = DensityMatrix(np.eye(4, dtype=np.complex128) / 4)
-    assert rho.validate() is rho
-    assert abs(rho.trace() - 1.0) <= 1e-15
-
-
-def test_density_matrix_validate_rejects_bad_trace():
-    with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(np.eye(4, dtype=np.complex128)).validate()
+# -- eigen solver --------------------------------------------------------------
 
 
 def test_eigenvalues_match_singular_values_and_trace():
@@ -512,6 +500,10 @@ def test_eigenvalues_of_diagonal_and_zero_and_refusals():
     assert np.allclose(hermitian_eigenvalues(np.zeros((3, 3))), np.zeros(3))
     d = np.diag([3.0, -1.0, 2.0]).astype(np.complex128)
     assert np.allclose(hermitian_eigenvalues(d), [-1.0, 2.0, 3.0], atol=1e-14)
+    # Any array-like is read as a complex matrix: a nested list, a float array.
+    assert np.array_equal(hermitian_eigenvalues([[3.0, 0.0], [0.0, -1.0]]), [-1.0, 3.0])
+    assert np.allclose(hermitian_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])), [1.0, 3.0],
+                       atol=1e-14)
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigenvalues(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
@@ -524,7 +516,7 @@ def test_eigenvalues_of_diagonal_and_zero_and_refusals():
 def _pure(vec):
     v = np.asarray(vec, dtype=np.complex128)
     v = v / np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
 def test_trace_distance_identical_states_is_zero():
@@ -537,8 +529,11 @@ def test_trace_distance_orthogonal_pure_states_is_one():
 
 
 def test_trace_distance_mixed_vs_pure_half():
-    rho = DensityMatrix(np.eye(2, dtype=np.complex128) / 2)
+    rho = np.eye(2, dtype=np.complex128) / 2
     assert abs(trace_distance(rho, _pure([1, 0])) - 0.5) <= 1e-12
+    # A nested list and a float array give the bits of their complex form.
+    want = trace_distance(rho, np.diag([1, 0]).astype(np.complex128))
+    assert trace_distance([[0.5, 0.0], [0.0, 0.5]], np.diag([1.0, 0.0])) == want
 
 
 def test_trace_distance_dimension_mismatch_rejected():
@@ -556,7 +551,7 @@ def test_trace_distance_matches_brute_force():
         b = b @ b.conj().T
         a /= np.trace(a).real
         b /= np.trace(b).real
-        got = trace_distance(DensityMatrix(a), DensityMatrix(b))
+        got = trace_distance(a, b)
         assert abs(got - brute_trace_distance(a, b)) <= 1e-12
 
 
@@ -566,7 +561,7 @@ def test_trace_distance_is_a_metric_on_random_triples():
     def rand_dm(dim):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = m @ m.conj().T
-        return DensityMatrix(m / np.trace(m).real)
+        return m / np.trace(m).real
 
     for _ in range(100):
         dim = int(rng.choice([2, 4]))
@@ -582,8 +577,11 @@ def test_trace_distance_is_a_metric_on_random_triples():
 
 
 def test_is_maximally_mixed_on_identity_quarter():
-    ok, dev = is_maximally_mixed(DensityMatrix(np.eye(4, dtype=np.complex128) / 4))
+    ok, dev = is_maximally_mixed(np.eye(4, dtype=np.complex128) / 4)
     assert ok and dev == 0.0
+    assert is_maximally_mixed(np.eye(4) / 4) == (True, 0.0)
+    assert is_maximally_mixed([[0.5, 0.0], [0.0, 0.5]]) == (True, 0.0)
+    assert is_maximally_mixed([[1.0, 0.0], [0.0, 0.0]]) == (False, 0.5)
 
 
 def test_is_maximally_mixed_rejects_pure_state():
@@ -601,7 +599,7 @@ def test_is_maximally_mixed_deviation_equals_identity_difference():
             noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             m = np.eye(dim) / dim + scale * (noise + noise.conj().T)
             expect = float(np.max(np.abs(m - np.eye(dim) / dim)))
-            ok, dev = is_maximally_mixed(DensityMatrix(m))
+            ok, dev = is_maximally_mixed(m)
             assert dev == expect
             assert ok == (expect <= ATOL_DENSITY)
 
@@ -923,7 +921,7 @@ def test_reduced_density_matrix_matches_dense_gram_bit_for_bit(widths, data):
         regs = candidate.names()
         for count in range(1, len(regs) + 1):
             for keep in itertools.combinations(regs, count):
-                got = candidate.reduced_density_matrix(keep).matrix
+                got = candidate.reduced_density_matrix(keep)
                 assert same_bits(got, dense_gram(candidate, keep)), (regs, keep)
                 branches.add(is_partial_permutation(candidate, keep))
     # The dense vector is never a partial permutation; the collapsed
