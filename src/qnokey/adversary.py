@@ -85,6 +85,14 @@ class MeasureResendAttack(Attack):
         return state
 
 
+class _InterceptAttack(MeasureResendAttack):
+    """Measure a pass in transit, then keep it: the session stops there."""
+
+    def on_transmission(self, state, round_index, names, rng, events):
+        super().on_transmission(state, round_index, names, rng, events)
+        return None
+
+
 @dataclass
 class PassiveAttack(Attack):
     """Record what crosses the channel; never perturb it.
@@ -242,12 +250,13 @@ def impersonate_echo_stage(
 ) -> ImpersonationTrial:
     """Eve hijacks the echo stage without the shared tag functions.
 
-    Stage one runs honestly except that Eve measures everything in
-    transit (gaining only scrambled values). She then plays the echo
-    stage's sending role toward Alice, echoing her best guess with
-    self-made substitute tag functions. Alice runs her honest side and
-    applies her usual echo verdict. The guess can only be uniform: every
-    stage-one snapshot Eve measured is independent of x.
+    Stage one runs honestly until Eve intercepts and measures its first
+    pass, gaining only scrambled values. She then plays the echo stage's
+    sending role toward Alice, echoing her guess with self-made substitute
+    tag functions; Alice runs her honest side and applies her usual echo
+    verdict. The guess can only be uniform, as that pass is independent of
+    x, and each trial equals, bit for bit, the one where Eve measures every
+    pass of a finished stage one.
     """
     if protocol not in proto.ECHOED:
         raise ValueError(f"echo impersonation targets {' or '.join(sorted(proto.ECHOED))}, "
@@ -255,17 +264,16 @@ def impersonate_echo_stage(
     root = make_rng(rng)
     stage1_rng, eve_rng, alice_rng = root.spawn(3)
 
-    # Stage one, honest parties, Eve measuring on the line: the first
-    # single-stage protocol that is the echoed protocol's first stage.
+    # Stage one, honest parties, Eve intercepting the first pass: the
+    # first single-stage protocol that is the echoed protocol's first stage.
     first = next(p for p, stages in proto.STAGES.items() if stages == proto.STAGES[protocol][:1])
     stage1 = proto.run_session(first, x, n, l, 0, keys, rng=stage1_rng,
-                               attack=MeasureResendAttack(), snapshots=False,
+                               attack=_InterceptAttack(), snapshots=False,
                                qubit_cap=qubit_cap)
 
     # Eve's guess: the message-register value she measured first. It is
     # uniform, so her success floor is 2**-n regardless of the tap.
-    guess = next(ev["outcome"] for ev in stage1.attack_events
-                 if ev.get("register") == "R1")
+    guess = stage1.attack_events[0]["outcome"]
 
     # The echo stage with Eve in Bob's seat. Alice runs her genuine side,
     # stripping with the real shared functions; on Eve's fake tags that

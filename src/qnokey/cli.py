@@ -38,13 +38,11 @@ def _output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
-def _parse_messages(raw: str | None) -> tuple[int, ...] | None:
-    if raw is None or raw == "all":
-        return None
+def _int_list(raw: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(v, 0) for v in raw.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad message list {raw!r}") from exc
+        raise ConfigError(f"bad {what} {raw!r}") from exc
 
 
 def _report_name(config: ExperimentConfig) -> str:
@@ -125,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     # Every config field but messages has a flag of the same name.
-    config = ExperimentConfig(messages=_parse_messages(args.x),
+    messages = None if args.x in (None, "all") else _int_list(args.x, "--x message list")
+    config = ExperimentConfig(messages=messages,
                               **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                                  if f.name != "messages"})
     report = run_experiment(config)
@@ -144,8 +143,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    widths = [int(v) for v in args.n.split(",")]
-    tags = [int(v) for v in args.l.split(",")]
+    widths = _int_list(args.n, "--n width list")
+    tags = _int_list(args.l, "--l tag width list")
     for protocol in protocols:
         if protocol not in PROTOCOL_IDS:
             raise ConfigError(f"unknown protocol {protocol!r}")

@@ -328,26 +328,24 @@ class Channel(NamedTuple):
     qubit_cap: int
 
     def send(self, state: CompositeState, names: tuple[str, ...],
-             sender: Party, receiver: Party) -> CompositeState:
+             sender: Party, receiver: Party) -> CompositeState | None:
         """Move registers across the channel, applying any interposition.
 
-        Rounds are numbered in the order they are sent. The snapshot
-        records the state actually travelling toward the receiver, i.e.
-        after the adversary touched it.
+        Rounds are numbered in the order sent; the snapshot is of the state
+        after the adversary touched it. An attack that returns None keeps
+        the pass: it is logged with no snapshot, and send returns None.
         """
         tr = self.transcript
         round_index = len(tr.transmissions) + 1
+        regs = tuple((name, state.register(name).width) for name in names)
         if self.attack is not None:
             state = self.attack.on_transmission(state, round_index, names, self.eve_rng,
                                                 tr.attack_events)
-        snap = None
-        if self.snapshots:
-            snap = state.reduced_density_matrix(names)
-        regs = tuple((name, state.register(name).width) for name in names)
+        snap = None if state is None or not self.snapshots else state.reduced_density_matrix(names)
         tr.transmissions.append(
             Transmission(round_index, sender.name, receiver.name, regs, snap)
         )
-        return state.with_holder(names, _HOLDERS[receiver.name])
+        return None if state is None else state.with_holder(names, _HOLDERS[receiver.name])
 
     def measure(self, state: CompositeState, party: Party, name: str, *,
                 discard: bool = False):
@@ -396,9 +394,9 @@ class Exchange(NamedTuple):
         return Draws(*perms, pads)
 
     def run(self, channel: Channel, x: int, n: int, l: int, sender: Party,
-            receiver: Party, draws: Draws) -> int:
+            receiver: Party, draws: Draws) -> int | None:
         """Run the exchange on `draws` and return the value its receiver
-        decodes.
+        decodes, or None when an attack intercepted a pass.
 
         The opener (the sender, or the receiver when inverted) makes R1 as
         |x> (|0> when inverted) and applies a Hadamard. Then the party
@@ -446,6 +444,8 @@ class Exchange(NamedTuple):
                 state = state.extend(tag, l, holders[side], pads[i],
                                      source="R1", table=party.tags_with.table)
             state = channel.send(state, names, party, sides[1 - side])
+            if state is None:
+                return None
         state = state.apply_hadamard("R1")
         outcome, _ = channel.measure(state, party, "R1")
         return outcome
@@ -585,17 +585,25 @@ def _run_stages(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit
         return stages[i].exchange.run(channel, message, stages[i].bits(n, t), l,
                                       sender, receiver, draws[i])
 
+    # A stage returns None when an attack cut it: no later stage runs, and
+    # the decode and every verdict stay None.
     if protocol in AUTHENTICATED:
         auth_tag = mac_tag(mac_key, x, n)
         received = stage(0, (x << t) | auth_tag)
-        tr.recovered, got_tag = received >> t, received & ((1 << t) - 1)
-        tr.mac_accepts = tr.bob_accepts = mac_verify(mac_key, tr.recovered, n, got_tag)
-        tr.alice_accepts = stage(1, got_tag) == auth_tag
-    else:
-        tr.recovered = stage(0, x)
-        if protocol in ECHOED:
-            tr.alice_accepts = stage(1, tr.recovered) == x
-            tr.bob_accepts = stage(2, x) == tr.recovered
+        echoed = None if received is None else stage(1, received & ((1 << t) - 1))
+        if echoed is not None:
+            tr.recovered, got_tag = received >> t, received & ((1 << t) - 1)
+            tr.mac_accepts = tr.bob_accepts = mac_verify(mac_key, tr.recovered, n, got_tag)
+            tr.alice_accepts = echoed == auth_tag
+        return tr
+    recovered = stage(0, x)
+    if protocol in ECHOED and recovered is not None:
+        echoed = stage(1, recovered)
+        again = None if echoed is None else stage(2, x)
+        if again is None:
+            return tr
+        tr.alice_accepts, tr.bob_accepts = echoed == x, again == recovered
+    tr.recovered = recovered
     return tr
 
 

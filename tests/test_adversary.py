@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qnokey import adversary
 from qnokey.adversary import (
     ATTACK_KINDS,
     Attack,
     AttackSpecError,
+    ImpersonationTrial,
     MeasureResendAttack,
     MimMarker,
     PassiveAttack,
@@ -19,8 +21,15 @@ from qnokey.adversary import (
     passive_snapshot,
 )
 from qnokey.auth import mac_tag, mac_verify
-from qnokey.oracles import make_rng
+from qnokey.oracles import make_rng, sample_function
 from qnokey.protocols import (
+    ALICE,
+    EVE,
+    ROUND_COUNTS,
+    STAGES,
+    Channel,
+    Party,
+    Transcript,
     eve_average_view,
     run_protocol1,
     run_protocol2,
@@ -30,6 +39,7 @@ from qnokey.protocols import (
     sample_draws,
     sample_shared_keys,
 )
+from qnokey.qstate import DEFAULT_QUBIT_CAP
 
 
 def keys_for(protocol, n, l, t=0, seed=0):
@@ -307,6 +317,50 @@ def test_impersonation_is_reproducible():
     a = impersonate_echo_stage("p5", 1, 2, 1, keys, rng=make_rng(20))
     b = impersonate_echo_stage("p5", 1, 2, 1, keys, rng=make_rng(20))
     assert a == b
+
+
+def full_stage_one_hijack(protocol, x, n, l, keys, seed):
+    """The hijack with stage one run to its end under a measure-every-pass
+    Eve, who guesses the first R1 outcome she saw; then the echo stage."""
+    stage1_rng, eve_rng, alice_rng = make_rng(seed).spawn(3)
+    first = {"p3": "p2", "p5": "p4"}[protocol]
+    stage1 = run_session(first, x, n, l, 0, keys, rng=stage1_rng,
+                         attack=MeasureResendAttack(), snapshots=False)
+    assert stage1.rounds == ROUND_COUNTS[first] and stage1.recovered is not None
+    guess = next(ev["outcome"] for ev in stage1.attack_events if ev["register"] == "R1")
+    fake_tag, fake_strip = sample_function(n, l, eve_rng), sample_function(n, l, eve_rng)
+    exchange = STAGES[protocol][1].exchange
+    eve = Party(EVE, eve_rng, fake_tag, fake_strip)
+    alice = Party(ALICE, alice_rng, keys.alice_tag, keys.bob_tag)
+    draws = exchange.sample(n, l, eve_rng, alice_rng)
+    channel = Channel(Transcript(protocol, n, l, 0, guess), None, None, False, DEFAULT_QUBIT_CAP)
+    echo = exchange.run(channel, guess, n, l, eve, alice, draws)
+    return ImpersonationTrial(protocol, x, guess, echo, alice_accepts=(echo == x))
+
+
+@pytest.mark.parametrize("protocol", ["p3", "p5"])
+def test_hijack_cut_at_the_first_tap_equals_the_full_stage_one(protocol, monkeypatch):
+    # Stopping stage one once Eve has tapped its first pass changes no
+    # trial: her guess and the echo stage's streams are the same.
+    stage_ones = []
+    real_run_session = adversary.proto.run_session
+
+    def recording(*args, **kw):
+        stage_ones.append(real_run_session(*args, **kw))
+        return stage_ones[-1]
+
+    monkeypatch.setattr(adversary.proto, "run_session", recording)
+    for n in (1, 2, 3):
+        for l in range(1, n + 1):
+            for seed in range(100):
+                rng = make_rng([seed, n, l])
+                keys = sample_shared_keys(protocol, n, l, 0, rng)
+                x = int(rng.integers(1 << n))
+                assert impersonate_echo_stage(protocol, x, n, l, keys, rng=seed) == \
+                    full_stage_one_hijack(protocol, x, n, l, keys, seed), (n, l, seed)
+                # The hijack's own stage one ended at the first pass (the
+                # reference calls this module's run_session, left unpatched).
+                assert stage_ones[-1].rounds == 1 and stage_ones[-1].recovered is None
 
 
 @pytest.mark.parametrize("protocol", ["p3", "p5"])

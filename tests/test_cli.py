@@ -87,6 +87,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "error:" in err and "cap is 11" in err
     rc = run_cli("run", "--protocol", "p1", "--n", "2", "--x", "1,zz")
     assert rc == 2
+    assert "bad --x message list '1,zz'" in capsys.readouterr().err
     rc = run_cli("run", "--protocol", "p1", "--n", "2", "--attack", "warp")
     assert rc == 2
 
@@ -239,14 +240,18 @@ def test_sweep_rejects_unknown_protocol(tmp_path, capsys):
     assert rc == 2
 
 
-def test_sweep_checks_every_id_and_width_before_running(tmp_path):
-    # A bad id or width anywhere in the lists is refused before any report.
-    for i, (protocols, n, l) in enumerate([("p1,p9", "1", "1"), ("p1", "1,x", "1"),
-                                           ("p1,p2", "1", "1,")]):
+def test_sweep_checks_every_id_and_width_before_running(tmp_path, capsys):
+    # A bad id or width anywhere in the lists is refused before any report,
+    # with a message naming the option and the list.
+    for i, (protocols, n, l, why) in enumerate([
+            ("p1,p9", "1", "1", "unknown protocol 'p9'"),
+            ("p1", "1,x", "1", "bad --n width list '1,x'"),
+            ("p1,p2", "1", "1,", "bad --l tag width list '1,'")]):
         out_dir = tmp_path / str(i)
         rc = run_cli("sweep", "--protocols", protocols, "--n", n, "--l", l,
                      "--out-dir", str(out_dir))
         assert rc == 2
+        assert why in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qnokey import adversary
-from qnokey.adversary import PhaseAttack, parse_attack
+from qnokey.adversary import Attack, PhaseAttack, parse_attack
 from qnokey.oracles import (
     EnumerationLimitError,
     enumerate_functions,
@@ -534,6 +534,30 @@ def test_exchange_sample_matches_the_reference_samplers(monkeypatch):
         keys = sample_shared_keys(protocol, 2, 1, 0, make_rng(1))
         adversary.impersonate_echo_stage(protocol, 1, 2, 1, keys, rng=make_rng(2))
     assert ran == ["p2", "p4"]
+
+
+class CutAt(Attack):
+    """Keep the pass of round `cut`; let every other pass through."""
+
+    def __init__(self, cut):
+        self.cut = cut
+
+    def on_transmission(self, state, round_index, names, rng, events):
+        return None if round_index == self.cut else state
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+def test_a_cut_pass_ends_the_session_with_no_decode_or_verdict(protocol):
+    t = 1 if protocol == "p6" else 0
+    for cut in range(1, ROUND_COUNTS[protocol] + 1):
+        for snapshots in (False, True):
+            tr, _ = seeded_session(protocol, 1, 2, 1, t, seed=cut, attack=CutAt(cut),
+                                   snapshots=snapshots)
+            assert [tx.round_index for tx in tr.transmissions] == list(range(1, cut + 1))
+            assert tr.transmissions[-1].snapshot is None
+            assert all((tx.snapshot is not None) == snapshots for tx in tr.transmissions[:-1])
+            assert (tr.recovered, tr.alice_accepts, tr.bob_accepts, tr.mac_accepts) == \
+                (None, None, None, None), (cut, snapshots)
 
 
 @pytest.mark.parametrize("protocol", [p for p in PROTOCOL_IDS if p != "p1"])
