@@ -18,19 +18,19 @@ from .harness import (REPORT_FORMAT_VERSION, ConfigError, ExperimentConfig,
                       encode_matrix, run_experiment, shipped_experiments,
                       verify_report)
 from .oracles import (DEFAULT_ENUM_LIMIT, BooleanFunction, BooleanPermutation,
-                      EnumerationLimitError, Pad, count_functions,
+                      EnumerationLimitError, count_functions,
                       enumerate_functions, enumerate_pads, load_table,
                       make_rng, party_streams, read_table, sample_function,
                       sample_pad, sample_permutation, save_table)
 from .protocols import (PROTOCOL_IDS, ROUND_COUNTS, EveView, ProtocolError,
-                        ProtocolParams, SharedKeys, Transcript,
+                        SharedKeys, Transcript, check_session,
                         eve_average_view, noninteractive_view,
                         peak_live_width, run_noninteractive, run_protocol1,
                         run_protocol2, run_protocol3, run_protocol4,
                         run_protocol5, run_protocol6, run_session,
                         run_two_round, sample_draws, sample_shared_keys)
 from .qstate import (ATOL_DENSITY, ATOL_SCALAR, ATOL_STATE, DEFAULT_QUBIT_CAP,
-                     CompositeState, EntangledRegisterError, Holder, Register,
+                     CompositeState, EntangledRegisterError, Register,
                      RegisterError, hermitian_eigenvalues, init_basis_state,
                      is_maximally_mixed, trace_distance)
 
@@ -41,11 +41,11 @@ __all__ = [
     "AttackSpecError", "BooleanFunction", "BooleanPermutation",
     "CompositeState", "ConfigError", "DetectionStats",
     "EntangledRegisterError", "EnumerationLimitError", "EveView",
-    "ExperimentConfig", "ExperimentReport", "Holder", "ImpersonationTrial",
-    "MacKey", "MeasureResendAttack", "MimMarker", "MimOutcome", "Pad",
+    "ExperimentConfig", "ExperimentReport", "ImpersonationTrial",
+    "MacKey", "MeasureResendAttack", "MimMarker", "MimOutcome",
     "PassiveAttack", "PassiveComparison", "PhaseAttack", "ProtocolError",
-    "ProtocolParams", "Register", "RegisterError", "SharedKeys", "Transcript",
-    "binomial_ci", "count_functions", "decode_matrix",
+    "Register", "RegisterError", "SharedKeys", "Transcript",
+    "binomial_ci", "check_session", "count_functions", "decode_matrix",
     "echo_detection_experiment", "encode_matrix", "enumerate_functions",
     "enumerate_pads", "eve_average_view", "forgery_fraction", "gf_add",
     "gf_mul", "gf_pow", "hermitian_eigenvalues", "impersonate_echo_stage",

@@ -31,8 +31,6 @@ class AttackSpecError(ValueError):
 class Attack:
     """Base in-transit strategy: touch nothing, log nothing."""
 
-    kind = "none"
-
     def on_transmission(
         self,
         state: CompositeState,
@@ -57,8 +55,6 @@ class PhaseAttack(Attack):
     mask: int
     passes: frozenset[int] | None = None
 
-    kind = "phase"
-
     def on_transmission(self, state, round_index, names, rng, events):
         if self.passes is not None and round_index not in self.passes:
             return state
@@ -72,8 +68,6 @@ class MeasureResendAttack(Attack):
     """Measure every in-transit register, then pass the collapse on."""
 
     passes: frozenset[int] | None = None
-
-    kind = "measure"
 
     def on_transmission(self, state, round_index, names, rng, events):
         if self.passes is not None and round_index not in self.passes:
@@ -101,8 +95,6 @@ class PassiveAttack(Attack):
     the hook only notes that the round was observed.
     """
 
-    kind = "passive"
-
     def on_transmission(self, state, round_index, names, rng, events):
         events.append({"attack": "passive", "round": round_index,
                        "registers": list(names)})
@@ -112,8 +104,6 @@ class PassiveAttack(Attack):
 @dataclass
 class MimMarker(Attack):
     """Placeholder for the whole-session impersonation strategies."""
-
-    kind = "mim"
 
     def on_transmission(self, state, round_index, names, rng, events):
         raise AttackSpecError("mim is a whole-session strategy; use the impersonation experiments")
@@ -203,7 +193,6 @@ def mim_full_impersonation(
     n: int,
     *,
     rng=None,
-    snapshots: bool = False,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> MimOutcome:
     """Cut the untagged three-pass protocol into two full sessions.
@@ -215,9 +204,9 @@ def mim_full_impersonation(
     pairing is dishonest.
     """
     eve_rng, session_rng = party_streams(rng, 2)
-    toward_eve = proto.run_protocol1(x, n, rng=session_rng, snapshots=snapshots,
+    toward_eve = proto.run_protocol1(x, n, rng=session_rng, snapshots=False,
                                      qubit_cap=qubit_cap)
-    toward_bob = proto.run_protocol1(x_eve, n, rng=eve_rng, snapshots=snapshots,
+    toward_bob = proto.run_protocol1(x_eve, n, rng=eve_rng, snapshots=False,
                                      qubit_cap=qubit_cap)
     return MimOutcome(
         eve_recovered=toward_eve.recovered,

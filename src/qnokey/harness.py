@@ -87,8 +87,8 @@ class ExperimentConfig:
             object.__setattr__(self, "messages", tuple(self.messages))
         if self.average not in AVERAGE_KINDS:
             raise ConfigError(f"unknown averaging mode {self.average!r}")
-        params = proto.ProtocolParams(self.protocol, self.n, self.l, self.t, self.qubit_cap,
-                                      messages=self.messages or ())
+        widest = proto.check_session(self.protocol, self.n, self.l, self.t, self.qubit_cap,
+                                     messages=self.messages or ())
         # Refuse fields no session of the protocol would use.
         if self.protocol not in proto.AUTHENTICATED and self.t != 0:
             raise ConfigError(f"only p6 carries an authentication tag; {self.protocol} "
@@ -98,7 +98,7 @@ class ExperimentConfig:
                               "to average; it needs l=0 and average none")
         if self.average != "none":
             # Each view enumerates pads, times tag functions on the widest stage.
-            proto.check_enumeration(AVERAGE_KINDS[self.average], params.widest, self.l,
+            proto.check_enumeration(AVERAGE_KINDS[self.average], widest, self.l,
                                     self.enum_limit)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
@@ -122,7 +122,8 @@ class ExperimentConfig:
         # Only the session grid takes snapshots, and averaging reruns take
         # them in any experiment: those alone count against the snapshot cap.
         if self.average != "none" or (self.snapshots and experiment is EXPERIMENTS["sessions"]):
-            replace(params, snapshots=True)
+            proto.check_session(self.protocol, self.n, self.l, self.t, self.qubit_cap,
+                                snapshots=True, messages=self.messages or ())
         object.__setattr__(self, "parsed_attack", attack)
         object.__setattr__(self, "experiment", experiment)
         object.__setattr__(self, "pins", self._load_pins())
@@ -251,11 +252,11 @@ def decode_matrix(payload: dict) -> np.ndarray:
     return m.reshape(dim, dim)
 
 
-def binomial_ci(successes: int, trials: int, confidence: float = 0.999) -> tuple[float, float]:
-    """Exact (Clopper-Pearson) two-sided binomial confidence interval."""
+def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
+    """Exact (Clopper-Pearson) two-sided 99.9% binomial confidence interval."""
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside 0..{trials}")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - 0.999
     lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
     hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lo, hi
@@ -333,7 +334,7 @@ def _session_results(config: ExperimentConfig) -> dict:
     attack = config.parsed_attack
     messages = config.message_set()
     keyed = config.protocol not in proto.UNTAGGED
-    honest = attack is None or attack.kind == "passive"
+    honest = attack is None or isinstance(attack, adversary.PassiveAttack)
     # The one-shot broadcast makes no indistinguishability claim, so its
     # averaged views are recorded as-is instead of being compared to the
     # maximally mixed state.

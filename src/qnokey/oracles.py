@@ -1,9 +1,10 @@
 """Truth tables for the protocols' secret functions, and their sampling.
 
-Three table kinds appear throughout the package: bijections on n-bit
-values (the scrambling permutations applied through XOR oracles),
-general n-to-l-bit functions (the authentication tag functions), and
-plain l-bit pads. All are value types over plain integer tables.
+Two table kinds appear throughout the package: bijections on n-bit
+values (the scrambling permutations applied through XOR oracles) and
+general n-to-l-bit functions (the authentication tag functions), both
+value types over plain integer tables. A one-time pad is a plain l-bit
+int.
 
 Randomness policy: every sampler takes an explicit numpy Generator
 (PCG64 under the default helpers). Substreams for the different
@@ -67,9 +68,6 @@ class BooleanPermutation:
     def out_width(self) -> int:
         return self.n
 
-    def __call__(self, value: int) -> int:
-        return self.table[value]
-
 
 @dataclass(frozen=True)
 class BooleanFunction:
@@ -95,23 +93,6 @@ class BooleanFunction:
     @property
     def out_width(self) -> int:
         return self.l
-
-    def __call__(self, value: int) -> int:
-        return self.table[value]
-
-
-@dataclass(frozen=True)
-class Pad:
-    """A single l-bit one-time value."""
-
-    l: int
-    value: int
-
-    def __post_init__(self):
-        if self.l < 1:
-            raise ValueError(f"pad width must be >= 1, got {self.l}")
-        if not 0 <= self.value < (1 << self.l):
-            raise ValueError(f"pad value {self.value} does not fit in {self.l} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +122,11 @@ def sample_function(n: int, l: int, rng: np.random.Generator) -> BooleanFunction
     return BooleanFunction(n, l, tuple(int(v) for v in entries))
 
 
-def sample_pad(l: int, rng: np.random.Generator) -> Pad:
+def sample_pad(l: int, rng: np.random.Generator) -> int:
+    """Uniform l-bit one-time pad."""
     if l < 1:
         raise ValueError(f"pad width must be >= 1, got {l}")
-    return Pad(l, int(rng.integers(0, 1 << l)))
+    return int(rng.integers(0, 1 << l))
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +134,14 @@ def sample_pad(l: int, rng: np.random.Generator) -> Pad:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_pads(l: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[Pad]:
-    """All l-bit pads in increasing value order."""
+def enumerate_pads(l: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[int]:
+    """All l-bit pads in increasing order."""
     if l < 1:
         raise ValueError(f"pad width must be >= 1, got {l}")
     count = 1 << l
     if count > limit:
         raise EnumerationLimitError(count, limit, f"{l}-bit pads")
-    for value in range(count):
-        yield Pad(l, value)
+    yield from range(count)
 
 
 def enumerate_functions(n: int, l: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[BooleanFunction]:

@@ -30,8 +30,9 @@ every id: p3 and p5 send, echo back and send again, with accept
 verdicts; p6 sends message plus one-time MAC tag, then echoes the tag.
 PROTOCOL_IDS, ROUND_COUNTS, peak_live_width, sample_draws (one record
 per stage) and the averaging lookup all derive from STAGES, and so does
-ProtocolParams, the one session validator; each session's key bundle
-and draws are checked against it.
+check_session, the one session validator; each session's key bundle
+and draws are checked against it. A party is its name string, which
+also names the holder of each register it makes or receives.
 An exchange takes its parties as Party(name, rng, tags_with,
 strips_with) values, so an adversary can play a side with substitute
 tables. run_session runs any protocol by id, looking its public run_*
@@ -52,6 +53,7 @@ average over the broadcast's single round.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -72,19 +74,15 @@ from .oracles import (
     sample_pad,
     sample_permutation,
 )
-from .qstate import (
-    DEFAULT_QUBIT_CAP,
-    CompositeState,
-    Holder,
-    Register,
-    init_basis_state,
-)
+from .qstate import DEFAULT_QUBIT_CAP, CompositeState, Register, init_basis_state
 
-ALICE = Holder.ALICE.value
-BOB = Holder.BOB.value
-EVE = Holder.EVE.value
+# This host's physical memory, read once: `check_session` refuses a
+# session whose largest array would not fit in it.
+HOST_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+# The parties' names, which also name who holds each register.
+ALICE, BOB, EVE = "alice", "bob", "eve"
 _PEER = {ALICE: BOB, BOB: ALICE}
-_HOLDERS = {holder.value: holder for holder in Holder}  # cheaper than Holder(name)
 
 
 class ConfigError(ValueError):
@@ -138,60 +136,56 @@ def check_enumeration(kinds, width: int, l: int, enum_limit: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+def check_session(protocol: str, n: int, l: int = 0, t: int = 0,
+                  qubit_cap: int = DEFAULT_QUBIT_CAP, snapshots: bool = False,
+                  messages: Iterable[int] = ()) -> int:
     """The session validator: protocol id, widths, the peak-width cap,
     the truth-table width cap, the snapshot cap when `snapshots` is on,
-    and the message range.
+    this host's memory, and the message range. Returns the message width
+    of the widest stage: n+t in p6, else n.
 
-    Every session, `noninteractive_view` and `ExperimentConfig` build one,
+    Every session, `noninteractive_view` and `ExperimentConfig` call it,
     so each refusal is made in one place and before anything runs.
     """
-
-    protocol: str
-    n: int
-    l: int = 0
-    t: int = 0
-    qubit_cap: int = DEFAULT_QUBIT_CAP
-    snapshots: bool = False
-    messages: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.protocol not in STAGES:
-            raise ProtocolError(f"unknown protocol {self.protocol!r}, "
-                                f"expected one of {PROTOCOL_IDS}")
-        if self.n < 1:
-            raise ProtocolError(f"message width must be >= 1, got {self.n}")
-        if self.protocol not in UNTAGGED and self.l < 1:
-            raise ProtocolError(f"{self.protocol} needs a tag register width l >= 1")
-        if self.protocol in AUTHENTICATED and self.t < 1:
-            raise ProtocolError(f"{self.protocol} needs an authentication tag width t >= 1")
-        if max(s.peak(self.n, self.l, self.t) for s in STAGES[self.protocol]) > self.qubit_cap:
-            _, formula = peak_live_width(self.protocol, self.n, self.l, self.t)
-            raise ProtocolError(f"{self.protocol} needs peak live width {formula} qubits, "
-                                f"cap is {self.qubit_cap}")
-        if self.widest > DEFAULT_TABLE_WIDTH_CAP:
-            terms = f"n+t={self.n}+{self.t}" if self.protocol in AUTHENTICATED else f"n={self.n}"
-            raise ProtocolError(f"{self.protocol} message register {terms} is {self.widest} "
-                                f"bits, above the {DEFAULT_TABLE_WIDTH_CAP}-bit truth-table cap")
-        # A k-qubit snapshot is a 2**k x 2**k matrix, as many entries as a
-        # 2k-qubit state, and the widest one carries the widest stage plus
-        # its tag register.
-        k = self.widest + self.l
-        if self.snapshots and 2 * k > self.qubit_cap:
-            raise ProtocolError(
-                f"{self.protocol} snapshots are {k}-qubit density matrices, as large as a "
-                f"2*{k}={2 * k}-qubit state, cap is {self.qubit_cap}; "
-                f"run with --no-snapshots and --average none"
-            )
-        for x in self.messages:
-            if not 0 <= x < (1 << self.n):
-                raise ProtocolError(f"message {x} does not fit in {self.n} bits")
-
-    @property
-    def widest(self) -> int:
-        """Message width of the widest stage: n+t in p6, else n."""
-        return max(stage.bits(self.n, self.t) for stage in STAGES[self.protocol])
+    if protocol not in STAGES:
+        raise ProtocolError(f"unknown protocol {protocol!r}, expected one of {PROTOCOL_IDS}")
+    if n < 1:
+        raise ProtocolError(f"message width must be >= 1, got {n}")
+    if protocol not in UNTAGGED and l < 1:
+        raise ProtocolError(f"{protocol} needs a tag register width l >= 1")
+    if protocol in AUTHENTICATED and t < 1:
+        raise ProtocolError(f"{protocol} needs an authentication tag width t >= 1")
+    peak = max(s.peak(n, l, t) for s in STAGES[protocol])
+    if peak > qubit_cap:
+        _, formula = peak_live_width(protocol, n, l, t)
+        raise ProtocolError(f"{protocol} needs peak live width {formula} qubits, "
+                            f"cap is {qubit_cap}")
+    widest = max(stage.bits(n, t) for stage in STAGES[protocol])
+    if widest > DEFAULT_TABLE_WIDTH_CAP:
+        terms = f"n+t={n}+{t}" if protocol in AUTHENTICATED else f"n={n}"
+        raise ProtocolError(f"{protocol} message register {terms} is {widest} bits, "
+                            f"above the {DEFAULT_TABLE_WIDTH_CAP}-bit truth-table cap")
+    # A k-qubit snapshot is a 2**k x 2**k matrix, as many entries as a
+    # 2k-qubit state, and the widest one carries the widest stage plus
+    # its tag register.
+    k = widest + l
+    if snapshots and 2 * k > qubit_cap:
+        raise ProtocolError(
+            f"{protocol} snapshots are {k}-qubit density matrices, as large as a "
+            f"2*{k}={2 * k}-qubit state, cap is {qubit_cap}; "
+            f"run with --no-snapshots and --average none"
+        )
+    # A w-qubit state is 2**w complex128 amplitudes of 16 bytes each.
+    width = max(peak, 2 * k) if snapshots else peak
+    if 16 << width > HOST_MEMORY_BYTES:
+        what = (f"{k}-qubit snapshots, as large as a 2*{k}={width}-qubit state" if width > peak
+                else f"peak live width {peak_live_width(protocol, n, l, t)[1]} qubits")
+        raise ProtocolError(f"{protocol} needs {what}: 16*2**{width}={16 << width} bytes, "
+                            f"above this host's {HOST_MEMORY_BYTES} bytes of memory")
+    for x in messages:
+        if not 0 <= x < (1 << n):
+            raise ProtocolError(f"message {x} does not fit in {n} bits")
+    return widest
 
 
 @dataclass(frozen=True)
@@ -345,7 +339,7 @@ class Channel(NamedTuple):
         tr.transmissions.append(
             Transmission(round_index, sender.name, receiver.name, regs, snap)
         )
-        return None if state is None else state.with_holder(names, _HOLDERS[receiver.name])
+        return None if state is None else state.with_holder(names, receiver.name)
 
     def measure(self, state: CompositeState, party: Party, name: str, *,
                 discard: bool = False):
@@ -389,7 +383,7 @@ class Exchange(NamedTuple):
         rngs = (sender_rng, receiver_rng)
         perms = [sample_permutation(n, rng) if bound else None
                  for rng, bound in zip(rngs, self.binds)]
-        pads = tuple(sample_pad(l, rngs[not self.sender_sends(i)]).value
+        pads = tuple(sample_pad(l, rngs[not self.sender_sends(i)])
                      for i in range(self.passes if self.tagged else 0))
         return Draws(*perms, pads)
 
@@ -413,8 +407,7 @@ class Exchange(NamedTuple):
         if not self.sender_sends(0):
             sides, perms = sides[::-1], perms[::-1]
         # Side 0 opens; side i & 1 holds R1 on turn i.
-        holders = (_HOLDERS[sides[0].name], _HOLDERS[sides[1].name])
-        state = init_basis_state([Register("R1", n, holders[0])],
+        state = init_basis_state([Register("R1", n, sides[0].name)],
                                  None if inverted else {"R1": x}, qubit_cap=channel.qubit_cap)
         state = state.apply_hadamard("R1")
         made, bound, tag = 1, [None, None], None
@@ -431,7 +424,7 @@ class Exchange(NamedTuple):
             if i < 2 and perms[side] is not None:
                 made += 1
                 bound[side] = f"R{made}"
-                state = state.extend(bound[side], n, holders[side], source="R1",
+                state = state.extend(bound[side], n, party.name, source="R1",
                                      table=perms[side].table)
             if inverted and side:
                 state = state.apply_phase_flip("R1", x)
@@ -441,7 +434,7 @@ class Exchange(NamedTuple):
                 made += 1
                 tag = f"R{made}"
                 names = ("R1", tag)
-                state = state.extend(tag, l, holders[side], pads[i],
+                state = state.extend(tag, l, party.name, pads[i],
                                      source="R1", table=party.tags_with.table)
             state = channel.send(state, names, party, sides[1 - side])
             if state is None:
@@ -542,7 +535,7 @@ def _run_stages(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit
     one-time MAC tag in the low t bits, and Bob checks the tag; then he
     echoes the tag he received, and Alice accepts when it is hers.
     """
-    ProtocolParams(protocol, n, l, t, qubit_cap, snapshots=snapshots, messages=(x,))
+    check_session(protocol, n, l, t, qubit_cap, snapshots, (x,))
     mac_key = getattr(keys, "mac_key", None)
     if protocol in AUTHENTICATED and getattr(mac_key, "t", None) != t:
         raise ProtocolError(f"{protocol} needs a one-time authentication key of width t={t}, "
@@ -706,7 +699,7 @@ def noninteractive_view(
     unknown. The family has 2**(l * 2**n) * 2**l members; anything past
     the enumeration limit is rejected with the offending count.
     """
-    ProtocolParams("nonint", n, l, qubit_cap=qubit_cap, snapshots=True, messages=(x,))
+    check_session("nonint", n, l, qubit_cap=qubit_cap, snapshots=True, messages=(x,))
     blank = BooleanFunction(n, l, (0,) * (1 << n))
     (view,) = eve_average_view(Transcript("nonint", n, l, 0, x, draws=(Draws(pads=(0,)),)), (1,),
                                keys=SharedKeys(blank, blank), average_over=("pads", "keys"),

@@ -27,7 +27,6 @@ distances and for the harness's validity checks, comes from numpy's
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -71,21 +70,14 @@ class EntangledRegisterError(RuntimeError):
         )
 
 
-class Holder(str, enum.Enum):
-    """Who currently holds a register."""
-
-    ALICE = "alice"
-    BOB = "bob"
-    EVE = "eve"
-
-
 @dataclass(frozen=True)
 class Register:
-    """A named block of qubits inside the composite layout."""
+    """A named block of qubits inside the composite layout, and the name
+    of the party that holds it."""
 
     name: str
     width: int
-    holder: Holder = Holder.ALICE
+    holder: str
 
     def __post_init__(self):
         if self.width < 1:
@@ -182,7 +174,7 @@ class CompositeState:
         self,
         name: str,
         width: int,
-        holder: Holder,
+        holder: str,
         value: int = 0,
         *,
         source: str | None = None,
@@ -221,7 +213,7 @@ class CompositeState:
         np.multiply(rows[..., None], hit[:, None, :], out=out, dtype=np.complex128)
         return CompositeState(self.registers + (reg,), out.reshape(-1), self.qubit_cap)
 
-    def with_holder(self, names: Iterable[str], holder: Holder) -> "CompositeState":
+    def with_holder(self, names: Iterable[str], holder: str) -> "CompositeState":
         wanted = set(names)
         missing = wanted - set(self.names())
         if missing:

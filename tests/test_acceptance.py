@@ -38,7 +38,6 @@ from qnokey.protocols import (
 )
 from qnokey.qstate import (
     CompositeState,
-    Holder,
     Register,
     init_basis_state,
     is_maximally_mixed,
@@ -297,7 +296,7 @@ def test_c10_reductions_match_brute_force():
         total = int(rng.integers(2, 7))
         cut = int(rng.integers(1, total))
         layout = [("R1", cut), ("R2", total - cut)]
-        regs = [Register(name, w, Holder.ALICE) for name, w in layout]
+        regs = [Register(name, w, "alice") for name, w in layout]
         base = init_basis_state(regs, None, qubit_cap=22)
 
         def sample_state():

@@ -92,6 +92,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert rc == 2
 
 
+def test_a_raised_qubit_cap_runs_what_fits_in_memory(tmp_path, capsys):
+    assert run_cli("run", "--protocol", "p1", "--n", "2", "--qubit-cap", "64",
+                   "--out", str(tmp_path / "p1.json")) == 0
+    rc = run_cli("run", "--protocol", "p1", "--n", "16", "--x", "0", "--no-snapshots",
+                 "--qubit-cap", "64", "--out", str(tmp_path / "wide.json"))
+    assert rc == 2
+    assert "bytes of memory" in capsys.readouterr().err
+    assert not (tmp_path / "wide.json").exists()
+
+
 def test_no_snapshots_flag(tmp_path):
     out = tmp_path / "nosnap.json"
     rc = run_cli("run", "--protocol", "p1", "--n", "2", "--no-snapshots",

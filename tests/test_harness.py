@@ -122,6 +122,10 @@ def test_config_inherits_protocol_validation():
         ExperimentConfig("p2", n=2)
     with pytest.raises(ProtocolError, match="cap"):
         ExperimentConfig("p1", n=8, qubit_cap=22)
+    # A raised cap still leaves the 48-qubit peak, 4 PiB of amplitudes, refused.
+    with pytest.raises(ProtocolError, match=r"3\*16=48 qubits: 16\*2\*\*48=4503599627370496 "
+                                            r"bytes, above this host's \d+ bytes of memory"):
+        ExperimentConfig("p1", n=16, qubit_cap=64, snapshots=False, messages=(0,))
 
 
 def test_config_dict_round_trip():

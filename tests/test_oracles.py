@@ -12,7 +12,6 @@ from qnokey.oracles import (
     BooleanFunction,
     BooleanPermutation,
     EnumerationLimitError,
-    Pad,
     count_functions,
     dump_table,
     enumerate_functions,
@@ -48,14 +47,9 @@ def test_function_rejects_oversized_entries():
 
 def test_pad_zero_width_rejected():
     with pytest.raises(ValueError, match=">= 1"):
-        Pad(0, 0)
-    with pytest.raises(ValueError, match=">= 1"):
         sample_pad(0, make_rng(0))
-
-
-def test_pad_value_must_fit():
-    with pytest.raises(ValueError, match="fit"):
-        Pad(2, 4)
+    with pytest.raises(ValueError, match=">= 1"):
+        list(enumerate_pads(0))
 
 
 # -- sampling -----------------------------------------------------------------
@@ -76,7 +70,7 @@ def test_sampling_is_seed_deterministic():
     fa = sample_function(3, 2, make_rng(78)).table
     fb = sample_function(3, 2, make_rng(78)).table
     assert fa == fb
-    assert sample_pad(5, make_rng(79)).value == sample_pad(5, make_rng(79)).value
+    assert sample_pad(5, make_rng(79)) == sample_pad(5, make_rng(79))
 
 
 def test_single_bit_permutations_appear_half_the_time():
@@ -128,9 +122,7 @@ def test_party_streams_are_independent_of_later_draws():
 
 
 def test_enumerate_pads_small_case():
-    pads = list(enumerate_pads(2))
-    assert [p.value for p in pads] == [0, 1, 2, 3]
-    assert all(p.l == 2 for p in pads)
+    assert list(enumerate_pads(2)) == [0, 1, 2, 3]
 
 
 def test_enumerate_functions_counts_and_order():

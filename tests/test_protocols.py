@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qnokey import adversary
+from qnokey import adversary, protocols
 from qnokey.adversary import Attack, PhaseAttack, parse_attack
 from qnokey.oracles import (
     EnumerationLimitError,
@@ -39,9 +39,9 @@ from qnokey.protocols import (
     Draws,
     Party,
     ProtocolError,
-    ProtocolParams,
     Transcript,
     _round_secrets,
+    check_session,
     eve_average_view,
     noninteractive_view,
     peak_live_width,
@@ -56,7 +56,6 @@ from qnokey.protocols import (
 from qnokey.qstate import (
     DEFAULT_QUBIT_CAP,
     CompositeState,
-    Holder,
     Register,
     init_basis_state,
     is_maximally_mixed,
@@ -139,14 +138,14 @@ def test_invalid_message_rejected():
 
 def test_params_reject_unknown_protocol():
     with pytest.raises(ProtocolError, match="unknown"):
-        ProtocolParams("p7", 2)
+        check_session("p7", 2)
 
 
 def test_params_require_tag_width_for_keyed_protocols():
     with pytest.raises(ProtocolError, match="l >= 1"):
-        ProtocolParams("p2", 2, 0)
+        check_session("p2", 2, 0)
     with pytest.raises(ProtocolError, match="t >= 1"):
-        ProtocolParams("p6", 2, 1, 0)
+        check_session("p6", 2, 1, 0)
 
 
 def test_peak_live_width_formulas():
@@ -161,7 +160,7 @@ def test_peak_live_width_formulas():
 
 def test_cap_rejection_reports_arithmetic():
     with pytest.raises(ProtocolError, match=r"3\*3\+3=12 qubits, cap is 11"):
-        ProtocolParams("p2", 3, 3, qubit_cap=11)
+        check_session("p2", 3, 3, qubit_cap=11)
     keys = sample_shared_keys("p2", 3, 3, 0, make_rng(0))
     with pytest.raises(ProtocolError, match=r"3\*3\+3=12"):
         run_protocol2(0, 3, 3, keys, rng=make_rng(0), qubit_cap=11)
@@ -171,6 +170,25 @@ def test_runs_at_exactly_the_cap():
     keys = sample_shared_keys("p2", 3, 3, 0, make_rng(1))
     tr = run_protocol2(6, 3, 3, keys, rng=make_rng(1), qubit_cap=12)
     assert tr.recovered == 6
+
+
+def test_states_past_the_host_memory_are_refused_with_the_arithmetic(monkeypatch):
+    # At 16 bytes per amplitude, a 10-qubit state fills 16 KiB exactly.
+    monkeypatch.setattr(protocols, "HOST_MEMORY_BYTES", 16 << 10)
+    assert check_session("p2", 3, 1, qubit_cap=64) == 3
+    with pytest.raises(ProtocolError, match=r"p2 needs peak live width 3\*3\+2=11 qubits: "
+                                            r"16\*2\*\*11=32768 bytes, above this host's "
+                                            r"16384 bytes of memory"):
+        check_session("p2", 3, 2, qubit_cap=64)
+    # A k-qubit snapshot weighs as much as a 2k-qubit state.
+    assert check_session("nonint", 2, 3, qubit_cap=64, snapshots=True) == 2
+    assert check_session("nonint", 3, 3, qubit_cap=64) == 3
+    with pytest.raises(ProtocolError, match=r"nonint needs 6-qubit snapshots, as large as a "
+                                            r"2\*6=12-qubit state: 16\*2\*\*12=65536 bytes"):
+        check_session("nonint", 3, 3, qubit_cap=64, snapshots=True)
+    keys = sample_shared_keys("p2", 3, 2, 0, make_rng(0))
+    with pytest.raises(ProtocolError, match="above this host's"):
+        run_protocol2(0, 3, 2, keys, rng=make_rng(0), snapshots=False, qubit_cap=64)
 
 
 # -- per-run channel snapshots -----------------------------------------------------
@@ -497,19 +515,19 @@ def _reference_draws(exchange, n, l, sender_rng, receiver_rng):
         return Draws(
             sender_perm=sample_permutation(n, sender_rng),
             receiver_perm=sample_permutation(n, receiver_rng),
-            pads=(sample_pad(l, sender_rng).value,
-                  sample_pad(l, receiver_rng).value,
-                  sample_pad(l, sender_rng).value),
+            pads=(sample_pad(l, sender_rng),
+                  sample_pad(l, receiver_rng),
+                  sample_pad(l, sender_rng)),
         )
     if exchange is INVERTED_TWO_PASS:
         return Draws(
             sender_perm=None,
             receiver_perm=sample_permutation(n, receiver_rng),
-            pads=(sample_pad(l, receiver_rng).value,
-                  sample_pad(l, sender_rng).value),
+            pads=(sample_pad(l, receiver_rng),
+                  sample_pad(l, sender_rng)),
         )
     assert exchange is BROADCAST
-    return Draws(None, None, (sample_pad(l, sender_rng).value,))
+    return Draws(None, None, (sample_pad(l, sender_rng),))
 
 
 def test_exchange_sample_matches_the_reference_samplers(monkeypatch):
@@ -586,7 +604,7 @@ def test_tag_function_shape_checked_against_the_stage():
 
 
 def _reference_untagged_three_pass(channel, x, n, l, sender, receiver, draws):
-    sh, rh = Holder(sender.name), Holder(receiver.name)
+    sh, rh = sender.name, receiver.name
     state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
     state = state.extend("R2", n, sh, source="R1", table=draws.sender_perm.table)
@@ -605,7 +623,7 @@ def _reference_untagged_three_pass(channel, x, n, l, sender, receiver, draws):
 
 
 def _reference_tagged_three_pass(channel, x, n, l, sender, receiver, draws):
-    sh, rh = Holder(sender.name), Holder(receiver.name)
+    sh, rh = sender.name, receiver.name
     state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
     state = state.extend("R2", n, sh, source="R1", table=draws.sender_perm.table)
@@ -633,7 +651,7 @@ def _reference_tagged_three_pass(channel, x, n, l, sender, receiver, draws):
 
 
 def _reference_inverted_two_pass(channel, x, n, l, sender, receiver, draws):
-    sh, rh = Holder(sender.name), Holder(receiver.name)
+    sh, rh = sender.name, receiver.name
     state = init_basis_state([Register("R1", n, rh)], None, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
     state = state.extend("R2", n, rh, source="R1", table=draws.receiver_perm.table)
@@ -657,7 +675,7 @@ def _reference_inverted_two_pass(channel, x, n, l, sender, receiver, draws):
 
 
 def _reference_broadcast(channel, x, n, l, sender, receiver, draws):
-    sh = Holder(sender.name)
+    sh = sender.name
     state = init_basis_state([Register("R1", n, sh)], {"R1": x}, qubit_cap=channel.qubit_cap)
     state = state.apply_hadamard("R1")
     state = state.extend("R2", l, sh, draws.pads[0], source="R1", table=sender.tags_with.table)

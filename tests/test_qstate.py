@@ -20,7 +20,6 @@ from qnokey.qstate import (
     ATOL_STATE,
     CompositeState,
     EntangledRegisterError,
-    Holder,
     Register,
     RegisterError,
     hermitian_eigenvalues,
@@ -29,7 +28,7 @@ from qnokey.qstate import (
     trace_distance,
 )
 
-A = Holder.ALICE
+A = "alice"
 
 
 def basis(layout, assignment=None, cap=22):
