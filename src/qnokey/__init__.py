@@ -6,11 +6,10 @@ bijections, without any pre-shared key, and certifies numerically what
 an eavesdropper's channel snapshots do and do not reveal.
 """
 
-from .adversary import (AttackSpecError, DetectionStats, ImpersonationTrial,
-                        MeasureResendAttack, MimMarker, MimOutcome,
-                        PassiveAttack, PassiveComparison, PhaseAttack,
-                        echo_detection_experiment, impersonate_echo_stage,
-                        mim_full_impersonation, parse_attack, passive_snapshot)
+from .adversary import (AttackSpecError, MeasureResendAttack, MimMarker,
+                        PassiveAttack, PhaseAttack, echo_detection_experiment,
+                        impersonate_echo_stage, mim_full_impersonation,
+                        parse_attack, passive_snapshot)
 from .auth import (REDUCTION_POLYS, MacKey, forgery_fraction, gf_add, gf_mul,
                    gf_pow, mac_keygen, mac_tag, mac_verify, message_blocks)
 from .harness import (REPORT_FORMAT_VERSION, ConfigError, ExperimentConfig,
@@ -39,11 +38,10 @@ __all__ = [
     "DEFAULT_QUBIT_CAP", "PROTOCOL_IDS", "REDUCTION_POLYS",
     "REPORT_FORMAT_VERSION", "ROUND_COUNTS",
     "AttackSpecError", "BooleanFunction", "BooleanPermutation",
-    "CompositeState", "ConfigError", "DetectionStats",
-    "EntangledRegisterError", "EnumerationLimitError", "EveView",
-    "ExperimentConfig", "ExperimentReport", "ImpersonationTrial",
-    "MacKey", "MeasureResendAttack", "MimMarker", "MimOutcome",
-    "PassiveAttack", "PassiveComparison", "PhaseAttack", "ProtocolError",
+    "CompositeState", "ConfigError", "EntangledRegisterError",
+    "EnumerationLimitError", "EveView", "ExperimentConfig",
+    "ExperimentReport", "MacKey", "MeasureResendAttack", "MimMarker",
+    "PassiveAttack", "PhaseAttack", "ProtocolError",
     "Register", "RegisterError", "SharedKeys", "Transcript",
     "binomial_ci", "check_session", "count_functions", "decode_matrix",
     "echo_detection_experiment", "encode_matrix", "enumerate_functions",

@@ -177,16 +177,6 @@ def parse_attack(spec: str | None) -> Attack | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MimOutcome:
-    """Result of splitting the untagged protocol into two sessions."""
-
-    eve_recovered: int
-    bob_recovered: int
-    alice_session: proto.Transcript
-    bob_session: proto.Transcript
-
-
 def mim_full_impersonation(
     x: int,
     x_eve: int,
@@ -194,37 +184,22 @@ def mim_full_impersonation(
     *,
     rng=None,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> MimOutcome:
+) -> tuple[proto.Transcript, proto.Transcript]:
     """Cut the untagged three-pass protocol into two full sessions.
 
     Nothing in that protocol authenticates the counterparty, so Eve
     simply runs the receiver role against Alice (learning x every
     time) and separately the sender role against Bob with a message of
     her choice. Both halves are deterministic honest runs; only the
-    pairing is dishonest.
+    pairing is dishonest. Returns the transcripts toward Eve (Alice's
+    session) and toward Bob; their `recovered` are what each decodes.
     """
     eve_rng, session_rng = party_streams(rng, 2)
     toward_eve = proto.run_protocol1(x, n, rng=session_rng, snapshots=False,
                                      qubit_cap=qubit_cap)
     toward_bob = proto.run_protocol1(x_eve, n, rng=eve_rng, snapshots=False,
                                      qubit_cap=qubit_cap)
-    return MimOutcome(
-        eve_recovered=toward_eve.recovered,
-        bob_recovered=toward_bob.recovered,
-        alice_session=toward_eve,
-        bob_session=toward_bob,
-    )
-
-
-@dataclass
-class ImpersonationTrial:
-    """One stage-two hijack attempt against an echoed protocol."""
-
-    protocol: str
-    message: int
-    eve_guess: int
-    echo_measured: int
-    alice_accepts: bool
+    return toward_eve, toward_bob
 
 
 def impersonate_echo_stage(
@@ -236,7 +211,7 @@ def impersonate_echo_stage(
     *,
     rng=None,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> ImpersonationTrial:
+) -> tuple[int, int]:
     """Eve hijacks the echo stage without the shared tag functions.
 
     Stage one runs honestly until Eve intercepts and measures its first
@@ -245,7 +220,8 @@ def impersonate_echo_stage(
     tag functions; Alice runs her honest side and applies her usual echo
     verdict. The guess can only be uniform, as that pass is independent of
     x, and each trial equals, bit for bit, the one where Eve measures every
-    pass of a finished stage one.
+    pass of a finished stage one. Returns Eve's guess and the echo Alice
+    measures; she accepts when the echo equals x.
     """
     if protocol not in proto.ECHOED:
         raise ValueError(f"echo impersonation targets {' or '.join(sorted(proto.ECHOED))}, "
@@ -278,22 +254,7 @@ def impersonate_echo_stage(
     channel = proto.Channel(proto.Transcript(protocol, n, l, 0, guess), None, None, False,
                             qubit_cap)
     echo = echo_stage.exchange.run(channel, guess, n, l, eve, alice, draws)
-    return ImpersonationTrial(protocol, x, guess, echo, alice_accepts=(echo == x))
-
-
-@dataclass
-class DetectionStats:
-    """Rejection statistics for repeated impersonation trials."""
-
-    protocol: str
-    n: int
-    l: int
-    trials: int
-    rejections: int
-
-    @property
-    def rejection_rate(self) -> float:
-        return self.rejections / self.trials
+    return guess, echo
 
 
 def echo_detection_experiment(
@@ -304,8 +265,8 @@ def echo_detection_experiment(
     *,
     rng=None,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> DetectionStats:
-    """Repeat the stage-two hijack and count Alice's rejections.
+) -> int:
+    """Repeat the stage-two hijack and return how often Alice rejects.
 
     Messages and keys are redrawn every trial so the statistic covers
     the whole ensemble, not one lucky key.
@@ -318,26 +279,15 @@ def echo_detection_experiment(
         key_rng, msg_rng, trial_rng = root.spawn(3)
         keys = proto.sample_shared_keys(protocol, n, l, 0, key_rng)
         x = int(msg_rng.integers(0, 1 << n))
-        trial = impersonate_echo_stage(protocol, x, n, l, keys, rng=trial_rng,
-                                       qubit_cap=qubit_cap)
-        if not trial.alice_accepts:
-            rejections += 1
-    return DetectionStats(protocol, n, l, trials, rejections)
+        _, echo = impersonate_echo_stage(protocol, x, n, l, keys, rng=trial_rng,
+                                         qubit_cap=qubit_cap)
+        rejections += echo != x
+    return rejections
 
 
 # ---------------------------------------------------------------------------
 # Passive observation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PassiveComparison:
-    """Per-round channel snapshots across a message set, with distances."""
-
-    protocol: str
-    messages: tuple[int, ...]
-    views: dict  # message -> list of density matrices, one per round
-    distances: dict  # (x, y, round_index) -> float
 
 
 def passive_snapshot(
@@ -350,17 +300,19 @@ def passive_snapshot(
     rng=None,
     averaged: bool = False,
     qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> PassiveComparison:
+) -> tuple[dict, dict]:
     """Observe sessions for several messages and compare the rounds.
 
     With `averaged` the comparison uses the exact pad-averaged views
     (the indistinguishability object); otherwise the per-run snapshots.
     Draws are held identical across messages so the comparison isolates
-    the message dependence.
+    the message dependence. Returns the views, message -> one density
+    matrix per round, and the distances, (x, y, round) -> trace distance.
     """
     if not messages:
         raise ValueError("passive_snapshot needs at least one message")
     t = keys.mac_key.t if (keys is not None and keys.mac_key is not None) else 0
+    proto.check_session(protocol, n, l, t, qubit_cap, snapshots=True, messages=messages)
     draws = proto.sample_draws(protocol, n, l, t, rng)
     views: dict[int, list[np.ndarray]] = {}
     for x in messages:
@@ -371,8 +323,7 @@ def passive_snapshot(
             redo = proto.run_session(protocol, x, n, l, t, keys, draws=draws, attack=PassiveAttack(),
                                      snapshots=True, qubit_cap=qubit_cap)
             views[x] = [tx.snapshot for tx in redo.transmissions]
-    distances = {(x, y, r): d for x, y, r, d in pairwise_distances(messages, views)}
-    return PassiveComparison(protocol, tuple(messages), views, distances)
+    return views, {(x, y, r): d for x, y, r, d in pairwise_distances(messages, views)}
 
 
 def pairwise_distances(messages: Sequence[int], views: dict[int, Sequence[np.ndarray]]):

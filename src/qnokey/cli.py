@@ -102,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--trials", type=int, default=1)
     sweep.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
-    sweep.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
     sweep.add_argument("--out-dir", default=None)
 
     verify = sub.add_parser("verify", help="re-derive reports and compare bytes")
@@ -142,7 +141,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
+    protocols = [p.strip() for p in args.protocols.split(",")]
+    if "" in protocols:
+        raise ConfigError(f"bad --protocols id list {args.protocols!r}")
     widths = _int_list(args.n, "--n width list")
     tags = _int_list(args.l, "--l tag width list")
     for protocol in protocols:
@@ -158,8 +159,7 @@ def _cmd_sweep(args) -> int:
                     config = ExperimentConfig(
                         protocol=protocol, n=n, l=l,
                         t=args.t if protocol in AUTHENTICATED else 0,
-                        seed=args.seed, trials=args.trials,
-                        qubit_cap=args.qubit_cap, enum_limit=args.enum_limit,
+                        seed=args.seed, trials=args.trials, qubit_cap=args.qubit_cap,
                     )
                 except ConfigError as exc:
                     print(f"SKIP {protocol} n={n} l={l}: {exc}")

@@ -444,12 +444,12 @@ def _mim_split_results(config: ExperimentConfig) -> dict:
         trial_rng = root.spawn(1)[0]
         for x in messages:
             x_eve = (x + 1) % (1 << config.n)
-            out = adversary.mim_full_impersonation(x, x_eve, config.n, rng=trial_rng,
-                                                   qubit_cap=config.qubit_cap)
+            toward_eve, toward_bob = adversary.mim_full_impersonation(
+                x, x_eve, config.n, rng=trial_rng, qubit_cap=config.qubit_cap)
             rows.append({"trial": trial, "x": x, "x_eve": x_eve,
-                         "eve_recovered": out.eve_recovered,
-                         "bob_recovered": out.bob_recovered})
-            ok = ok and out.eve_recovered == x and out.bob_recovered == x_eve
+                         "eve_recovered": toward_eve.recovered,
+                         "bob_recovered": toward_bob.recovered})
+            ok = ok and toward_eve.recovered == x and toward_bob.recovered == x_eve
     assertions = [dict(name="mim_split_deterministic", passed=ok,
                        detail="Eve learns the message and Bob receives Eve's choice, every run")]
     return {"mim_runs": rows, "assertions": assertions}
@@ -457,22 +457,22 @@ def _mim_split_results(config: ExperimentConfig) -> dict:
 
 def _echo_detection_results(config: ExperimentConfig) -> dict:
     """Stage-two hijack rejection statistics for the echoed protocols."""
-    stats = adversary.echo_detection_experiment(
+    rejections = adversary.echo_detection_experiment(
         config.protocol, config.n, config.l, config.trials,
         rng=config.seed, qubit_cap=config.qubit_cap,
     )
+    rate = rejections / config.trials
     threshold = 1.0 - 2.0 ** (-config.n)
     sigma = (threshold * (1 - threshold) / config.trials) ** 0.5
-    lo, hi = binomial_ci(stats.rejections, stats.trials)
+    lo, hi = binomial_ci(rejections, config.trials)
     assertions = [dict(name="echo_detection_rate",
-                       passed=stats.rejection_rate >= threshold - 3 * sigma,
-                       detail=f"rate {stats.rejection_rate:.4f} vs floor "
-                              f"{threshold:.4f} - 3*{sigma:.4f}")]
+                       passed=rate >= threshold - 3 * sigma,
+                       detail=f"rate {rate:.4f} vs floor {threshold:.4f} - 3*{sigma:.4f}")]
     return {
         "detection": {
-            "trials": stats.trials,
-            "rejections": stats.rejections,
-            "rate": stats.rejection_rate,
+            "trials": config.trials,
+            "rejections": rejections,
+            "rate": rate,
             "ci999": [lo, hi],
             "uniform_guess_floor": threshold,
             "sigma": sigma,

@@ -718,15 +718,14 @@ class EveView:
 
     rho: np.ndarray
     round_index: int
-    averaged_over: tuple[str, ...]
     runs: int
 
 
 def _round_secrets(protocol: str, round_index: int):
     """Which pad and which party's tag function a round carries.
 
-    Returns (stage_index, pass_index, tag_owner, tag_attr): the round's
-    pad is `draws[stage_index].pads[pass_index]`, and tag_attr is the
+    Returns (stage_index, pass_index, tag_attr): the round's pad is
+    `draws[stage_index].pads[pass_index]`, and tag_attr is the
     SharedKeys attribute name for the carried tag.
     """
     rounds = ROUND_COUNTS[protocol]
@@ -737,8 +736,7 @@ def _round_secrets(protocol: str, round_index: int):
     index, stage, i = passes[round_index - 1]
     if not stage.exchange.tagged:
         raise ValueError("the untagged protocol has no secrets to average over")
-    owner = stage.tag_owner(i)
-    return index, i, owner, f"{owner}_tag{stage.keys}"
+    return index, i, f"{stage.tag_owner(i)}_tag{stage.keys}"
 
 
 def eve_average_view(
@@ -779,25 +777,23 @@ def eve_average_view(
     wanted = range(1, ROUND_COUNTS[protocol] + 1) if rounds is None else tuple(rounds)
     if not kinds:
         # Identity average: nothing enumerated, the per-run snapshot is it.
-        return tuple(EveView(transcript.snapshot(r), r, (), 1) for r in wanted)
+        return tuple(EveView(transcript.snapshot(r), r, 1) for r in wanted)
     l = transcript.l
     plans = []
     for r in wanted:
-        stage, pad, _, tag_attr = _round_secrets(protocol, r)
+        stage, pad, tag_attr = _round_secrets(protocol, r)
         if keys is None:
             raise ValueError("keyed protocols need the session keys to average")
         base_fn: BooleanFunction = getattr(keys, tag_attr)
         check_enumeration(kinds, base_fn.n, l, enum_limit)
-        averaged = tuple(label for kind, label in (("pads", f"pads[{pad}][stage {stage}]"),
-                                                   ("keys", tag_attr)) if kind in kinds)
-        plans.append((r, transcript.draws[stage].pads[pad], base_fn, averaged))
+        plans.append((r, transcript.draws[stage].pads[pad], base_fn))
 
     redo = run_session(
         protocol, transcript.message, transcript.n, l, transcript.t, keys,
         rng=0, draws=transcript.draws, attack=None, snapshots=True, qubit_cap=qubit_cap,
     )
     views = []
-    for r, base_pad, base_fn, averaged in plans:
+    for r, base_pad, base_fn in plans:
         pad_values = range(1 << l) if "pads" in kinds else [base_pad]
         fn_values = list(enumerate_functions(base_fn.n, base_fn.l, enum_limit)) \
             if "keys" in kinds else [base_fn]
@@ -814,5 +810,5 @@ def eve_average_view(
             snap = rho[np.ix_(sigma, sigma)]
             rho_sum = snap if rho_sum is None else rho_sum + snap
         runs = len(pad_values) * len(fn_values)
-        views.append(EveView(rho_sum / runs, r, averaged, runs))
+        views.append(EveView(rho_sum / runs, r, runs))
     return tuple(views)

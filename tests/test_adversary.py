@@ -9,7 +9,6 @@ from qnokey.adversary import (
     ATTACK_KINDS,
     Attack,
     AttackSpecError,
-    ImpersonationTrial,
     MeasureResendAttack,
     MimMarker,
     PassiveAttack,
@@ -29,6 +28,7 @@ from qnokey.protocols import (
     STAGES,
     Channel,
     Party,
+    ProtocolError,
     Transcript,
     eve_average_view,
     run_protocol1,
@@ -276,18 +276,17 @@ def test_mim_splits_session_deterministically():
     n = 2
     for x in range(1 << n):
         for x_eve in range(1 << n):
-            out = mim_full_impersonation(x, x_eve, n, rng=make_rng(17))
-            assert out.eve_recovered == x
-            assert out.bob_recovered == x_eve
-            assert out.alice_session.protocol == "p1"
-            assert out.bob_session.protocol == "p1"
+            toward_eve, toward_bob = mim_full_impersonation(x, x_eve, n, rng=make_rng(17))
+            assert toward_eve.recovered == x
+            assert toward_bob.recovered == x_eve
+            assert toward_eve.protocol == toward_bob.protocol == "p1"
 
 
 def test_mim_halves_are_honest_sessions():
-    out = mim_full_impersonation(3, 0, 2, rng=make_rng(18))
-    assert out.alice_session.recovered == 3
-    assert out.bob_session.recovered == 0
-    assert out.alice_session.attack_events == []
+    toward_eve, toward_bob = mim_full_impersonation(3, 0, 2, rng=make_rng(18))
+    assert (toward_eve.message, toward_eve.recovered) == (3, 3)
+    assert (toward_bob.message, toward_bob.recovered) == (0, 0)
+    assert toward_eve.attack_events == toward_bob.attack_events == []
 
 
 # -- echo-stage hijack and its detection ---------------------------------------------
@@ -304,12 +303,9 @@ def test_impersonation_rejects_wrong_protocol():
 @pytest.mark.parametrize("protocol", ["p3", "p5"])
 def test_impersonation_trial_shape(protocol):
     keys = keys_for(protocol, 2, 1, seed=5)
-    trial = impersonate_echo_stage(protocol, 2, 2, 1, keys, rng=make_rng(19))
-    assert trial.protocol == protocol
-    assert trial.message == 2
-    assert 0 <= trial.eve_guess < 4
-    assert 0 <= trial.echo_measured < 4
-    assert trial.alice_accepts == (trial.echo_measured == 2)
+    guess, echo = impersonate_echo_stage(protocol, 2, 2, 1, keys, rng=make_rng(19))
+    assert type(guess) is int and 0 <= guess < 4
+    assert type(echo) is int and 0 <= echo < 4
 
 
 def test_impersonation_is_reproducible():
@@ -335,7 +331,7 @@ def full_stage_one_hijack(protocol, x, n, l, keys, seed):
     draws = exchange.sample(n, l, eve_rng, alice_rng)
     channel = Channel(Transcript(protocol, n, l, 0, guess), None, None, False, DEFAULT_QUBIT_CAP)
     echo = exchange.run(channel, guess, n, l, eve, alice, draws)
-    return ImpersonationTrial(protocol, x, guess, echo, alice_accepts=(echo == x))
+    return guess, echo
 
 
 @pytest.mark.parametrize("protocol", ["p3", "p5"])
@@ -368,17 +364,16 @@ def test_detection_rate_tracks_guessing_floor(protocol):
     # Eve's echo can only match by guessing the n-bit message, so the
     # rejection rate sits near 1 - 2**-n. 200 seeded trials at n=2:
     # expected 0.75, three-sigma window +-0.092.
-    stats = echo_detection_experiment(protocol, 2, 1, 200, rng=make_rng(21))
-    assert stats.trials == 200
-    assert stats.rejection_rate == stats.rejections / stats.trials
+    rejections = echo_detection_experiment(protocol, 2, 1, 200, rng=make_rng(21))
     sigma = (0.75 * 0.25 / 200) ** 0.5
-    assert abs(stats.rejection_rate - 0.75) <= 3 * sigma
+    assert abs(rejections / 200 - 0.75) <= 3 * sigma
 
 
 def test_detection_stats_fields():
-    stats = echo_detection_experiment("p3", 1, 1, 8, rng=make_rng(22))
-    assert (stats.protocol, stats.n, stats.l) == ("p3", 1, 1)
-    assert 0 <= stats.rejections <= 8
+    # The count is a plain int, one per rejected trial: the harness
+    # writes it into the report as is.
+    rejections = echo_detection_experiment("p3", 1, 1, 8, rng=make_rng(22))
+    assert type(rejections) is int and 0 <= rejections <= 8
 
 
 # -- passive observation ---------------------------------------------------------------
@@ -397,25 +392,38 @@ def test_passive_attack_perturbs_nothing():
 
 
 def test_passive_snapshot_untagged_messages_indistinguishable():
-    comp = passive_snapshot("p1", [0, 1, 2, 3], 2)
-    assert comp.messages == (0, 1, 2, 3)
-    assert len(comp.distances) == 6 * 3
-    assert max(comp.distances.values()) <= 1e-12
+    views, distances = passive_snapshot("p1", [0, 1, 2, 3], 2)
+    assert list(views) == [0, 1, 2, 3]
+    assert len(distances) == 6 * 3
+    assert max(distances.values()) <= 1e-12
 
 
 def test_passive_snapshot_averaged_views_indistinguishable():
     keys = keys_for("p2", 2, 1, seed=7)
-    comp = passive_snapshot("p2", [0, 3], 2, 1, keys, averaged=True)
-    assert set(comp.distances) == {(0, 3, 1), (0, 3, 2), (0, 3, 3)}
-    assert max(comp.distances.values()) <= 1e-9
+    _, distances = passive_snapshot("p2", [0, 3], 2, 1, keys, averaged=True)
+    assert set(distances) == {(0, 3, 1), (0, 3, 2), (0, 3, 3)}
+    assert max(distances.values()) <= 1e-9
 
 
 def test_passive_snapshot_single_message_has_no_distances():
-    comp = passive_snapshot("p1", [1], 2)
-    assert comp.distances == {}
-    assert len(comp.views[1]) == 3
+    views, distances = passive_snapshot("p1", [1], 2)
+    assert distances == {}
+    assert len(views[1]) == 3
     with pytest.raises(ValueError, match="at least one message"):
         passive_snapshot("p1", [], 2)
+
+
+def test_passive_snapshot_checks_the_session_before_drawing(monkeypatch):
+    # A keyed session without its tag width, or a message that does not
+    # fit, is refused by the session check before any draw is made.
+    def no_draws(*args, **kw):
+        raise AssertionError("drew before the session check")
+
+    monkeypatch.setattr(adversary.proto, "sample_draws", no_draws)
+    with pytest.raises(ProtocolError, match="p6 needs an authentication tag width t >= 1"):
+        passive_snapshot("p6", [0, 1], 2, 1, None)
+    with pytest.raises(ProtocolError, match="message 4 does not fit in 2 bits"):
+        passive_snapshot("p1", [0, 4], 2)
 
 
 def test_passive_snapshot_separates_tag_graphs_per_run():
@@ -423,8 +431,8 @@ def test_passive_snapshot_separates_tag_graphs_per_run():
     # draws across messages the graphs coincide, so even per-run the
     # message never shows. This pins the draws-held-fixed contract.
     keys = keys_for("p2", 2, 1, seed=8)
-    comp = passive_snapshot("p2", [0, 1], 2, 1, keys, averaged=False)
-    assert max(comp.distances.values()) <= 1e-12
+    _, distances = passive_snapshot("p2", [0, 1], 2, 1, keys, averaged=False)
+    assert max(distances.values()) <= 1e-12
 
 
 @pytest.mark.parametrize("protocol", ["p1", "p2", "p3", "p6", "nonint"])
@@ -433,19 +441,19 @@ def test_passive_snapshot_views_come_from_the_sampled_draws(protocol):
     keys = None if protocol == "p1" else keys_for(protocol, n, l, t, seed=3)
     draws = sample_draws(protocol, n, l, t, make_rng(5))
     for averaged in (False, True) if keys is not None else (False,):
-        comp = passive_snapshot(protocol, [0, 3], n, l, keys, rng=make_rng(5),
-                                averaged=averaged)
+        views, _ = passive_snapshot(protocol, [0, 3], n, l, keys, rng=make_rng(5),
+                                    averaged=averaged)
         for x in (0, 3):
             tr = run_session(protocol, x, n, l, t, keys, draws=draws, snapshots=True)
             want = [view.rho for view in eve_average_view(tr, keys=keys)] if averaged else \
                 [tr.snapshot(r) for r in range(1, tr.rounds + 1)]
-            assert [v.tobytes() for v in comp.views[x]] == \
+            assert [v.tobytes() for v in views[x]] == \
                 [v.tobytes() for v in want]
 
 
 def test_eve_average_view_matches_passive_averaged():
     keys = keys_for("p2", 2, 1, seed=9)
-    comp = passive_snapshot("p2", [1], 2, 1, keys, rng=make_rng(24), averaged=True)
+    views, _ = passive_snapshot("p2", [1], 2, 1, keys, rng=make_rng(24), averaged=True)
     tr = run_protocol2(1, 2, 1, keys, rng=make_rng(24), attack=PassiveAttack())
     view = eve_average_view(tr, (1,), keys=keys)[0]
-    assert np.allclose(comp.views[1][0], view.rho, atol=1e-12)
+    assert np.allclose(views[1][0], view.rho, atol=1e-12)

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 import qnokey
-from qnokey.cli import OUTPUT_DIR_ENV, main
-from qnokey.harness import ExperimentReport
+from qnokey.cli import OUTPUT_DIR_ENV, _build_parser, main
+from qnokey.harness import ExperimentConfig, ExperimentReport
 
 
 def run_cli(*argv):
@@ -125,6 +126,31 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+GOLDEN_REPORT = Path(__file__).resolve().parent.parent / "docs" / "golden_report.json"
+
+
+def test_verify_names_a_missing_key_a_short_list_and_a_missing_config(tmp_path, capsys):
+    doc = json.loads(GOLDEN_REPORT.read_text())
+    assert len(doc["results"]["runs"]) == 2
+    edits = {"keyless": lambda d: d["results"].pop("per_run_mixedness"),
+             "short": lambda d: d["results"]["runs"].pop(),
+             "configless": lambda d: d.pop("config")}
+    paths = []
+    for name, edit in edits.items():
+        copy = json.loads(GOLDEN_REPORT.read_text())
+        edit(copy)
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(copy))
+    assert run_cli("verify", *map(str, paths)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith(f"FAIL {paths[0]}: bodies differ at "
+                               f"body.results.per_run_mixedness: stored \"<absent>\", fresh ")
+    assert lines[1].startswith(f"FAIL {paths[1]}: bodies differ at "
+                               f"body.results.runs length: stored 1, fresh 2 ")
+    assert lines[2] == f"FAIL {paths[2]}: the report carries no config object"
+
+
 def test_verify_reports_each_refused_report_and_goes_on(tmp_path, capsys):
     good = tmp_path / "good.json"
     assert run_cli("run", "--protocol", "p1", "--n", "2", "--seed", "9",
@@ -232,7 +258,8 @@ def test_unused_fields_and_large_averages_exit_two(tmp_path, capsys):
 
 
 def test_sweep_writes_grid_and_skips_invalid(tmp_path, capsys):
-    rc = run_cli("sweep", "--protocols", "p1,p2", "--n", "1,2", "--l", "1",
+    # Spaces around an id are allowed.
+    rc = run_cli("sweep", "--protocols", "p1, p2 ", "--n", "1,2", "--l", "1",
                  "--seed", "3", "--out-dir", str(tmp_path))
     assert rc == 0
     out = capsys.readouterr().out
@@ -256,13 +283,27 @@ def test_sweep_checks_every_id_and_width_before_running(tmp_path, capsys):
     for i, (protocols, n, l, why) in enumerate([
             ("p1,p9", "1", "1", "unknown protocol 'p9'"),
             ("p1", "1,x", "1", "bad --n width list '1,x'"),
-            ("p1,p2", "1", "1,", "bad --l tag width list '1,'")]):
+            ("p1,p2", "1", "1,", "bad --l tag width list '1,'"),
+            ("", "1", "1", "bad --protocols id list ''"),
+            ("p1,,p2", "1", "1", "bad --protocols id list 'p1,,p2'")]):
         out_dir = tmp_path / str(i)
         rc = run_cli("sweep", "--protocols", protocols, "--n", n, "--l", l,
                      "--out-dir", str(out_dir))
         assert rc == 2
         assert why in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_run_has_one_flag_per_config_field():
+    # _cmd_run builds its config from the flags of the same names, so each
+    # field but messages (given as --x) needs a flag with the field's default.
+    args = vars(_build_parser().parse_args(["run", "--protocol", "p1", "--n", "1"]))
+    names = {f.name for f in fields(ExperimentConfig)} - {"messages"}
+    assert set(args) - {"command", "x", "out"} == names
+    assert args["x"] is None
+    for f in fields(ExperimentConfig):
+        if f.name in names and f.default is not MISSING:
+            assert args[f.name] == f.default, f.name
 
 
 def test_module_entry_point(tmp_path):

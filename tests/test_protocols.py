@@ -330,8 +330,7 @@ def test_density_matrices_are_complex128_arrays():
 def test_empty_average_returns_per_run_snapshot():
     tr, keys = seeded_session("p2", 1, 2, 1, seed=16)
     view = eve_average_view(tr, (1,), keys=keys, average_over=())[0]
-    assert view.runs == 1
-    assert view.averaged_over == ()
+    assert (view.round_index, view.runs) == (1, 1)
     assert np.array_equal(view.rho, tr.snapshot(1))
 
 
@@ -354,7 +353,7 @@ def test_average_rejects_unknown_kind_and_limits():
 def rerun_average(tr, round_index, keys, kinds):
     """Reference mixture: re-run the honest session once per enumerated
     secret with that secret substituted, and average the snapshots."""
-    stage, i, _, tag_attr = _round_secrets(tr.protocol, round_index)
+    stage, i, tag_attr = _round_secrets(tr.protocol, round_index)
     stages = list(tr.draws)
     base_fn = getattr(keys, tag_attr)
     pads = range(1 << tr.l) if "pads" in kinds else [stages[stage].pads[i]]

@@ -1,10 +1,13 @@
-"""The README's library example and command-line block run as written."""
+"""The README's library example and command-line block run as written,
+and the package exports exactly the names it binds."""
 
 import re
 import shlex
 import shutil
+import types
 from pathlib import Path
 
+import qnokey
 from qnokey.cli import OUTPUT_DIR_ENV, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +37,10 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def test_all_lists_every_public_name_once():
+    bound = {name for name, value in vars(qnokey).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(qnokey.__all__) == len(set(qnokey.__all__))
+    assert set(qnokey.__all__) == bound
