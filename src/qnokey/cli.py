@@ -149,6 +149,8 @@ def _cmd_sweep(args) -> int:
     for protocol in protocols:
         if protocol not in PROTOCOL_IDS:
             raise ConfigError(f"unknown protocol {protocol!r}")
+    # --trials and --seed hold for every grid point: refuse a bad one once.
+    ExperimentConfig(protocol="p1", n=1, seed=args.seed, trials=args.trials)
     out_dir = Path(args.out_dir) if args.out_dir else _output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0

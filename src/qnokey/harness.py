@@ -26,7 +26,6 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import adversary, protocols as proto
 from .auth import MacKey
@@ -256,6 +255,9 @@ def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     """Exact (Clopper-Pearson) two-sided 99.9% binomial confidence interval."""
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside 0..{trials}")
+    # Imported here: scipy costs each process about 0.25 s and 18 MB to load.
+    from scipy.special import betaincinv
+
     alpha = 1.0 - 0.999
     lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
     hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))

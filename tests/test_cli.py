@@ -11,7 +11,7 @@ import pytest
 
 import qnokey
 from qnokey.cli import OUTPUT_DIR_ENV, _build_parser, main
-from qnokey.harness import ExperimentConfig, ExperimentReport
+from qnokey.harness import ExperimentConfig, ExperimentReport, binomial_ci
 
 
 def run_cli(*argv):
@@ -280,15 +280,18 @@ def test_sweep_rejects_unknown_protocol(tmp_path, capsys):
 def test_sweep_checks_every_id_and_width_before_running(tmp_path, capsys):
     # A bad id or width anywhere in the lists is refused before any report,
     # with a message naming the option and the list.
-    for i, (protocols, n, l, why) in enumerate([
+    # So is a --trials or --seed that no grid point accepts.
+    for i, (protocols, n, l, why, *extra) in enumerate([
             ("p1,p9", "1", "1", "unknown protocol 'p9'"),
             ("p1", "1,x", "1", "bad --n width list '1,x'"),
             ("p1,p2", "1", "1,", "bad --l tag width list '1,'"),
             ("", "1", "1", "bad --protocols id list ''"),
-            ("p1,,p2", "1", "1", "bad --protocols id list 'p1,,p2'")]):
+            ("p1,,p2", "1", "1", "bad --protocols id list 'p1,,p2'"),
+            ("p1,p2,p4", "1,2", "1", "trials must be >= 1, got 0", "--trials", "0"),
+            ("p1", "1", "1", "seed must be >= 0, got -1", "--seed", "-1")]):
         out_dir = tmp_path / str(i)
         rc = run_cli("sweep", "--protocols", protocols, "--n", n, "--l", l,
-                     "--out-dir", str(out_dir))
+                     "--out-dir", str(out_dir), *extra)
         assert rc == 2
         assert why in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
@@ -307,17 +310,28 @@ def test_run_has_one_flag_per_config_field():
 
 
 def test_module_entry_point(tmp_path):
-    out = tmp_path / "entry.json"
     # The child imports the same qnokey as this process, whether it is
-    # installed or found on pytest's own path.
+    # installed or found on pytest's own path. It logs its imports on stderr
+    # (-X importtime): only a report that computes an interval loads scipy.
     package_root = str(Path(qnokey.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qnokey", "run", "--protocol", "p1", "--n", "1",
-         "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out.exists()
-    assert "report:" in proc.stdout
+
+    def run(protocol, *argv):
+        out = tmp_path / f"{protocol}.json"
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "qnokey", "run", "--protocol", protocol,
+             "--n", "1", *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "report:" in proc.stdout
+        return ExperimentReport.read(out), "scipy" in proc.stderr
+
+    _, loads_scipy = run("p1")
+    assert not loads_scipy
+    report, loads_scipy = run("p3", "--l", "1", "--attack", "mim", "--trials", "2",
+                              "--no-snapshots")
+    assert loads_scipy
+    detection = report.body["results"]["detection"]
+    assert detection["ci999"] == list(binomial_ci(detection["rejections"], 2))
