@@ -21,6 +21,7 @@ import base64
 import datetime
 import itertools
 import json
+import math
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable, NamedTuple
@@ -34,7 +35,7 @@ from .protocols import ConfigError
 from .qstate import (ATOL_DENSITY, ATOL_SCALAR, DEFAULT_QUBIT_CAP, hermitian_eigenvalues,
                      is_maximally_mixed)
 
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 # Standing assumptions restated in every report, so no result is read
 # as stronger than what the simulation actually certifies.
@@ -251,16 +252,47 @@ def decode_matrix(payload: dict) -> np.ndarray:
     return m.reshape(dim, dim)
 
 
+def _tail_root(k: int, n: int, tail: float) -> float:
+    """The x with P(Binomial(n, x) >= k) = `tail`, for 1 <= k <= n and a
+    tail below 1/2. That probability is I_x(k, n-k+1), so x is also the
+    Beta(k, n-k+1) quantile `tail`.
+
+    Newton steps run in log x on the log of the tail, which is concave
+    there: after the first step the iterates rise to the root, and they
+    stop when rounding noise stops the steps from shrinking.
+    """
+    log_scale = math.log(math.comb(n, k)) - math.log(tail)
+    x, last = k / (n + 1), math.inf
+    for _ in range(100):
+        # The tail is its first term C(n, k) x^k (1-x)^(n-k) times `s`. Its
+        # terms fall from there on, because every iterate stays below k/n.
+        ratio, term, terms = x / (1 - x), 1.0, [1.0]
+        for j in range(k, n):
+            term *= (n - j) / (j + 1) * ratio
+            if term < 1e-17:
+                break
+            terms.append(term)
+        s = math.fsum(terms)
+        # The slope of the log tail in log x is x times the beta density
+        # over the tail, which is k / s.
+        step = (log_scale + k * math.log(x) + (n - k) * math.log1p(-x) + math.log(s)) * s / k
+        if not abs(step) < last:
+            break
+        x, last = x * math.exp(-step), abs(step)
+    return x
+
+
 def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
-    """Exact (Clopper-Pearson) two-sided 99.9% binomial confidence interval."""
+    """Exact (Clopper-Pearson) two-sided 99.9% binomial confidence interval.
+
+    Each bound is solved on a small binomial tail: the upper one by the
+    symmetry hi(k, n) = 1 - lo(n - k, n), never on a tail close to 1.
+    """
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside 0..{trials}")
-    # Imported here: scipy costs each process about 0.25 s and 18 MB to load.
-    from scipy.special import betaincinv
-
-    alpha = 1.0 - 0.999
-    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
-    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
+    tail = (1.0 - 0.999) / 2
+    lo = 0.0 if successes == 0 else _tail_root(successes, trials, tail)
+    hi = 1.0 if successes == trials else 1.0 - _tail_root(trials - successes, trials, tail)
     return lo, hi
 
 
@@ -566,9 +598,13 @@ def verify_report(path) -> tuple[bool, str]:
     """Re-run a report's embedded config and compare bodies bytewise.
 
     On a mismatch the detail names the first differing JSON path with
-    the stored and the fresh value.
+    the stored and the fresh value. A report of another format version
+    is refused before anything re-runs.
     """
     stored = ExperimentReport.read(path)
+    version = stored.body.get("format_version")
+    if version != REPORT_FORMAT_VERSION:
+        return False, f"report format {version}, this build writes {REPORT_FORMAT_VERSION}"
     if not isinstance(stored.body.get("config"), dict):
         raise ConfigError("the report carries no config object")
     config = ExperimentConfig.from_dict(stored.body["config"])

@@ -312,7 +312,8 @@ def test_run_has_one_flag_per_config_field():
 def test_module_entry_point(tmp_path):
     # The child imports the same qnokey as this process, whether it is
     # installed or found on pytest's own path. It logs its imports on stderr
-    # (-X importtime): only a report that computes an interval loads scipy.
+    # (-X importtime): no report loads scipy, not even one that computes an
+    # interval.
     package_root = str(Path(qnokey.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -332,6 +333,6 @@ def test_module_entry_point(tmp_path):
     assert not loads_scipy
     report, loads_scipy = run("p3", "--l", "1", "--attack", "mim", "--trials", "2",
                               "--no-snapshots")
-    assert loads_scipy
+    assert not loads_scipy
     detection = report.body["results"]["detection"]
     assert detection["ci999"] == list(binomial_ci(detection["rejections"], 2))

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import beta
 
+import qnokey
 from qnokey.adversary import AttackSpecError
 from qnokey.harness import (
     STANDING_NOTES,
@@ -176,16 +181,45 @@ def test_matrix_payload_size_checked():
 
 
 def test_binomial_ci_matches_beta_quantiles():
-    for successes, trials in ((0, 10), (10, 10), (3, 10), (150, 200), (1, 1000)):
+    # scipy's beta quantiles are the oracle; the package itself does not use
+    # scipy. Every k for small n, and a spread of k up to C11's 5,500 trials.
+    grid = [(k, n) for n in (1, 2, 10, 40) for k in range(n + 1)] + \
+        [(k, n) for n in (760, 2000, 5500)
+         for k in sorted({0, 1, 2, n // 4, n // 2, 3 * n // 4, n - 2, n - 1, n} |
+                         set(range(0, n + 1, n // 20)))] + [(4155, 5500)]
+    alpha = 0.001
+    for successes, trials in grid:
         lo, hi = binomial_ci(successes, trials)
-        alpha = 0.001
         want_lo = 0.0 if successes == 0 else \
             beta.ppf(alpha / 2, successes, trials - successes + 1)
         want_hi = 1.0 if successes == trials else \
             beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
-        assert lo == pytest.approx(want_lo, abs=1e-12)
-        assert hi == pytest.approx(want_hi, abs=1e-12)
+        assert lo == pytest.approx(want_lo, abs=1e-12), (successes, trials)
+        assert hi == pytest.approx(want_hi, abs=1e-12), (successes, trials)
         assert lo <= successes / trials <= hi
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 3000).flatmap(lambda n: st.tuples(st.integers(0, n - 1), st.just(n))))
+def test_binomial_ci_brackets_the_rate_rises_with_k_and_is_symmetric(case):
+    k, n = case
+    (lo, hi), (next_lo, next_hi) = binomial_ci(k, n), binomial_ci(k + 1, n)
+    assert lo <= k / n <= hi
+    assert lo < next_lo and hi < next_hi
+    mirror_lo, mirror_hi = binomial_ci(n - k, n)
+    assert hi == pytest.approx(1 - mirror_lo, abs=1e-15)
+    assert lo == pytest.approx(1 - mirror_hi, abs=1e-15)
+
+
+def test_binomial_ci_loads_no_scipy():
+    # A fresh interpreter: this one has imported scipy for the oracle above.
+    package_root = str(Path(qnokey.__file__).resolve().parent.parent)
+    probe = ("import sys; from qnokey.harness import binomial_ci; binomial_ci(4155, 5500); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_binomial_ci_validates_inputs():
@@ -436,6 +470,19 @@ def test_golden_report_reproduces():
     assert ok, detail
 
 
+def test_verify_refuses_another_format_before_rerunning(tmp_path, monkeypatch):
+    doc = json.loads(GOLDEN_REPORT.read_text())
+    doc["format_version"] = 1
+    path = tmp_path / "golden_v1.json"
+    path.write_text(json.dumps(doc))
+
+    def rerun(config):
+        raise AssertionError("verify re-ran a report of another format")
+
+    monkeypatch.setattr("qnokey.harness.run_experiment", rerun)
+    assert verify_report(path) == (False, "report format 1, this build writes 2")
+
+
 def test_verify_names_the_first_differing_field(tmp_path):
     doc = json.loads(GOLDEN_REPORT.read_text())
     record = doc["results"]["runs"][0]["measurements"][1]
@@ -464,12 +511,12 @@ def test_meta_excluded_from_body_bytes(tmp_path):
 # echo detection, which C11 reruns. A change to a runner, the draw order or
 # the report layout moves them.
 SHIPPED_BODY_SHA256 = {
-    "p1": "7d4a2e20676dc40fab02ca1075e473a79049e0c0358b7067fb25889206105468",
-    "p2": "4670e808090fc7b8a990dd79d4155ae5dc135b106a145c259d0457ba2e52a897",
-    "p4": "2e009f2be2e9d868e7c4cab17c2668065fe7f9293d1cb9723a8fff2eecbffc1e",
-    "two-round": "cfa7cbd3a580c9ed89f166c25c2191d0bba294967324b6d5d3a246baaeeea95a",
-    "p6": "5646e5b68ce29bbb090209eacba8c54a4d32526d84d281444f5e1e8b8fec4b1c",
-    "nonint": "482ea53e7a3269d6996fdc3e84466dfab3dcc826268e9ee5127aa28840533224",
+    "p1": "2f750209c620ef8c97a2c77f18029e960346d11e68a179b6d221cb9e708c517f",
+    "p2": "11430b2a018dff249b7bce8e778dc8ea9610a666e53fbc1f2aabd643fc293bd4",
+    "p4": "1b722aeb18b215cb915f866edcdb1063c6d186a8d2d490794ccf86f1da5a4978",
+    "two-round": "b7062658e32d7e57082745b007c82d3d4aa498f5a34f0f083186422ac692cfc5",
+    "p6": "7258d09af00efb8920fc9f0dd936e95f773aeab7fade157c3e2fd00066184468",
+    "nonint": "23b9ff73a686734f40198644d4bf2d9894a02d9cfb9fb3645b2a279c58c92b4c",
 }
 
 
