@@ -21,7 +21,7 @@ import numpy as np
 
 from . import protocols as proto
 from .oracles import make_rng, party_streams, sample_function
-from .qstate import DEFAULT_QUBIT_CAP, CompositeState, trace_distance
+from .qstate import DEFAULT_QUBIT_CAP, CompositeState, Register, init_basis_state, trace_distance
 
 
 class AttackSpecError(ValueError):
@@ -77,14 +77,6 @@ class MeasureResendAttack(Attack):
             events.append({"attack": "measure", "round": round_index,
                            "register": name, "outcome": outcome})
         return state
-
-
-class _InterceptAttack(MeasureResendAttack):
-    """Measure a pass in transit, then keep it: the session stops there."""
-
-    def on_transmission(self, state, round_index, names, rng, events):
-        super().on_transmission(state, round_index, names, rng, events)
-        return None
 
 
 @dataclass
@@ -214,31 +206,38 @@ def impersonate_echo_stage(
 ) -> tuple[int, int]:
     """Eve hijacks the echo stage without the shared tag functions.
 
-    Stage one runs honestly until Eve intercepts and measures its first
-    pass, gaining only scrambled values. She then plays the echo stage's
+    Eve taps stage one's first pass and measures R1, gaining only
+    scrambled values. The opener's permutation and tag registers are
+    computed from R1, so each R1 value holds one amplitude of magnitude
+    2**(-n/2), and her tap's Born weights are bit for bit those of the
+    opener's lone H|v> (v is x, or 0 when the receiver opens). Her guess
+    is drawn from that state, on the stream a stage-one session hands its
+    attack, so no stage-one session runs. She then plays the echo stage's
     sending role toward Alice, echoing her guess with self-made substitute
     tag functions; Alice runs her honest side and applies her usual echo
-    verdict. The guess can only be uniform, as that pass is independent of
-    x, and each trial equals, bit for bit, the one where Eve measures every
-    pass of a finished stage one. Returns Eve's guess and the echo Alice
-    measures; she accepts when the echo equals x.
+    verdict. Returns Eve's guess, uniform as the tapped pass is
+    independent of x, and the echo Alice measures; she accepts when the
+    echo equals x.
     """
     if protocol not in proto.ECHOED:
         raise ValueError(f"echo impersonation targets {' or '.join(sorted(proto.ECHOED))}, "
                          f"not {protocol!r}")
+    # Refuse bad widths, messages and tag functions before any draw.
+    proto.check_session(protocol, n, l, 0, qubit_cap, messages=(x,))
+    for attr in ("alice_tag", "bob_tag"):
+        fn = getattr(keys, attr, None)
+        if fn is None or (fn.n, fn.l) != (n, l):
+            raise proto.ProtocolError(f"{protocol} needs the tag function {attr} of shape {n}->{l}, "
+                                      f"got {'none' if fn is None else f'{fn.n}->{fn.l}'}")
     root = make_rng(rng)
     stage1_rng, eve_rng, alice_rng = root.spawn(3)
 
-    # Stage one, honest parties, Eve intercepting the first pass: the
-    # first single-stage protocol that is the echoed protocol's first stage.
-    first = next(p for p, stages in proto.STAGES.items() if stages == proto.STAGES[protocol][:1])
-    stage1 = proto.run_session(first, x, n, l, 0, keys, rng=stage1_rng,
-                               attack=_InterceptAttack(), snapshots=False,
-                               qubit_cap=qubit_cap)
-
-    # Eve's guess: the message-register value she measured first. It is
-    # uniform, so her success floor is 2**-n regardless of the tap.
-    guess = stage1.attack_events[0]["outcome"]
+    # Eve's guess: her tap of stage one's first pass, drawn from the
+    # opener's R1. It is uniform, so her success floor is 2**-n.
+    first = proto.STAGES[protocol][0]
+    opened = init_basis_state([Register("R1", n, first.tag_owner(0))],
+                              {"R1": 0 if first.exchange.inverted else x}, qubit_cap)
+    guess, _ = opened.apply_hadamard("R1").measure("R1", party_streams(stage1_rng, 3)[2])
 
     # The echo stage with Eve in Bob's seat. Alice runs her genuine side,
     # stripping with the real shared functions; on Eve's fake tags that

@@ -1,5 +1,8 @@
 """Adversary strategies: parsing, attack algebra, detection statistics."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +23,7 @@ from qnokey.adversary import (
     passive_snapshot,
 )
 from qnokey.auth import mac_tag, mac_verify
-from qnokey.oracles import make_rng, sample_function
+from qnokey.oracles import make_rng, party_streams, sample_function
 from qnokey.protocols import (
     ALICE,
     EVE,
@@ -39,7 +42,7 @@ from qnokey.protocols import (
     sample_draws,
     sample_shared_keys,
 )
-from qnokey.qstate import DEFAULT_QUBIT_CAP
+from qnokey.qstate import DEFAULT_QUBIT_CAP, Register, _row_weights, init_basis_state
 
 
 def keys_for(protocol, n, l, t=0, seed=0):
@@ -336,27 +339,78 @@ def full_stage_one_hijack(protocol, x, n, l, keys, seed):
 
 @pytest.mark.parametrize("protocol", ["p3", "p5"])
 def test_hijack_cut_at_the_first_tap_equals_the_full_stage_one(protocol, monkeypatch):
-    # Stopping stage one once Eve has tapped its first pass changes no
-    # trial: her guess and the echo stage's streams are the same.
-    stage_ones = []
-    real_run_session = adversary.proto.run_session
-
-    def recording(*args, **kw):
-        stage_ones.append(real_run_session(*args, **kw))
-        return stage_ones[-1]
-
-    monkeypatch.setattr(adversary.proto, "run_session", recording)
-    for n in (1, 2, 3):
-        for l in range(1, n + 1):
-            for seed in range(100):
+    # Drawing Eve's guess from the opener's one-register state changes no
+    # trial: her guess and the echo stage's streams are the same as when
+    # she measures every pass of a finished stage one. 100 seeds at n 1-3,
+    # 10 at n 4-6 with 3n+l within the qubit cap.
+    sessions = []
+    monkeypatch.setattr(adversary.proto, "run_session",
+                        lambda *a, **kw: sessions.append(a))
+    for n in range(1, 7):
+        for l in range(1, min(n, DEFAULT_QUBIT_CAP - 3 * n) + 1):
+            for seed in range(100 if n <= 3 else 10):
                 rng = make_rng([seed, n, l])
                 keys = sample_shared_keys(protocol, n, l, 0, rng)
                 x = int(rng.integers(1 << n))
                 assert impersonate_echo_stage(protocol, x, n, l, keys, rng=seed) == \
                     full_stage_one_hijack(protocol, x, n, l, keys, seed), (n, l, seed)
-                # The hijack's own stage one ended at the first pass (the
-                # reference calls this module's run_session, left unpatched).
-                assert stage_ones[-1].rounds == 1 and stage_ones[-1].recovered is None
+    # The hijack itself runs no session (the reference calls this
+    # module's run_session, left unpatched).
+    assert sessions == []
+
+
+class TapRecorder(Attack):
+    """Keep the state of pass 1 and a copy of the stream it was handed,
+    then cut the session there."""
+
+    def on_transmission(self, state, round_index, names, rng, events):
+        self.state, self.rng = state, copy.deepcopy(rng)
+        return None
+
+
+@pytest.mark.parametrize("protocol", ["p3", "p5"])
+def test_first_tap_weighs_r1_as_the_openers_lone_register(protocol):
+    # The invariant the hijack's guess rests on: at pass 1 the opener's
+    # permutation and tag registers are functions of R1, so each R1 value
+    # holds one amplitude and R1's Born weights, their total and the
+    # outcome drawn at the tap's stream position are those of H|v> alone.
+    first = {"p3": "p2", "p5": "p4"}[protocol]
+    stage = STAGES[protocol][0]
+    for n in range(1, 7):
+        for k in range(20):
+            l = 1 + k % min(n, DEFAULT_QUBIT_CAP - 3 * n)
+            rng = make_rng([k, n, l])
+            keys = sample_shared_keys(protocol, n, l, 0, rng)
+            x = int(rng.integers(1 << n))
+            tap = TapRecorder()
+            run_session(first, x, n, l, 0, keys, rng=[k, n], attack=tap, snapshots=False)
+            opened = init_basis_state([Register("R1", n, stage.tag_owner(0))],
+                                      {"R1": 0 if stage.exchange.inverted else x})
+            opened = opened.apply_hadamard("R1")
+            tapped = _row_weights(tap.state._axis_view("R1"))
+            alone = _row_weights(opened._axis_view("R1"))
+            assert tapped.tobytes() == alone.tobytes(), (n, l, k)
+            assert float(tapped.sum()).hex() == float(alone.sum()).hex()
+            assert tap.state.measure("R1", tap.rng)[0] == \
+                opened.measure("R1", party_streams([k, n], 3)[2])[0], (n, l, k)
+
+
+def test_hijack_refuses_bad_input_before_any_draw(monkeypatch):
+    streams = []
+    monkeypatch.setattr(adversary, "make_rng", lambda rng: streams.append(rng))
+    # p3 at n=6, l=6 peaks at 3*6+6=24 qubits, above the cap of 22.
+    with pytest.raises(ProtocolError, match=r"p3 needs peak live width 3\*6\+6=24 qubits"):
+        impersonate_echo_stage("p3", 1, 6, 6, keys_for("p3", 6, 6))
+    # Keys sampled at n=2 do not fit a session at n=3.
+    for protocol in ("p3", "p5"):
+        with pytest.raises(ProtocolError, match=f"{protocol} needs the tag function "
+                                                r"alice_tag of shape 3->1, got 2->1"):
+            impersonate_echo_stage(protocol, 1, 3, 1, keys_for(protocol, 2, 1))
+    with pytest.raises(ProtocolError, match="bob_tag of shape 2->1, got none"):
+        impersonate_echo_stage("p3", 1, 2, 1, replace(keys_for("p3", 2, 1), bob_tag=None))
+    with pytest.raises(ProtocolError, match="message 4 does not fit in 2 bits"):
+        impersonate_echo_stage("p5", 4, 2, 1, keys_for("p5", 2, 1))
+    assert streams == []
 
 
 @pytest.mark.parametrize("protocol", ["p3", "p5"])
