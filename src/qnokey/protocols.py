@@ -175,7 +175,8 @@ def check_session(protocol: str, n: int, l: int = 0, t: int = 0,
             f"2*{k}={2 * k}-qubit state, cap is {qubit_cap}; "
             f"run with --no-snapshots and --average none"
         )
-    # A w-qubit state is 2**w complex128 amplitudes of 16 bytes each.
+    # A state stores its nonzero amplitudes only, but a Gram product (in a
+    # discard or a partial trace) builds all 2**w of 16 bytes each.
     width = max(peak, 2 * k) if snapshots else peak
     if 16 << width > HOST_MEMORY_BYTES:
         what = (f"{k}-qubit snapshots, as large as a 2*{k}={width}-qubit state" if width > peak

@@ -1,24 +1,25 @@
 """Exact state-vector simulation over named qubit registers.
 
-The composite state of a protocol session is a dense complex amplitude
-vector over a dynamic, ordered layout of named registers.  The first
-register in the layout occupies the most significant bits of a basis
-index; within a register, bit i of the stored value is qubit i of that
-register.  All operations are pure: they return a new state and never
-mutate their input.  Each one works on reshaped views of the register
-axes (a `(left, size, right)` view around one register, or a row per
-source value for an oracle), so no operation builds a full-length index
-array. A fresh register computed from an oracle, |m>|f(m) XOR p>, is
-written in the same pass that appends it, with the bits that appending
-|p> and then applying the XOR oracle would give. A register is dropped
-without building the state that is discarded: uncomputing it gathers
-the one row the uncompute leaves, and measuring it keeps only the
-observed row, each with the bits of the two steps it replaces.
+The state of a protocol session is a complex amplitude vector over a
+dynamic, ordered layout of named registers. The first register occupies
+the most significant bits of a basis index; within a register, bit i of
+the stored value is qubit i. All operations are pure: they return a new
+state and never mutate their input.
 
-The partial trace writes its result directly when it is diagonal with
-one float's square per entry, as for most channel states the protocols
-send (every gate here keeps the amplitudes real); any other state takes
-the dense Gram product. Both give the same bits.
+A state stores only its nonzero amplitudes: their basis indices, sorted,
+and their values. Every register of a session but R1 is a Boolean
+function of R1 (a permutation copy or a tag), so a state holds at most
+2**n of its 2**width amplitudes, and a kernel's cost follows the stored
+amplitudes. Each nonzero float part has the bits the dense kernels give;
+a zero is not stored, so its sign is not kept. Extending, the XOR oracle
+and the phase flip move entries by index arithmetic; the Hadamard runs
+the dense butterfly on one row per fiber of the other registers. A sum
+whose rounding depends on order (a Born weight, or the weight that
+renormalises a dropped register) is taken as numpy takes it over the
+dense row (see `_row_weight`). Only the Gram products, for the purity of
+a register spread over several rows and for a partial trace that is not
+diagonal (most channel states the protocols send give a diagonal one),
+build the full vector.
 
 Density matrices are plain complex128 arrays. Every spectrum, for trace
 distances and for the harness's validity checks, comes from numpy's
@@ -27,6 +28,7 @@ distances and for the harness's validity checks, comes from numpy's
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -41,10 +43,6 @@ ATOL_DENSITY = 1e-10
 ATOL_SCALAR = 1e-9
 
 DEFAULT_QUBIT_CAP = 22
-
-# Floats (real and imaginary parts) the partial trace compares with zero
-# at a time while it looks for a diagonal result.
-_SCAN_BLOCK = 1 << 16
 
 
 class RegisterError(ValueError):
@@ -84,25 +82,39 @@ class Register:
             raise RegisterError(f"register {self.name!r} needs width >= 1, got {self.width}")
 
 
-@dataclass(frozen=True)
 class CompositeState:
     """Pure state of all live registers.
+
+    `CompositeState(registers, amplitudes, qubit_cap)` takes a dense
+    vector of length 2**total_width, and `amplitudes` gives one back.
 
     Attributes
     ----------
     registers:
         Ordered layout. The first entry owns the most significant bits
         of every basis index.
-    amplitudes:
-        complex128 vector of length 2**total_width, unit norm.
+    index, values:
+        int64 basis indices of the nonzero amplitudes, ascending, and the
+        complex128 amplitude at each. The state has unit norm.
     qubit_cap:
         Hard limit on total width; operations that would grow the
         layout past it are rejected with the offending arithmetic.
     """
 
-    registers: tuple[Register, ...]
-    amplitudes: np.ndarray
-    qubit_cap: int = DEFAULT_QUBIT_CAP
+    __slots__ = ("registers", "index", "values", "qubit_cap")
+
+    def __init__(self, registers: Sequence[Register], amplitudes, qubit_cap: int = DEFAULT_QUBIT_CAP):
+        amps = np.asarray(amplitudes, dtype=np.complex128).ravel()
+        self.registers, self.qubit_cap = tuple(registers), qubit_cap
+        self.index = np.flatnonzero(amps)
+        self.values = amps[self.index]
+
+    def _with(self, index: np.ndarray, values: np.ndarray, registers=None) -> "CompositeState":
+        """A state with these entries, this state's cap, and its layout unless one is given."""
+        out = object.__new__(CompositeState)
+        out.registers = self.registers if registers is None else registers
+        out.index, out.values, out.qubit_cap = index, values, self.qubit_cap
+        return out
 
     # -- layout helpers -------------------------------------------------
 
@@ -113,6 +125,13 @@ class CompositeState:
     @property
     def dim(self) -> int:
         return 1 << self.total_width
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense complex128 vector of length 2**total_width."""
+        amps = np.zeros(self.dim, dtype=np.complex128)
+        amps[self.index] = self.values
+        return amps
 
     def register(self, name: str) -> Register:
         for reg in self.registers:
@@ -125,71 +144,31 @@ class CompositeState:
 
     def shift(self, name: str) -> int:
         """Bit offset of a register inside a basis index."""
-        offset = self.total_width
-        for reg in self.registers:
-            offset -= reg.width
+        return self._place(name)[0]
+
+    def _place(self, name: str) -> tuple[int, int]:
+        """Bit offset and width of a register."""
+        offset = 0
+        for reg in reversed(self.registers):
             if reg.name == name:
-                return offset
+                return offset, reg.width
+            offset += reg.width
         raise RegisterError(f"no register named {name!r} in layout {self.names()}")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def _axis_view(self, name: str) -> np.ndarray:
-        """Amplitudes as a (left, value of `name`, right) view."""
-        right = 0
-        for reg in reversed(self.registers):
-            if reg.name == name:
-                return self.amplitudes.reshape(-1, 1 << reg.width, 1 << right)
-            right += reg.width
-        raise RegisterError(f"no register named {name!r} in layout {self.names()}")
-
-    def _oracle_view(
-        self, src: str, dst: str, table: Sequence[int] | np.ndarray, pad: int
-    ) -> tuple[list[int], np.ndarray, bool]:
-        """Checked offsets of an oracle src -> dst, the amplitudes as a
-        (before, first, between, second, after) view, and whether the
-        source comes first."""
-        if src == dst:
-            raise RegisterError("oracle source and destination must differ")
-        names = self.names()
-        for name in (src, dst):
-            if name not in names:
-                raise RegisterError(f"no register named {name!r} in layout {names}")
-        i, j = names.index(src), names.index(dst)
-        widths = [r.width for r in self.registers]
-        offsets = _oracle_offsets(src, 1 << widths[i], widths[j], table, "pad", pad)
-        lo, hi = min(i, j), max(i, j)
-        shape = (1 << sum(widths[:lo]), 1 << widths[lo], 1 << sum(widths[lo + 1:hi]),
-                 1 << widths[hi], 1 << sum(widths[hi + 1:]))
-        return offsets, self.amplitudes.reshape(shape), i < j
-
-    def _without(self, name: str, rest: np.ndarray) -> "CompositeState":
-        regs = tuple(r for r in self.registers if r.name != name)
-        return CompositeState(regs, rest, self.qubit_cap)
+        return float(np.linalg.norm(self.values))
 
     # -- layout-changing operations -------------------------------------
 
-    def extend(
-        self,
-        name: str,
-        width: int,
-        holder: str,
-        value: int = 0,
-        *,
-        source: str | None = None,
-        table: Sequence[int] | np.ndarray | None = None,
-    ) -> "CompositeState":
+    def extend(self, name: str, width: int, holder: str, value: int = 0, *,
+               source: str | None = None,
+               table: Sequence[int] | np.ndarray | None = None) -> "CompositeState":
         """Append a fresh register: |m>_source |value XOR table[m]>_name.
 
-        With no source the register holds |value>: the one-row case of
-        the same kernel. Each source value m gets a one-hot row over the
-        new register's values, set at value XOR table[m], and one multiply
-        broadcasts every amplitude against its row. So every slot holds
-        the amplitude times 1+0j or times 0j, the bits that appending
-        |value> by an outer product and then applying the XOR oracle would
-        give, signed zeros included, and the state is read and written
-        once.
+        With no source the register holds |value>. Each entry's index
+        gains the new register's bits below its own, so the indices stay
+        sorted, and each value is multiplied by 1+0j, as the outer product
+        with |value> followed by the XOR oracle multiplies it.
         """
         if any(r.name == name for r in self.registers):
             raise RegisterError(f"register name {name!r} already in use")
@@ -203,151 +182,139 @@ class CompositeState:
         if (source is None) != (table is None):
             raise RegisterError("give both a source register and a table, or neither")
         if source is None:
-            rows, table = self.amplitudes.reshape(-1, 1, 1), (0,)
+            fresh = _oracle_offsets(None, 1, width, (0,), "value", value)[0]
         else:
-            rows = self._axis_view(source)
-        size = rows.shape[1]
-        hit = np.zeros((size, 1 << width), dtype=bool)
-        hit[np.arange(size), _oracle_offsets(source, size, width, table, "value", value)] = True
-        out = np.empty(rows.shape + (1 << width,), dtype=np.complex128)
-        np.multiply(rows[..., None], hit[:, None, :], out=out, dtype=np.complex128)
-        return CompositeState(self.registers + (reg,), out.reshape(-1), self.qubit_cap)
+            shift, src_width = self._place(source)
+            offsets = _oracle_offsets(source, 1 << src_width, width, table, "value", value)
+            fresh = offsets[_field(self.index, shift, src_width)]
+        return self._with((self.index << width) | fresh, self.values * (1 + 0j),
+                          self.registers + (reg,))
 
     def with_holder(self, names: Iterable[str], holder: str) -> "CompositeState":
         wanted = set(names)
         missing = wanted - set(self.names())
         if missing:
             raise RegisterError(f"no register named {sorted(missing)} in layout {self.names()}")
-        regs = tuple(
-            Register(r.name, r.width, holder) if r.name in wanted else r for r in self.registers
-        )
-        return CompositeState(regs, self.amplitudes, self.qubit_cap)
+        return self._with(self.index, self.values, tuple(
+            Register(r.name, r.width, holder) if r.name in wanted else r for r in self.registers))
 
-    def discard(
-        self,
-        name: str,
-        *,
-        source: str | None = None,
-        table: Sequence[int] | np.ndarray | None = None,
-    ) -> "CompositeState":
+    def discard(self, name: str, *, source: str | None = None,
+                table: Sequence[int] | np.ndarray | None = None) -> "CompositeState":
         """Drop an unentangled register from the layout.
 
         The register must factor out of the session (reduced purity
         within ATOL_DENSITY of 1), otherwise EntangledRegisterError.
-        The purity is taken over the rows of nonzero weight only: a zero
-        row adds exact zeros, and after an uncompute or a measurement
-        there is one such row, whose purity is its weight squared.
+        After an uncompute or a measurement it holds one value, and the
+        purity is that row's weight squared; otherwise it is taken from
+        the Gram product of the rows of nonzero weight.
 
         With a source and a table the register is uncomputed first, with
         the bits of apply_xor_oracle(source, name, table) then discard(name).
-        The row the uncompute leaves is gathered straight into the smaller
-        state; only when another row would keep weight does it take the
-        two steps, so the same states are refused with the same purity.
         """
         if (source is None) != (table is None):
             raise RegisterError("give both a source register and a table, or neither")
-        if source is not None:
-            return self._uncompute_and_discard(name, source, table)
-        view = self._axis_view(name)
+        state = self if source is None else self._xor(source, name, table, 0)
+        return state._drop(name)
+
+    def _drop(self, name: str) -> "CompositeState":
+        shift, width = self._place(name)
         if len(self.registers) == 1:
             raise RegisterError("cannot discard the last register")
+        rows = _field(self.index, shift, width)
+        if rows.size and (rows == rows[0]).all():
+            return self._drop_row(name, shift, width)
+        # Several rows: the purity of their dense Gram product.
+        view = self.amplitudes.reshape(-1, 1 << width, 1 << shift)
         row_weights = _row_weights(view)
         live = np.flatnonzero(row_weights)
-        if live.size == 1:
-            purity = float(row_weights[live[0]]) ** 2
-        else:
-            mat = view[:, live, :].transpose(1, 0, 2).reshape(live.size, -1)
-            rho = mat @ mat.conj().T
-            purity = float(np.sum(np.abs(rho) ** 2).real)
+        mat = view[:, live, :].transpose(1, 0, 2).reshape(live.size, -1)
+        purity = float(np.sum(np.abs(mat @ mat.conj().T) ** 2).real)
         if purity < 1.0 - ATOL_DENSITY:
             raise EntangledRegisterError(name, purity)
         pick = int(np.argmax(row_weights))
-        return self._without(name, view[:, pick, :].ravel() / math.sqrt(row_weights[pick]))
+        return CompositeState(self._without(name),
+                              view[:, pick, :] / math.sqrt(row_weights[pick]), self.qubit_cap)
 
-    def _uncompute_and_discard(self, name: str, source: str, table) -> "CompositeState":
-        offsets, a, first = self._oracle_view(source, name, table, 0)
-        nonzero = self.amplitudes != 0
-        # The row the uncompute leaves holds the first nonzero amplitude.
-        at = np.unravel_index(int(nonzero.argmax()), a.shape)
-        src_at, dst_at = (at[1], at[3]) if first else (at[3], at[1])
-        row = int(dst_at) ^ offsets[int(src_at)]
-        axis = 3 if first else 1
-        rest = np.empty(a.shape[:axis] + a.shape[axis + 1:], dtype=np.complex128)
-        for m, k in enumerate(offsets):
-            if first:
-                rest[:, m] = a[:, m, :, row ^ k]
-            else:
-                rest[:, :, m] = a[:, row ^ k, :, m]
-        weight = _kept_weight(rest.reshape(-1, math.prod(a.shape[axis + 1:])))
-        # Every nonzero amplitude is in this row, and it passes the purity check.
-        if (np.count_nonzero(rest) == np.count_nonzero(nonzero)
-                and float(weight) ** 2 >= 1.0 - ATOL_DENSITY):
-            rest /= math.sqrt(weight)
-            return self._without(name, rest.reshape(-1))
-        return self.apply_xor_oracle(source, name, table).discard(name)
+    def _drop_row(self, name: str, shift: int, width: int) -> "CompositeState":
+        """Drop a register that holds one value in every entry."""
+        rest = _drop_field(self.index, shift, width)
+        weight = _row_weight(self.values, rest, 1 << shift, self.dim >> width)
+        purity = float(weight) ** 2
+        if purity < 1.0 - ATOL_DENSITY:
+            raise EntangledRegisterError(name, purity)
+        return self._with(rest, self.values / math.sqrt(weight), self._without(name))
+
+    def _without(self, name: str) -> tuple[Register, ...]:
+        return tuple(r for r in self.registers if r.name != name)
 
     # -- unitary operations ---------------------------------------------
 
     def apply_hadamard(self, name: str) -> "CompositeState":
         """Hadamard on every qubit of a register.
 
-        Implemented as an in-place butterfly along the register's axis,
-        one doubling stage per qubit, then a single 2**(-w/2) rescale.
+        The entries fill a dense block, a row for each fiber (a value of
+        the other registers that holds weight) and a column for each value
+        of the register. An in-place butterfly runs along the rows, one
+        doubling stage per qubit, then a single 2**(-w/2) rescale.
         """
-        a = self._axis_view(name).copy()
-        left, size, right = a.shape
+        shift, width = self._place(name)
+        size = 1 << width
+        rows = _field(self.index, shift, width)
+        single = len(self.registers) == 1
+        fibers, at = (np.zeros(1, dtype=np.int64), 0) if single else \
+            np.unique(self.index ^ (rows << shift), return_inverse=True)
+        a = np.zeros((fibers.size, size), dtype=np.complex128)
+        a[at, rows] = self.values
         h = 1
         while h < size:
-            a = a.reshape(left, size // (2 * h), 2, h, right)
+            a = a.reshape(-1, size // (2 * h), 2, h)
             top = a[:, :, 0].copy()
             a[:, :, 0] = top + a[:, :, 1]
             a[:, :, 1] = top - a[:, :, 1]
-            a = a.reshape(left, size, right)
             h *= 2
-        a = a.reshape(self.dim) / math.sqrt(size)
-        return CompositeState(self.registers, a, self.qubit_cap)
+        a = a.reshape(-1, size)
+        a /= math.sqrt(size)
+        fiber, value = np.nonzero(a)
+        index, values = value if single else fibers[fiber] | (value << shift), a[fiber, value]
+        if shift:
+            order = np.argsort(index)
+            index, values = index[order], values[order]
+        return self._with(index, values)
 
     def apply_phase_flip(self, name: str, mask: int) -> "CompositeState":
-        """Multiply each |m> of a register by (-1)**(mask . m).
-
-        The dot product is the XOR-parity of the bitwise AND, so the
-        flip factorises into single-qubit Z gates on the set bits of
-        `mask`.
-        """
-        reg = self.register(name)
-        if not 0 <= mask < (1 << reg.width):
-            raise RegisterError(f"mask {mask} does not fit in {reg.width} bits")
+        """Multiply each |m> of a register by (-1)**(mask . m): a Z gate on
+        each qubit of the register whose bit is set in `mask`."""
+        shift, width = self._place(name)
+        if not 0 <= mask < (1 << width):
+            raise RegisterError(f"mask {mask} does not fit in {width} bits")
         if mask == 0:
             return self
-        parity = np.bitwise_count(np.arange(1 << reg.width) & mask) & 1
-        amps = self._axis_view(name) * (1.0 - 2.0 * parity)[:, None]
-        return CompositeState(self.registers, amps.reshape(-1), self.qubit_cap)
+        parity = np.bitwise_count(_field(self.index, shift, width) & mask) & 1
+        return self._with(self.index, self.values * (1.0 - 2.0 * parity))
 
-    def apply_xor_oracle(
-        self,
-        src: str,
-        dst: str,
-        table: Sequence[int] | np.ndarray,
-        pad: int = 0,
-    ) -> "CompositeState":
+    def apply_xor_oracle(self, src: str, dst: str, table: Sequence[int] | np.ndarray,
+                         pad: int = 0) -> "CompositeState":
         """|m>_src |y>_dst  ->  |m>_src |y XOR table[m] XOR pad>_dst.
 
         A pure basis permutation: amplitudes are only moved, never
         combined, so applying the same oracle twice restores the state
-        bit for bit.  The layout is split into (before, first, between,
-        second, after), and each source value's row is gathered along the
-        destination axis through a 2**w_dst-entry index.
+        bit for bit. Each entry's index is XOR-ed with its offset, and
+        the entries are sorted again by a stable sort.
         """
-        offsets, a, first = self._oracle_view(src, dst, table, pad)
-        out = np.empty(a.shape, dtype=a.dtype)
-        # A source row drops the source axis; the destination axis is then
-        # 2 (source first) or 1 (destination first).
-        lead, axis = ((slice(None),), 2) if first else ((slice(None),) * 3, 1)
-        ys = np.arange(a.shape[3 if first else 1])
-        for m, k in enumerate(offsets):
-            row = lead + (m,)
-            a[row].take(ys ^ k, axis, out[row], "clip")
-        return CompositeState(self.registers, out.reshape(-1), self.qubit_cap)
+        if src == dst:
+            raise RegisterError("oracle source and destination must differ")
+        src_shift, src_width = self._place(src)
+        shift, width = self._place(dst)
+        offsets = _oracle_offsets(src, 1 << src_width, width, table, "pad", pad)
+        index = self.index ^ (offsets[_field(self.index, src_shift, src_width)] << shift)
+        order = np.argsort(index, kind="stable")
+        index = index[order]
+        return self._with(index, self.values[order])
+
+    # The same kernel under a private name, which `discard` calls: a wrapper
+    # put on the public method, as the benchmark's tracer does, then counts
+    # only the oracles a caller applies.
+    _xor = apply_xor_oracle
 
     # -- measurement ----------------------------------------------------
 
@@ -358,37 +325,65 @@ class CompositeState:
 
         Returns (outcome, collapsed state). The register stays in the
         layout, holding the observed basis value; with `discard` it is
-        dropped, with the bits of measure then discard and without
-        building the collapsed state. Sampling draws one uniform variate
-        from `rng` and walks the cumulative Born weights, so a given
-        stream position always yields the same outcome.
+        dropped, with the bits of measure then discard. Sampling draws one
+        uniform variate from `rng` and walks the cumulative Born weights,
+        so a given stream position always yields the same outcome.
         """
-        view = self._axis_view(name)
+        shift, width = self._place(name)
         if discard and len(self.registers) == 1:
             raise RegisterError("cannot discard the last register")
-        probs = _row_weights(view)
-        total = float(probs.sum())
+        rows = _field(self.index, shift, width)
+        live, probs = self._born_weights(rows, shift, width)
+        # The total sums a weight for every value, zeros included, in numpy's order.
+        total = float(probs[0] if live.size == 1 else _scatter(live, probs, 1 << width).sum())
         if abs(total - 1.0) > 1e-9:
             raise RegisterError(f"probabilities sum to {total!r}; state is not normalised")
         u = rng.random() * total
+        # Rows of zero weight leave the running sum as it was, so walking
+        # the live rows alone stops at the same row.
         acc = 0.0
-        for outcome, p in enumerate(probs.tolist()):
+        for k, p in enumerate(probs.tolist()):
             acc += p
             if u < acc:
                 break
         else:
             # u landed on the rounding slack past the last cumulative
             # step: take the largest value with any weight at all.
-            outcome = int(np.flatnonzero(probs > 0.0)[-1])
-        kept = view[:, outcome, :] / math.sqrt(float(probs[outcome]))
-        if discard:
-            # A register holding one basis value always factors out: its
-            # purity is its renormalised weight squared, 1 to rounding.
-            kept /= math.sqrt(_kept_weight(kept))
-            return outcome, self._without(name, kept.reshape(-1))
-        amps = np.zeros_like(view)
-        amps[:, outcome, :] = kept
-        return outcome, CompositeState(self.registers, amps.reshape(-1), self.qubit_cap)
+            k = int(np.flatnonzero(probs > 0.0)[-1])
+        outcome = int(live[k])
+        kept = slice(None) if live.size == 1 else rows == outcome
+        state = self._with(self.index[kept], self.values[kept] / math.sqrt(float(probs[k])))
+        # A register holding one basis value always factors out: its
+        # purity is its renormalised weight squared, 1 to rounding.
+        return outcome, state._drop_row(name, shift, width) if discard else state
+
+    def _born_weights(self, rows: np.ndarray, shift: int, width: int):
+        """The register values that hold entries, ascending, and the weight
+        of each, with the bits `_row_weights` gives them."""
+        if len(self.registers) == 1 or not rows.size:
+            w = np.abs(self.values)
+            return rows, np.square(w, out=w)
+        right, size = 1 << shift, self.dim >> width
+        if (rows == rows[0]).all():
+            rest = _drop_field(self.index, shift, width)
+            return rows[:1], np.array([_row_weight(self.values, rest, right, size)])
+        if right == 1:
+            # A last register's rows are running sums of their entries'
+            # weights in index order; Python floats add as numpy's do.
+            w, keys = np.abs(self.values), rows.tolist()
+            sums = dict.fromkeys(keys, 0.0)
+            for row, weight in zip(keys, np.square(w, out=w).tolist()):
+                sums[row] += weight
+            live = sorted(sums)
+            return np.array(live), np.array([sums[row] for row in live])
+        # Any other register's rows are summed one by one, each from its
+        # entries, which the stable sort keeps in index order.
+        order = np.argsort(rows, kind="stable")
+        rows, values = rows[order], self.values[order]
+        starts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
+        rest = np.split(_drop_field(self.index[order], shift, width), starts)
+        return rows[np.r_[0, starts]], np.array(
+            [_row_weight(v, r, right, size) for v, r in zip(np.split(values, starts), rest)])
 
     # -- density matrices -----------------------------------------------
 
@@ -401,12 +396,10 @@ class CompositeState:
 
         The state is read as a kept x traced matrix M and the result is
         M M^dagger. When M has at most one nonzero in each row and each
-        column, and no amplitude has both a real and an imaginary part,
-        that product is diagonal and each entry is the square of one
-        float: it is written directly, with the bits the product gives.
-        The check scans the amplitudes in fixed-size blocks and stops
-        once there are more nonzeros than such an M can hold. Any other
-        state takes the dense product.
+        column, and the amplitudes are all real or all imaginary, that
+        product is diagonal and each entry is the square of one float: it
+        is written directly from the stored entries, with the bits the
+        product gives. Any other state takes the dense product.
         """
         wanted = set(keep)
         names = self.names()
@@ -415,40 +408,37 @@ class CompositeState:
             raise RegisterError(f"no register named {sorted(missing)} in layout {names}")
         if not wanted:
             raise RegisterError("keep set must not be empty")
-        shape = [1 << r.width for r in self.registers]
-        kept = [i for i, name in enumerate(names) if name in wanted]
-        order = kept + [i for i, name in enumerate(names) if name not in wanted]
-        amps = self.amplitudes
-        keep_dim = math.prod(shape[i] for i in kept)
-        traced_dim = amps.size // keep_dim
-        parts = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
+        # Each entry's row (the bits of the kept registers) and column (the
+        # rest), read one run of adjacent kept or traced registers at a time.
+        bits = {True: np.zeros_like(self.index), False: np.zeros_like(self.index)}
+        shift = self.total_width
+        for kept, run in itertools.groupby(self.registers, lambda r: r.name in wanted):
+            width = sum(r.width for r in run)
+            shift -= width
+            bits[kept] = (bits[kept] << width) | _field(self.index, shift, width)
+        rows, cols = bits[True], bits[False]
+        keep_dim = 1 << sum(r.width for r in self.registers if r.name in wanted)
+        re, im = self.values.real, self.values.imag
+        v = re if not im.any() else im if not re.any() else None
         # A partial permutation has at most one nonzero in each row and in
         # each column of the kept x traced matrix.
-        hits = _nonzero_parts(parts, min(keep_dim, traced_dim))
-        if hits is not None:
-            coords = np.unravel_index(hits >> 1, shape)
-            at = np.ravel_multi_index([coords[i] for i in order], [shape[i] for i in order])
-            rows, cols = np.divmod(at, traced_dim)
-            # Distinct rows also mean that no amplitude has two nonzero parts,
-            # so each diagonal entry is the square of one float, which is
-            # the Gram product's value bit for bit.
-            if _distinct(rows) and _distinct(cols):
-                v = parts[hits]
-                # Every entry is written, as the dense product writes it. A
-                # calloc'd matrix with only its diagonal touched is resident
-                # page by page, and once freed, that partly resident block
-                # can stay in the heap, so the process's resident size would
-                # depend on which sessions ran before.
-                rho = np.full((keep_dim, keep_dim), 0.0, dtype=np.complex128)
-                rho[rows, rows] = v * v
-                return rho
-        mat = amps.reshape(shape).transpose(order).reshape(keep_dim, traced_dim)
+        if v is not None and _distinct(rows) and _distinct(cols):
+            # Every entry is written, as the dense product writes it. A
+            # calloc'd matrix with only its diagonal touched is resident
+            # page by page, and once freed, that partly resident block
+            # can stay in the heap, so the process's resident size would
+            # depend on which sessions ran before.
+            rho = np.full((keep_dim, keep_dim), 0.0, dtype=np.complex128)
+            rho[rows, rows] = v * v
+            return rho
+        order = sorted(range(len(names)), key=lambda i: names[i] not in wanted)
+        mat = self.amplitudes.reshape([1 << r.width for r in self.registers])
+        mat = mat.transpose(order).reshape(keep_dim, -1)
         return mat @ mat.conj().T
 
 
-def _oracle_offsets(
-    src: str | None, size: int, width: int, table, what: str, pad: int
-) -> list[int]:
+def _oracle_offsets(src: str | None, size: int, width: int, table, what: str,
+                    pad: int) -> np.ndarray:
     """table[m] XOR pad for each of the `size` source values, checked to fit `width` bits."""
     flat = table.ravel().tolist() if isinstance(table, np.ndarray) else list(table)
     if len(flat) != size or getattr(table, "ndim", 1) != 1:
@@ -457,29 +447,23 @@ def _oracle_offsets(
         raise RegisterError(f"table entries must fit in {width} bits")
     if not 0 <= pad < (1 << width):
         raise RegisterError(f"{what} {pad} does not fit in {width} bits")
-    return [t ^ pad for t in flat]
+    return np.array(flat, dtype=np.int64) ^ pad
+
+
+def _field(index: np.ndarray, shift: int, width: int) -> np.ndarray:
+    """The value a register at bit offset `shift` holds in each index."""
+    return (index >> shift) & ((1 << width) - 1) if shift else index & ((1 << width) - 1)
+
+
+def _drop_field(index: np.ndarray, shift: int, width: int) -> np.ndarray:
+    """Each index with the register at bit offset `shift` taken out."""
+    if not shift:
+        return index >> width
+    return ((index >> (shift + width)) << shift) | (index & ((1 << shift) - 1))
 
 
 def _distinct(values: np.ndarray) -> bool:
     return len(set(values.tolist())) == values.size
-
-
-def _nonzero_parts(parts: np.ndarray, limit: int) -> np.ndarray | None:
-    """Indices of the nonzero entries of `parts`, in order; None past `limit`.
-
-    The entries are compared with zero one fixed-size block at a time, so
-    no mask with an entry per amplitude is built, and a state with too
-    many nonzeros stops early.
-    """
-    size = min(parts.size, _SCAN_BLOCK)
-    found, count = [], 0
-    for start in range(0, parts.size, size):
-        hits = np.flatnonzero(parts[start:start + size] != 0.0)
-        count += hits.size
-        if count > limit:
-            return None
-        found.append(hits + start)
-    return np.concatenate(found)
 
 
 def _row_weights(view: np.ndarray) -> np.ndarray:
@@ -494,18 +478,31 @@ def _row_weights(view: np.ndarray) -> np.ndarray:
     return w.transpose(1, 0, 2).reshape(view.shape[1], -1).sum(axis=1)
 
 
-def _kept_weight(row: np.ndarray) -> np.float64:
-    """The weight `_row_weights` gives one row of a (left, size, right)
-    view, from that (left, right) row alone, with the same bits.
+def _row_weight(values: np.ndarray, rest: np.ndarray, right: int, size: int) -> np.float64:
+    """The weight `_row_weights` gives one row of a (left, 2**w, right)
+    view, with the same bits, from the entries at places `rest`
+    (ascending) among the row's left * right = `size` amplitudes.
 
-    For a register that is not last, `_row_weights` copies each row into
-    a contiguous line, which numpy sums pairwise. For the last register
-    (right == 1) it sums a strided view, and numpy adds each row's
-    entries in order, as a running sum does.
+    Weights are never negative, so adding a zero leaves a sum as it was:
+    a row with one entry weighs its square, and a last register's row
+    (right == 1), which `_row_weights` adds up in order, is a running sum
+    over the entries. Numpy sums any other row pairwise, grouped by where
+    each entry sits, so its weights are put back in their dense row.
     """
-    w = np.abs(row)
+    w = np.abs(values)
     np.square(w, out=w)
-    return np.add.accumulate(w.ravel())[-1] if row.shape[1] == 1 else w.sum()
+    if w.size == 1:
+        return w[0]
+    if right == 1:
+        return np.add.accumulate(w)[-1]
+    return _scatter(rest, w, size).sum()
+
+
+def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """A dense float vector of length `size` holding `values` at `at`."""
+    out = np.zeros(size)
+    out[at] = values
+    return out
 
 
 def init_basis_state(
@@ -539,9 +536,10 @@ def init_basis_state(
             raise RegisterError(f"value {value} does not fit register {reg.name!r} "
                                 f"of width {reg.width}")
         index = (index << reg.width) | value
-    amps = np.zeros(1 << total, dtype=np.complex128)
-    amps[index] = 1.0
-    return CompositeState(regs, amps, qubit_cap=qubit_cap)
+    state = object.__new__(CompositeState)
+    state.registers, state.index, state.values, state.qubit_cap = \
+        regs, np.array([index], dtype=np.int64), np.ones(1, dtype=np.complex128), qubit_cap
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,37 @@ def test_fast_shipped_experiment_bodies_are_pinned():
     assert digests == SHIPPED_BODY_SHA256
 
 
+# sha256 of the body bytes of one-message sessions at peak widths 17 to
+# 21, with snapshots, pinned from the dense state-vector kernels: the
+# stored-amplitude kernels must give the same mixedness floats and
+# outcomes. The two attacked sessions measure R1 while it spans several
+# rows, at widths 13 and 17. Keys: (protocol, n, l, t, seed, message, attack).
+WIDE_BODY_SHA256 = {
+    ("p1", 7, 0, 0, 11, 93, None):
+        "d1063036b5d18af842cc0d99f69b879fe8297e207279720570107e7a6e95aa46",
+    ("p4", 9, 1, 0, 12, 300, None):
+        "d9d5cdce97ff1f20728b173b8dbb4a225e1e630d13a8937d6b29d8cff74723a0",
+    ("p2", 6, 2, 0, 13, 41, None):
+        "b9fbfad787b08a3c03d5ae72a6d0d05025b95e1722ef557b3ba08de3cda8b6f3",
+    ("p6", 6, 1, 2, 14, 22, None):
+        "0fdf4252efac2cf52cef36d4039cdcb5c9976872c34990dc8929974e4b077488",
+    ("p3", 5, 3, 0, 15, 19, "measure:passes=1"):
+        "831c24b2eee8bcdadfc2f7e57e634046f0f4446612d75e293a43e659f3e077d7",
+    ("p5", 8, 1, 0, 16, 201, "measure:passes=all"):
+        "34a203745ea7acd58e42c4cdce9f14676e2c8a4351e845324fcae1ab48395da3",
+}
+
+
+def test_wide_session_bodies_are_pinned():
+    digests = {}
+    for key in WIDE_BODY_SHA256:
+        protocol, n, l, t, seed, x, attack = key
+        config = ExperimentConfig(protocol, n=n, l=l, t=t, seed=seed, messages=(x,),
+                                  attack=attack)
+        digests[key] = hashlib.sha256(run_experiment(config).body_bytes()).hexdigest()
+    assert digests == WIDE_BODY_SHA256
+
+
 def test_shipped_experiment_roster():
     roster = shipped_experiments()
     assert [c.protocol for c in roster] == \
