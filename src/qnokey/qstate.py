@@ -160,9 +160,16 @@ class CompositeState:
 
     # -- layout-changing operations -------------------------------------
 
-    def extend(self, name: str, width: int, holder: str, value: int = 0, *,
-               source: str | None = None,
-               table: Sequence[int] | np.ndarray | None = None) -> "CompositeState":
+    def extend(
+        self,
+        name: str,
+        width: int,
+        holder: str,
+        value: int = 0,
+        *,
+        source: str | None = None,
+        table: Sequence[int] | np.ndarray | None = None,
+    ) -> "CompositeState":
         """Append a fresh register: |m>_source |value XOR table[m]>_name.
 
         With no source the register holds |value>. Each entry's index
@@ -198,8 +205,13 @@ class CompositeState:
         return self._with(self.index, self.values, tuple(
             Register(r.name, r.width, holder) if r.name in wanted else r for r in self.registers))
 
-    def discard(self, name: str, *, source: str | None = None,
-                table: Sequence[int] | np.ndarray | None = None) -> "CompositeState":
+    def discard(
+        self,
+        name: str,
+        *,
+        source: str | None = None,
+        table: Sequence[int] | np.ndarray | None = None,
+    ) -> "CompositeState":
         """Drop an unentangled register from the layout.
 
         The register must factor out of the session (reduced purity
@@ -292,8 +304,13 @@ class CompositeState:
         parity = np.bitwise_count(_field(self.index, shift, width) & mask) & 1
         return self._with(self.index, self.values * (1.0 - 2.0 * parity))
 
-    def apply_xor_oracle(self, src: str, dst: str, table: Sequence[int] | np.ndarray,
-                         pad: int = 0) -> "CompositeState":
+    def apply_xor_oracle(
+        self,
+        src: str,
+        dst: str,
+        table: Sequence[int] | np.ndarray,
+        pad: int = 0,
+    ) -> "CompositeState":
         """|m>_src |y>_dst  ->  |m>_src |y XOR table[m] XOR pad>_dst.
 
         A pure basis permutation: amplitudes are only moved, never
@@ -333,57 +350,47 @@ class CompositeState:
         if discard and len(self.registers) == 1:
             raise RegisterError("cannot discard the last register")
         rows = _field(self.index, shift, width)
-        live, probs = self._born_weights(rows, shift, width)
-        # The total sums a weight for every value, zeros included, in numpy's order.
-        total = float(probs[0] if live.size == 1 else _scatter(live, probs, 1 << width).sum())
+        probs = self._born_weights(rows, shift, width)
+        total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise RegisterError(f"probabilities sum to {total!r}; state is not normalised")
         u = rng.random() * total
-        # Rows of zero weight leave the running sum as it was, so walking
-        # the live rows alone stops at the same row.
         acc = 0.0
-        for k, p in enumerate(probs.tolist()):
+        for outcome, p in enumerate(probs.tolist()):
             acc += p
             if u < acc:
                 break
         else:
             # u landed on the rounding slack past the last cumulative
             # step: take the largest value with any weight at all.
-            k = int(np.flatnonzero(probs > 0.0)[-1])
-        outcome = int(live[k])
-        kept = slice(None) if live.size == 1 else rows == outcome
-        state = self._with(self.index[kept], self.values[kept] / math.sqrt(float(probs[k])))
+            outcome = int(np.flatnonzero(probs > 0.0)[-1])
+        kept = rows == outcome
+        state = self._with(self.index[kept], self.values[kept] / math.sqrt(float(probs[outcome])))
         # A register holding one basis value always factors out: its
         # purity is its renormalised weight squared, 1 to rounding.
         return outcome, state._drop_row(name, shift, width) if discard else state
 
-    def _born_weights(self, rows: np.ndarray, shift: int, width: int):
-        """The register values that hold entries, ascending, and the weight
-        of each, with the bits `_row_weights` gives them."""
-        if len(self.registers) == 1 or not rows.size:
-            w = np.abs(self.values)
-            return rows, np.square(w, out=w)
-        right, size = 1 << shift, self.dim >> width
-        if (rows == rows[0]).all():
-            rest = _drop_field(self.index, shift, width)
-            return rows[:1], np.array([_row_weight(self.values, rest, right, size)])
-        if right == 1:
-            # A last register's rows are running sums of their entries'
-            # weights in index order; Python floats add as numpy's do.
-            w, keys = np.abs(self.values), rows.tolist()
-            sums = dict.fromkeys(keys, 0.0)
-            for row, weight in zip(keys, np.square(w, out=w).tolist()):
-                sums[row] += weight
-            live = sorted(sums)
-            return np.array(live), np.array([sums[row] for row in live])
-        # Any other register's rows are summed one by one, each from its
-        # entries, which the stable sort keeps in index order.
-        order = np.argsort(rows, kind="stable")
-        rows, values = rows[order], self.values[order]
-        starts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
-        rest = np.split(_drop_field(self.index[order], shift, width), starts)
-        return rows[np.r_[0, starts]], np.array(
-            [_row_weight(v, r, right, size) for v, r in zip(np.split(values, starts), rest)])
+    def _born_weights(self, rows: np.ndarray, shift: int, width: int) -> np.ndarray:
+        """The weight of each value of a register whose value in each entry
+        is `rows`, with the bits `_row_weights` gives over the dense view.
+
+        `np.add.at` adds each entry's weight to its row in index order.
+        Weights are never negative, so adding a zero leaves a sum as it
+        was: that running sum is the weight of a row with one entry, and
+        of every row of a last register (shift 0), which `_row_weights`
+        adds up in order. Numpy sums any other row pairwise, so a row with
+        several entries is weighed again by `_row_weight`.
+        """
+        w = np.abs(self.values)
+        np.square(w, out=w)
+        probs = np.zeros(1 << width)
+        np.add.at(probs, rows, w)
+        if shift:
+            for row in np.flatnonzero(np.bincount(rows) > 1).tolist():
+                at = rows == row
+                probs[row] = _row_weight(self.values[at], _drop_field(self.index[at], shift, width),
+                                         1 << shift, self.dim >> width)
+        return probs
 
     # -- density matrices -----------------------------------------------
 
@@ -437,8 +444,9 @@ class CompositeState:
         return mat @ mat.conj().T
 
 
-def _oracle_offsets(src: str | None, size: int, width: int, table, what: str,
-                    pad: int) -> np.ndarray:
+def _oracle_offsets(
+    src: str | None, size: int, width: int, table, what: str, pad: int
+) -> np.ndarray:
     """table[m] XOR pad for each of the `size` source values, checked to fit `width` bits."""
     flat = table.ravel().tolist() if isinstance(table, np.ndarray) else list(table)
     if len(flat) != size or getattr(table, "ndim", 1) != 1:
@@ -484,25 +492,16 @@ def _row_weight(values: np.ndarray, rest: np.ndarray, right: int, size: int) -> 
     (ascending) among the row's left * right = `size` amplitudes.
 
     Weights are never negative, so adding a zero leaves a sum as it was:
-    a row with one entry weighs its square, and a last register's row
-    (right == 1), which `_row_weights` adds up in order, is a running sum
-    over the entries. Numpy sums any other row pairwise, grouped by where
-    each entry sits, so its weights are put back in their dense row.
+    a row with one entry, or a last register's row (right == 1), which
+    `_row_weights` adds up in order, is a running sum over the entries.
+    Numpy sums any other row pairwise, grouped by where each entry sits,
+    so its weights are put back in their dense row.
     """
     w = np.abs(values)
     np.square(w, out=w)
-    if w.size == 1:
-        return w[0]
-    if right == 1:
+    if w.size == 1 or right == 1:
         return np.add.accumulate(w)[-1]
-    return _scatter(rest, w, size).sum()
-
-
-def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """A dense float vector of length `size` holding `values` at `at`."""
-    out = np.zeros(size)
-    out[at] = values
-    return out
+    return np.bincount(rest, w, size).sum()
 
 
 def init_basis_state(
