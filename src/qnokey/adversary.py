@@ -321,7 +321,7 @@ def passive_snapshot(
         else:
             redo = proto.run_session(protocol, x, n, l, t, keys, draws=draws, attack=PassiveAttack(),
                                      snapshots=True, qubit_cap=qubit_cap)
-            views[x] = [tx.snapshot for tx in redo.transmissions]
+            views[x] = [redo.snapshot(r) for r in range(1, redo.rounds + 1)]
     return views, {(x, y, r): d for x, y, r, d in pairwise_distances(messages, views)}
 
 

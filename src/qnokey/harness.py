@@ -409,8 +409,8 @@ def _session_results(config: ExperimentConfig) -> dict:
             if tr.attack_events:
                 entry["attack_events"] = tr.attack_events
             if config.snapshots:
-                for r in rounds:
-                    _, dev = is_maximally_mixed(tr.snapshot(r))
+                for r in rounds:  # a diagonal snapshot is read as its diagonal
+                    _, dev = is_maximally_mixed(tr.transmissions[r - 1].snapshot)
                     mixedness[r] = max(mixedness.get(r, 0.0), dev)
                 if config.include_matrices:
                     entry["snapshots"] = [encode_matrix(tr.snapshot(r)) for r in rounds]

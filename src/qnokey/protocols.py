@@ -167,7 +167,9 @@ def check_session(protocol: str, n: int, l: int = 0, t: int = 0,
                             f"above the {DEFAULT_TABLE_WIDTH_CAP}-bit truth-table cap")
     # A k-qubit snapshot is a 2**k x 2**k matrix, as many entries as a
     # 2k-qubit state, and the widest one carries the widest stage plus
-    # its tag register.
+    # its tag register. A diagonal snapshot is kept as its 2**k diagonal,
+    # but a dense Gram product (an attacked state's), --include-matrices
+    # and the averaged views build the matrix, so both refusals budget it.
     k = widest + l
     if snapshots and 2 * k > qubit_cap:
         raise ProtocolError(
@@ -230,6 +232,7 @@ class Transmission:
     sender: str
     receiver: str
     registers: tuple[tuple[str, int], ...]
+    # As the partial trace returns it: a diagonal one as its diagonal.
     snapshot: np.ndarray | None = None
 
 
@@ -264,11 +267,13 @@ class Transcript:
         return len(self.transmissions)
 
     def snapshot(self, round_index: int) -> np.ndarray:
+        """A round's channel density matrix; a stored diagonal is expanded
+        with +0.0 off the diagonal, as the dense product writes it."""
         for tx in self.transmissions:
             if tx.round_index == round_index:
                 if tx.snapshot is None:
                     raise ValueError(f"round {round_index} was run without snapshots")
-                return tx.snapshot
+                return np.diag(tx.snapshot) if tx.snapshot.ndim == 1 else tx.snapshot
         raise ValueError(f"no transmission with round index {round_index}")
 
 

@@ -21,9 +21,9 @@ a register spread over several rows and for a partial trace that is not
 diagonal (most channel states the protocols send give a diagonal one),
 build the full vector.
 
-Density matrices are plain complex128 arrays. Every spectrum, for trace
-distances and for the harness's validity checks, comes from numpy's
-`eigvalsh`.
+Density matrices are plain complex128 arrays; a diagonal partial trace
+is returned as its 1-D diagonal. Every spectrum, for trace distances and
+for the harness's validity checks, comes from numpy's `eigvalsh`.
 """
 
 from __future__ import annotations
@@ -405,8 +405,9 @@ class CompositeState:
         M M^dagger. When M has at most one nonzero in each row and each
         column, and the amplitudes are all real or all imaginary, that
         product is diagonal and each entry is the square of one float: it
-        is written directly from the stored entries, with the bits the
-        product gives. Any other state takes the dense product.
+        is returned as its 1-D diagonal, written from the stored entries
+        with the bits the product gives (it gives +0.0 elsewhere). Any
+        other state takes the dense product, a 2-D matrix.
         """
         wanted = set(keep)
         names = self.names()
@@ -430,14 +431,9 @@ class CompositeState:
         # A partial permutation has at most one nonzero in each row and in
         # each column of the kept x traced matrix.
         if v is not None and _distinct(rows) and _distinct(cols):
-            # Every entry is written, as the dense product writes it. A
-            # calloc'd matrix with only its diagonal touched is resident
-            # page by page, and once freed, that partly resident block
-            # can stay in the heap, so the process's resident size would
-            # depend on which sessions ran before.
-            rho = np.full((keep_dim, keep_dim), 0.0, dtype=np.complex128)
-            rho[rows, rows] = v * v
-            return rho
+            diag = np.zeros(keep_dim, dtype=np.complex128)
+            diag[rows] = v * v
+            return diag
         order = sorted(range(len(names)), key=lambda i: names[i] not in wanted)
         mat = self.amplitudes.reshape([1 << r.width for r in self.registers])
         mat = mat.transpose(order).reshape(keep_dim, -1)
@@ -578,10 +574,15 @@ def trace_distance(a, b) -> float:
 
 
 def is_maximally_mixed(rho, tol: float = ATOL_DENSITY) -> tuple[bool, float]:
-    """Compare against I/dim elementwise; always reports the deviation."""
+    """Compare against I/dim elementwise; always reports the deviation.
+    A 1-D `rho` is a diagonal matrix given as its diagonal: the matrix's
+    other gaps are all 0.0, so both forms give the same deviation."""
     m = np.asarray(rho, dtype=np.complex128)
     dim = m.shape[0]
-    gap = np.abs(m)
-    np.fill_diagonal(gap, np.abs(np.diagonal(m) - 1 / dim))
+    if m.ndim == 1:
+        gap = np.abs(m - 1 / dim)
+    else:
+        gap = np.abs(m)
+        np.fill_diagonal(gap, np.abs(np.diagonal(m) - 1 / dim))
     deviation = float(np.max(gap))
     return deviation <= tol, deviation

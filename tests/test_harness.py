@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +556,27 @@ def test_wide_session_bodies_are_pinned():
                                   attack=attack)
         digests[key] = hashlib.sha256(run_experiment(config).body_bytes()).hexdigest()
     assert digests == WIDE_BODY_SHA256
+
+
+def test_wide_snapshot_mixedness_builds_no_channel_matrix():
+    # Honest p4 at n=9, l=1 sends a 10-qubit channel state, a 1024 x 1024
+    # complex128 matrix (16 MiB) if built. Its snapshots are diagonal, so
+    # the session and its per-run mixedness check must stay below 1/8 of
+    # that matrix: a dense snapshot anywhere on the path fails here.
+    config = ExperimentConfig("p4", n=9, l=1, seed=12, messages=(300,))
+    matrix_bytes = 16 * 1024 * 1024
+    run_experiment(ExperimentConfig("p4", n=2, l=1, seed=12, messages=(1,)))  # imports, caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert set(report.body["results"]["per_run_mixedness"]) == {"1", "2"}
+    assert hashlib.sha256(report.body_bytes()).hexdigest() == \
+        WIDE_BODY_SHA256[("p4", 9, 1, 0, 12, 300, None)]
+    assert peak < matrix_bytes // 8, f"peak {peak} B"
 
 
 def test_shipped_experiment_roster():

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnokey import protocols
 from qnokey.adversary import Attack, PhaseAttack, parse_attack
@@ -223,7 +224,9 @@ def test_per_run_snapshots_are_tag_graphs(protocol):
             for m in range(1 << width):
                 idx = (m << l) | (fn.table[m] ^ pad)
                 expect[idx, idx] = 1 / (1 << width)
-            assert np.allclose(tx.snapshot, expect, atol=1e-12), (seed, tx.round_index)
+            assert np.allclose(tr.snapshot(tx.round_index), expect, atol=1e-12), \
+                (seed, tx.round_index)
+            assert tx.snapshot.shape == (1 << (width + l),)  # stored as its diagonal
 
 
 def test_p2_per_run_snapshot_is_not_maximally_mixed():
@@ -277,6 +280,56 @@ def test_uncomputed_registers_are_dropped_without_the_xor_oracle(protocol, monke
             tr, _ = seeded_session(protocol, 1, 3, 2, 1, seed=seed, attack=parse_attack(spec))
             assert len(calls) == strips, (spec, seed, calls)
             assert len(tr.measurements) == strips + len(STAGES[protocol])
+
+
+def dense_gram(state, keep):
+    """The partial trace by the dense formula: the kept x traced matrix
+    times its adjoint, kept registers first, each group in layout order."""
+    order = sorted(range(len(state.registers)), key=lambda i: state.registers[i].name not in keep)
+    mat = state.amplitudes.reshape([1 << r.width for r in state.registers]).transpose(order)
+    mat = mat.reshape(1 << sum(r.width for r in state.registers if r.name in keep), -1)
+    return mat @ mat.conj().T
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+def test_snapshot_bytes_equal_the_dense_gram_product(protocol, monkeypatch):
+    # A snapshot stored as its diagonal comes back as the matrix the dense
+    # product of the state in transit gives, byte for byte, +0.0 zeros
+    # included; one stored as a matrix is that product already.
+    trace = CompositeState.reduced_density_matrix
+    grams = []
+
+    def recorded(state, keep):
+        grams.append(dense_gram(state, set(keep)))
+        return trace(state, keep)
+
+    monkeypatch.setattr(CompositeState, "reduced_density_matrix", recorded)
+    stored = set()
+    for spec in ("none", "measure", "phase:x=1"):
+        for seed in range(3):
+            grams.clear()
+            tr, _ = seeded_session(protocol, 1, 3, 2, 1, seed=seed, attack=parse_attack(spec))
+            assert len(grams) == tr.rounds
+            for tx, gram in zip(tr.transmissions, grams):
+                rho = tr.snapshot(tx.round_index)
+                assert rho.dtype == gram.dtype and rho.shape == gram.shape
+                assert rho.tobytes() == gram.tobytes(), (spec, seed, tx.round_index)
+                stored.add(tx.snapshot.ndim)
+    assert 1 in stored
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(PROTOCOL_IDS), st.sampled_from(["none", "measure", "phase:x=1"]),
+       st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1), st.data())
+def test_mixedness_of_a_stored_snapshot_is_its_matrix(protocol, spec, n, l, seed, data):
+    # The harness reads each snapshot as stored; its verdict and deviation
+    # must be the matrix's, bit for bit, under every kind of pass.
+    x = data.draw(st.integers(0, (1 << n) - 1), label="message")
+    tr, _ = seeded_session(protocol, x, n, l, 1, seed=seed, attack=parse_attack(spec))
+    for tx in tr.transmissions:
+        ok, dev = is_maximally_mixed(tx.snapshot)
+        matrix_ok, matrix_dev = is_maximally_mixed(tr.snapshot(tx.round_index))
+        assert ok == matrix_ok and np.float64(dev).tobytes() == np.float64(matrix_dev).tobytes()
 
 
 def test_snapshot_accessor_errors():

@@ -467,8 +467,10 @@ def test_partial_trace_reads_float_and_strided_amplitudes():
     regs = (Register("R1", 1, A), Register("R2", 1, A))
     for amps in (np.array([0.0, 1.0, 0.0, 0.0]),
                  np.array([0, 9, 1, 9, 0, 9, 0, 9], dtype=np.complex128)[::2]):
-        got = CompositeState(regs, amps).reduced_density_matrix(["R2"])
-        assert np.array_equal(got, [[0, 0], [0, 1]])
+        state = CompositeState(regs, amps)
+        got = state.reduced_density_matrix(["R2"])
+        assert got.ndim == 1 and np.array_equal(got, [0, 1])
+        assert same_trace(got, dense_gram(state, ["R2"]))
 
 
 def test_empty_keep_set_rejected():
@@ -601,6 +603,19 @@ def test_is_maximally_mixed_deviation_equals_identity_difference():
             ok, dev = is_maximally_mixed(m)
             assert dev == expect
             assert ok == (expect <= ATOL_DENSITY)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda dim: st.lists(st.one_of(
+    st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False),
+    st.floats(-2e-10, 2e-10).map(lambda e: 1 / dim + e),
+    st.just(1 / dim)), min_size=dim, max_size=dim)))
+def test_is_maximally_mixed_reads_a_diagonal_as_its_matrix(entries):
+    # Every off-diagonal gap of the matrix is 0.0, so the verdict and the
+    # deviation are the diagonal's, bit for bit.
+    diag = np.array(entries, dtype=np.complex128)
+    (ok, dev), (matrix_ok, matrix_dev) = is_maximally_mixed(diag), is_maximally_mixed(np.diag(diag))
+    assert ok == matrix_ok and np.float64(dev).tobytes() == np.float64(matrix_dev).tobytes()
 
 
 # -- norm preservation property ---------------------------------------------------
@@ -836,7 +851,7 @@ def test_kernels_allocate_at_most_one_and_a_half_states():
     # A functional state at the 22-qubit cap: R1 in superposition, two
     # 7-bit permutation copies of it and a 1-bit tag, so 128 of its 2**22
     # amplitudes are nonzero. A dense vector alone would take 64 MiB; every
-    # kernel here stays under 2 MB, the density matrix it returns aside.
+    # kernel here stays under 2 MB, the diagonal a trace returns aside.
     perm, other, tags = rng.permutation(128), rng.permutation(128), rng.integers(0, 2, size=128)
     copies = (basis([("R1", 7), ("R2", 7), ("R3", 7)]).apply_hadamard("R1")
               .apply_xor_oracle("R1", "R2", perm).apply_xor_oracle("R1", "R3", other))
@@ -858,7 +873,7 @@ def test_kernels_allocate_at_most_one_and_a_half_states():
         for discard in (False, True):
             wide[f"22 qubits: measure {name}{' and discard' * discard}"] = \
                 lambda name=name, discard=discard: functional.measure(name, rng, discard=discard)
-    output = {"trace to R2": (128 * 128) * 16, "trace to R1, T": (256 * 256) * 16}
+    output = {"trace to R2": 128 * 16, "trace to R1, T": 256 * 16}
     for label, op in wide.items():
         ops[label] = op
         limits[label] = 2_000_000 + output.get(label, 0)
@@ -892,6 +907,17 @@ def dense_gram(state, keep):
     """The dense formula: the kept x traced matrix times its adjoint."""
     mat = kept_by_traced(state, keep)
     return mat @ mat.conj().T
+
+
+def same_trace(got, gram):
+    """A 2-D partial trace is the dense Gram product, bit for bit. A 1-D
+    one is the product's diagonal, bit for bit, and every other entry of
+    the product is exactly +0.0, the zeros `Transcript.snapshot` writes."""
+    if got.ndim == 2:
+        return same_bits(got, gram)
+    off_diagonal = gram[~np.eye(gram.shape[0], dtype=bool)]
+    return same_bits(got, np.diagonal(gram).copy()) and \
+        off_diagonal.tobytes() == bytes(off_diagonal.nbytes)
 
 
 def is_partial_permutation(state, keep):
@@ -946,8 +972,8 @@ def test_reduced_density_matrix_matches_dense_gram_bit_for_bit(widths, data):
         for count in range(1, len(regs) + 1):
             for keep in itertools.combinations(regs, count):
                 got = candidate.reduced_density_matrix(keep)
-                assert same_bits(got, dense_gram(candidate, keep)), (regs, keep)
-                branches.add(is_partial_permutation(candidate, keep))
-    # The dense vector is never a partial permutation; the collapsed
-    # basis state always is.
-    assert branches == {True, False}
+                assert same_trace(got, dense_gram(candidate, keep)), (regs, keep)
+                branches.add((is_partial_permutation(candidate, keep), got.ndim))
+    # The dense vector is never a partial permutation, and its trace is a
+    # matrix; the collapsed basis state always is one, traced to a diagonal.
+    assert {(True, 1), (False, 2)} <= branches
