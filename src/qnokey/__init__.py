@@ -30,8 +30,8 @@ from .protocols import (PROTOCOL_IDS, ROUND_COUNTS, EveView, ProtocolError,
                         run_two_round, sample_draws, sample_shared_keys)
 from .qstate import (ATOL_DENSITY, ATOL_SCALAR, ATOL_STATE, DEFAULT_QUBIT_CAP,
                      CompositeState, EntangledRegisterError, Register,
-                     RegisterError, hermitian_eigenvalues, init_basis_state,
-                     is_maximally_mixed, trace_distance)
+                     RegisterError, as_matrix, hermitian_eigenvalues,
+                     init_basis_state, is_maximally_mixed, trace_distance)
 
 __all__ = [
     "ATOL_DENSITY", "ATOL_SCALAR", "ATOL_STATE", "DEFAULT_ENUM_LIMIT",
@@ -43,7 +43,7 @@ __all__ = [
     "ExperimentReport", "MacKey", "MeasureResendAttack", "MimMarker",
     "PassiveAttack", "PhaseAttack", "ProtocolError",
     "Register", "RegisterError", "SharedKeys", "Transcript",
-    "binomial_ci", "check_session", "count_functions", "decode_matrix",
+    "as_matrix", "binomial_ci", "check_session", "count_functions", "decode_matrix",
     "echo_detection_experiment", "encode_matrix", "enumerate_functions",
     "enumerate_pads", "eve_average_view", "forgery_fraction", "gf_add",
     "gf_mul", "gf_pow", "hermitian_eigenvalues", "impersonate_echo_stage",

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import protocols as proto
 from .oracles import make_rng, party_streams, sample_function
-from .qstate import DEFAULT_QUBIT_CAP, CompositeState, Register, init_basis_state, trace_distance
+from .qstate import (DEFAULT_QUBIT_CAP, CompositeState, Register, as_matrix, init_basis_state,
+                     trace_distance)
 
 
 class AttackSpecError(ValueError):
@@ -306,8 +307,8 @@ def passive_snapshot(
     (the indistinguishability object); otherwise the per-run snapshots.
     Draws are held identical across messages so the comparison isolates
     the message dependence. Returns the views, message -> one density
-    matrix per round, and the distances, (x, y, round) -> trace distance.
-    """
+    matrix per round, and the distances, (x, y, round) -> trace distance
+    of the views as stored."""
     if not messages:
         raise ValueError("passive_snapshot needs at least one message")
     t = keys.mac_key.t if (keys is not None and keys.mac_key is not None) else 0
@@ -321,8 +322,9 @@ def passive_snapshot(
         else:
             redo = proto.run_session(protocol, x, n, l, t, keys, draws=draws, attack=PassiveAttack(),
                                      snapshots=True, qubit_cap=qubit_cap)
-            views[x] = [redo.snapshot(r) for r in range(1, redo.rounds + 1)]
-    return views, {(x, y, r): d for x, y, r, d in pairwise_distances(messages, views)}
+            views[x] = [redo.stored_snapshot(r) for r in range(1, redo.rounds + 1)]
+    distances = {(x, y, r): d for x, y, r, d in pairwise_distances(messages, views)}
+    return {x: [as_matrix(rho) for rho in rhos] for x, rhos in views.items()}, distances
 
 
 def pairwise_distances(messages: Sequence[int], views: dict[int, Sequence[np.ndarray]]):

@@ -32,8 +32,8 @@ from . import adversary, protocols as proto
 from .auth import MacKey
 from .oracles import DEFAULT_ENUM_LIMIT, BooleanPermutation, make_rng, read_table
 from .protocols import ConfigError
-from .qstate import (ATOL_DENSITY, ATOL_SCALAR, DEFAULT_QUBIT_CAP, hermitian_eigenvalues,
-                     is_maximally_mixed)
+from .qstate import (ATOL_DENSITY, ATOL_SCALAR, DEFAULT_QUBIT_CAP, as_matrix,
+                     hermitian_eigenvalues, is_maximally_mixed)
 
 REPORT_FORMAT_VERSION = 2
 
@@ -234,12 +234,9 @@ def _pinned(record, pins: dict):
 
 
 def encode_matrix(rho: np.ndarray) -> dict:
-    """Base64 payload: row-major entries, little-endian (re, im) doubles."""
-    m = np.ascontiguousarray(rho, dtype=np.complex128)
-    flat = np.empty(m.size * 2, dtype="<f8")
-    flat[0::2] = m.real.ravel()
-    flat[1::2] = m.imag.ravel()
-    return {"dim": int(m.shape[0]), "data": base64.b64encode(flat.tobytes()).decode("ascii")}
+    """Base64 payload of `as_matrix(rho)`: row-major little-endian (re, im) doubles."""
+    m = np.ascontiguousarray(as_matrix(rho), dtype="<c16")
+    return {"dim": int(m.shape[0]), "data": base64.b64encode(m.tobytes()).decode("ascii")}
 
 
 def decode_matrix(payload: dict) -> np.ndarray:
@@ -425,7 +422,7 @@ def _session_results(config: ExperimentConfig) -> dict:
                     _, dev = is_maximally_mixed(view.rho)
                     record["deviation_from_mixed"] = max(record["deviation_from_mixed"], dev)
                     if exploratory:
-                        rho = view.rho
+                        rho = as_matrix(view.rho)
                         view_defect = max(view_defect, float(np.max(np.abs(rho - rho.conj().T))),
                                           abs(float(np.trace(rho).real) - 1.0),
                                           -float(hermitian_eigenvalues(rho)[0]))

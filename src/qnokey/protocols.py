@@ -74,7 +74,7 @@ from .oracles import (
     sample_pad,
     sample_permutation,
 )
-from .qstate import DEFAULT_QUBIT_CAP, CompositeState, Register, init_basis_state
+from .qstate import DEFAULT_QUBIT_CAP, CompositeState, Register, as_matrix, init_basis_state
 
 # This host's physical memory, read once: `check_session` refuses a
 # session whose largest array would not fit in it.
@@ -166,10 +166,10 @@ def check_session(protocol: str, n: int, l: int = 0, t: int = 0,
         raise ProtocolError(f"{protocol} message register {terms} is {widest} bits, "
                             f"above the {DEFAULT_TABLE_WIDTH_CAP}-bit truth-table cap")
     # A k-qubit snapshot is a 2**k x 2**k matrix, as many entries as a
-    # 2k-qubit state, and the widest one carries the widest stage plus
-    # its tag register. A diagonal snapshot is kept as its 2**k diagonal,
-    # but a dense Gram product (an attacked state's), --include-matrices
-    # and the averaged views build the matrix, so both refusals budget it.
+    # 2k-qubit state; the widest carries the widest stage and its tag. A
+    # diagonal one and its averaged views are kept as 2**k entries, but a
+    # dense Gram product (an attacked state's, or the broadcast's) and
+    # --include-matrices build the matrix, so both refusals budget it.
     k = widest + l
     if snapshots and 2 * k > qubit_cap:
         raise ProtocolError(
@@ -266,15 +266,18 @@ class Transcript:
     def rounds(self) -> int:
         return len(self.transmissions)
 
-    def snapshot(self, round_index: int) -> np.ndarray:
-        """A round's channel density matrix; a stored diagonal is expanded
-        with +0.0 off the diagonal, as the dense product writes it."""
+    def stored_snapshot(self, round_index: int) -> np.ndarray:
+        """A round's channel state as stored: a diagonal one as its diagonal."""
         for tx in self.transmissions:
             if tx.round_index == round_index:
                 if tx.snapshot is None:
                     raise ValueError(f"round {round_index} was run without snapshots")
-                return np.diag(tx.snapshot) if tx.snapshot.ndim == 1 else tx.snapshot
+                return tx.snapshot
         raise ValueError(f"no transmission with round index {round_index}")
+
+    def snapshot(self, round_index: int) -> np.ndarray:
+        """A round's channel density matrix, a stored diagonal expanded by `as_matrix`."""
+        return as_matrix(self.stored_snapshot(round_index))
 
 
 @dataclass(frozen=True)
@@ -710,7 +713,7 @@ def noninteractive_view(
     (view,) = eve_average_view(Transcript("nonint", n, l, 0, x, draws=(Draws(pads=(0,)),)), (1,),
                                keys=SharedKeys(blank, blank), average_over=("pads", "keys"),
                                enum_limit=enum_limit, qubit_cap=qubit_cap)
-    return view.rho
+    return as_matrix(view.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +723,7 @@ def noninteractive_view(
 
 @dataclass
 class EveView:
-    """Channel state at one round, averaged over enumerated secrets."""
+    """Channel state at one round, averaged over enumerated secrets; 1-D if diagonal."""
 
     rho: np.ndarray
     round_index: int
@@ -783,7 +786,7 @@ def eve_average_view(
     wanted = range(1, ROUND_COUNTS[protocol] + 1) if rounds is None else tuple(rounds)
     if not kinds:
         # Identity average: nothing enumerated, the per-run snapshot is it.
-        return tuple(EveView(transcript.snapshot(r), r, 1) for r in wanted)
+        return tuple(EveView(transcript.stored_snapshot(r), r, 1) for r in wanted)
     l = transcript.l
     plans = []
     for r in wanted:
@@ -803,7 +806,7 @@ def eve_average_view(
         pad_values = range(1 << l) if "pads" in kinds else [base_pad]
         fn_values = list(enumerate_functions(base_fn.n, base_fn.l, enum_limit)) \
             if "keys" in kinds else [base_fn]
-        rho = redo.snapshot(r)
+        rho = redo.stored_snapshot(r)  # a diagonal gathers only its 2**k entries
         # The snapshot holds the message register R1 first and the tag last.
         (_, width), (_, tag_width) = redo.transmissions[r - 1].registers
         rows = (np.arange(1 << width) << tag_width)[:, None]
@@ -813,7 +816,7 @@ def eve_average_view(
         rho_sum = None
         for pad_value, table in itertools.product(pad_values, tables):
             sigma = (rows | (tags ^ (table ^ pad_value)[:, None])).ravel()
-            snap = rho[np.ix_(sigma, sigma)]
+            snap = rho[sigma] if rho.ndim == 1 else rho[np.ix_(sigma, sigma)]
             rho_sum = snap if rho_sum is None else rho_sum + snap
         runs = len(pad_values) * len(fn_values)
         views.append(EveView(rho_sum / runs, r, runs))

@@ -21,8 +21,9 @@ a register spread over several rows and for a partial trace that is not
 diagonal (most channel states the protocols send give a diagonal one),
 build the full vector.
 
-Density matrices are plain complex128 arrays; a diagonal partial trace
-is returned as its 1-D diagonal. Every spectrum, for trace distances and
+Density matrices are plain complex128 arrays; a diagonal one is kept as
+its 1-D diagonal (`as_matrix` expands it). Two diagonals' trace distance
+is taken in closed form; every other spectrum, for trace distances and
 for the harness's validity checks, comes from numpy's `eigvalsh`.
 """
 
@@ -542,6 +543,12 @@ def init_basis_state(
 # ---------------------------------------------------------------------------
 
 
+def as_matrix(rho) -> np.ndarray:
+    """A density matrix as a 2-D array: a 1-D `rho` is a diagonal, expanded
+    with +0.0 elsewhere as the dense product writes it."""
+    return np.diag(rho) if np.ndim(rho) == 1 else rho
+
+
 def hermitian_eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, by LAPACK's `eigvalsh`.
 
@@ -560,16 +567,21 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
 def trace_distance(a, b) -> float:
     """Half the absolute eigenvalue sum of the difference of two states.
 
-    Symmetric by construction: the operands are ordered canonically by
-    their raw bytes before subtracting, so swapping the arguments runs
-    the identical computation.
+    Two real diagonals (1-D) commute: their difference's entries are its
+    eigenvalues, summed ascending with `eigvalsh`'s bits unless LAPACK would
+    rescale it (all entries below about 1e-146); other pairs take the matrix
+    path. Operands are ordered by their raw bytes (diagonals first differ
+    where their matrices do), so swapping them runs the identical computation.
     """
     ma, mb = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    if ma.ndim != mb.ndim or (ma.ndim == 1 and (ma.imag.any() or mb.imag.any())):
+        ma, mb = as_matrix(ma), as_matrix(mb)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
     if ma.tobytes() > mb.tobytes():
         ma, mb = mb, ma
-    eigs = hermitian_eigenvalues(ma - mb)
+    d = ma - mb
+    eigs = np.sort(d.real) if d.ndim == 1 else hermitian_eigenvalues(d)
     return 0.5 * float(np.sum(np.abs(eigs)))
 
 

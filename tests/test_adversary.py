@@ -42,7 +42,7 @@ from qnokey.protocols import (
     sample_draws,
     sample_shared_keys,
 )
-from qnokey.qstate import DEFAULT_QUBIT_CAP, Register, _row_weights, init_basis_state
+from qnokey.qstate import DEFAULT_QUBIT_CAP, Register, _row_weights, as_matrix, init_basis_state
 
 
 def keys_for(protocol, n, l, t=0, seed=0):
@@ -500,8 +500,9 @@ def test_passive_snapshot_views_come_from_the_sampled_draws(protocol):
                                     averaged=averaged)
         for x in (0, 3):
             tr = run_session(protocol, x, n, l, t, keys, draws=draws, snapshots=True)
-            want = [view.rho for view in eve_average_view(tr, keys=keys)] if averaged else \
-                [tr.snapshot(r) for r in range(1, tr.rounds + 1)]
+            want = [as_matrix(view.rho) for view in eve_average_view(tr, keys=keys)] \
+                if averaged else [tr.snapshot(r) for r in range(1, tr.rounds + 1)]
+            assert all(v.ndim == 2 for v in views[x])  # one density matrix per round
             assert [v.tobytes() for v in views[x]] == \
                 [v.tobytes() for v in want]
 
@@ -511,4 +512,5 @@ def test_eve_average_view_matches_passive_averaged():
     views, _ = passive_snapshot("p2", [1], 2, 1, keys, rng=make_rng(24), averaged=True)
     tr = run_protocol2(1, 2, 1, keys, rng=make_rng(24), attack=PassiveAttack())
     view = eve_average_view(tr, (1,), keys=keys)[0]
-    assert np.allclose(views[1][0], view.rho, atol=1e-12)
+    assert views[1][0].shape == as_matrix(view.rho).shape == (8, 8)
+    assert np.allclose(views[1][0], as_matrix(view.rho), atol=1e-12)

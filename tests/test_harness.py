@@ -171,11 +171,46 @@ def test_matrix_payload_round_trip_is_exact():
         assert np.array_equal(out, m)
 
 
+def test_matrix_payload_of_a_diagonal_is_its_matrix_payload():
+    d = np.array([0.125, 0.0, 0.375, 0.5], dtype=np.complex128)
+    assert encode_matrix(d) == encode_matrix(np.diag(d))
+    assert decode_matrix(encode_matrix(d)).tobytes() == np.diag(d).tobytes()
+
+
 def test_matrix_payload_size_checked():
     payload = encode_matrix(np.eye(2, dtype=np.complex128))
     payload["dim"] = 3
     with pytest.raises(ValueError, match="doubles"):
         decode_matrix(payload)
+
+
+# One item of each keyed class in the benchmark's `views` workload.
+VIEWS_ITEMS = [("two-round", 1, 1, 0, "pads+keys"), ("p2", 2, 2, 0, "pads"),
+               ("p3", 1, 1, 0, "pads"), ("p4", 3, 2, 0, "pads"), ("p5", 2, 1, 0, "pads"),
+               ("p6", 2, 1, 1, "pads"), ("nonint", 2, 1, 0, "pads+keys")]
+
+
+@pytest.mark.parametrize("protocol, n, l, t, average", VIEWS_ITEMS)
+def test_eigensolver_gets_square_matrices_only(monkeypatch, protocol, n, l, t, average):
+    import qnokey.harness as harness
+    import qnokey.qstate as qstate
+
+    shapes = []
+    real = qstate.hermitian_eigenvalues
+
+    def recording(matrix):
+        shapes.append(np.shape(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(qstate, "hermitian_eigenvalues", recording)
+    monkeypatch.setattr(harness, "hermitian_eigenvalues", recording)
+    report = run_experiment(ExperimentConfig(protocol, n=n, l=l, t=t, seed=3, average=average,
+                                             include_matrices=True))
+    assert report.passed and report.body["results"]["distance_tables"]
+    assert all(len(shape) == 2 and shape[0] == shape[1] for shape in shapes), shapes
+    # Only the broadcast's views, averages of a pure state, are not diagonal:
+    # every other id's distances are taken in closed form.
+    assert bool(shapes) == (protocol == "nonint")
 
 
 # -- confidence intervals --------------------------------------------------------------

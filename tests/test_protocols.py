@@ -58,6 +58,7 @@ from qnokey.qstate import (
     DEFAULT_QUBIT_CAP,
     CompositeState,
     Register,
+    as_matrix,
     init_basis_state,
     is_maximally_mixed,
     trace_distance,
@@ -369,7 +370,7 @@ def test_pad_and_key_average_matches_pad_only_result():
     pads_only = eve_average_view(tr, (1,), keys=keys, average_over=("pads",))[0]
     both = eve_average_view(tr, (1,), keys=keys, average_over=("pads", "keys"))[0]
     assert both.runs == 2 * 16
-    assert np.allclose(pads_only.rho, both.rho, atol=1e-12)
+    assert np.allclose(as_matrix(pads_only.rho), as_matrix(both.rho), atol=1e-12)
 
 
 def test_density_matrices_are_complex128_arrays():
@@ -384,7 +385,10 @@ def test_empty_average_returns_per_run_snapshot():
     tr, keys = seeded_session("p2", 1, 2, 1, seed=16)
     view = eve_average_view(tr, (1,), keys=keys, average_over=())[0]
     assert (view.round_index, view.runs) == (1, 1)
-    assert np.array_equal(view.rho, tr.snapshot(1))
+    # The stored form, a diagonal as its diagonal, which expands to the matrix.
+    assert view.rho.tobytes() == tr.stored_snapshot(1).tobytes()
+    assert view.rho.ndim == 1
+    assert as_matrix(view.rho).tobytes() == tr.snapshot(1).tobytes()
 
 
 def test_average_rejects_unknown_kind_and_limits():
@@ -428,8 +432,11 @@ def test_average_view_is_bit_exact_against_reruns(protocol):
     # Honest and attacked transcripts all average the honest channel, so
     # an attacked one must not leak its own snapshot in. One all-rounds
     # call must give every round the bytes of that round's own reruns.
+    # Every honest snapshot but the broadcast's pure one is diagonal, so
+    # those views are kept 1-D, and their expansion carries those bytes.
     t = 1 if protocol == "p6" else 0
     rounds = list(range(1, ROUND_COUNTS[protocol] + 1))
+    ndim = 2 if protocol == "nonint" else 1
     attacks = (None, parse_attack("passive"), PhaseAttack(mask=1), parse_attack("measure"))
     for n, l, kinds in ((2, 2, ("pads",)), (1, 1, ("pads", "keys"))):
         keys = sample_shared_keys(protocol, n, l, t, make_rng(40 + n))
@@ -440,13 +447,14 @@ def test_average_view_is_bit_exact_against_reruns(protocol):
             assert [view.round_index for view in views] == rounds
             for view in views:
                 r = view.round_index
-                assert np.array_equal(view.rho, rerun_average(tr, r, keys, kinds)), \
-                    (n, l, kinds, attack, r)
+                assert view.rho.ndim == ndim, (n, l, kinds, attack, r)
+                assert as_matrix(view.rho).tobytes() == \
+                    rerun_average(tr, r, keys, kinds).tobytes(), (n, l, kinds, attack, r)
         # Views come back in the order asked, with the same bytes.
         backwards = eve_average_view(tr, rounds[::-1], keys=keys, average_over=kinds)
         assert [view.round_index for view in backwards] == rounds[::-1]
         for a, b in zip(views[::-1], backwards):
-            assert np.array_equal(a.rho, b.rho) and a.runs == b.runs
+            assert a.rho.tobytes() == b.rho.tobytes() and a.runs == b.runs
 
 
 def test_average_view_refuses_every_round_before_running_a_session(monkeypatch):
@@ -492,7 +500,7 @@ def test_averaged_views_identical_under_key_reuse():
         if reference is None:
             reference = view.rho
         else:
-            assert np.max(np.abs(view.rho - reference)) <= 1e-9
+            assert np.max(np.abs(as_matrix(view.rho) - as_matrix(reference))) <= 1e-9
 
 
 def test_two_round_views_are_message_independent():
@@ -507,6 +515,36 @@ def test_two_round_views_are_message_independent():
                                                           average_over=("pads",))]
     for r in (0, 1):
         assert trace_distance(views[0][r], views[3][r]) <= 1e-9
+
+
+@pytest.mark.parametrize("protocol", [p for p in PROTOCOL_IDS if p != "p1"])
+def test_distances_of_stored_views_are_their_matrices_distances(protocol):
+    # Per-run snapshots and pad-averaged views as stored, over every
+    # message and two draws of keys and secrets: each pair of one round
+    # has the distance of its expanded matrices, bit for bit, either way.
+    def bits(d):
+        return np.float64(d).tobytes()
+
+    t = 1 if protocol == "p6" else 0
+    for n, l in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        by_round: dict[int, list] = {}
+        for seed in (0, 1):
+            keys = sample_shared_keys(protocol, n, l, t, make_rng(60 + seed))
+            draws = sample_draws(protocol, n, l, t, make_rng(70 + seed))
+            for x in range(1 << n):
+                tr = run_session(protocol, x, n, l, t, keys, rng=make_rng(seed), draws=draws)
+                for view in eve_average_view(tr, keys=keys):
+                    by_round.setdefault(view.round_index, []).extend(
+                        [tr.stored_snapshot(view.round_index), view.rho])
+        apart = 0
+        for rhos in by_round.values():
+            assert {rho.ndim for rho in rhos} == {2 if protocol == "nonint" else 1}
+            for a, b in itertools.combinations(rhos, 2):
+                d = trace_distance(a, b)
+                assert bits(d) == bits(trace_distance(b, a)) == \
+                    bits(trace_distance(as_matrix(a), as_matrix(b))), (n, l)
+                apart += d > 0.1
+        assert apart, (n, l)  # the per-run snapshots are not all alike
 
 
 # -- draw records and replay ---------------------------------------------------------

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qnokey.qstate import (
     ATOL_DENSITY,
@@ -22,6 +23,7 @@ from qnokey.qstate import (
     EntangledRegisterError,
     Register,
     RegisterError,
+    as_matrix,
     hermitian_eigenvalues,
     init_basis_state,
     is_maximally_mixed,
@@ -540,6 +542,80 @@ def test_trace_distance_mixed_vs_pure_half():
 def test_trace_distance_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="mismatch"):
         trace_distance(_pure([1, 0]), _pure([1, 0, 0]))
+    # A diagonal is compared in its own dimension, against either form.
+    for a, b in ((np.ones(2) / 2, np.ones(3) / 3), (np.ones(2) / 2, np.eye(3) / 3),
+                 (np.eye(3) / 3, np.ones(2) / 2)):
+        with pytest.raises(ValueError, match="mismatch"):
+            trace_distance(a, b)
+
+
+# LAPACK's Hermitian eigensolver rescales a matrix whose largest entry
+# is below sqrt(tiny / eps), about 1e-146, and its eigenvalues then take
+# other rounding. No density matrix of the lab differs from another by so
+# little in every entry, but a random pair may.
+LAPACK_RESCALES_BELOW = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+
+
+@st.composite
+def diagonal_pairs(draw):
+    """Two real diagonals of one dimension, crossing numpy's 8-lane and
+    128-entry summation blocks, with ties and zeros; the second equals
+    the first, or steps one ulp or 1e-17 away from it in some entries, or
+    is drawn apart."""
+    dim = draw(st.integers(1, 10) | st.sampled_from([15, 16, 17, 31, 32, 33, 127, 128, 129]))
+    entry = st.sampled_from([0.0, 1 / 16, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    d1 = draw(hnp.arrays(np.float64, dim, elements=entry))
+    mode = draw(st.sampled_from(["equal", "ulp", "tiny", "apart"]))
+    if mode == "apart":
+        return d1, draw(hnp.arrays(np.float64, dim, elements=entry))
+    moved = draw(hnp.arrays(np.bool_, dim)) & (mode != "equal")
+    moved[draw(st.integers(0, dim - 1))] = mode != "equal"
+    step = np.nextafter(d1, 2.0) if mode == "ulp" else d1 + 1e-17
+    return d1, np.where(moved, step, d1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(diagonal_pairs())
+def test_trace_distance_of_diagonals_is_the_matrix_result(pair):
+    d1, d2 = (d.astype(np.complex128) for d in pair)
+    got = trace_distance(d1, d2)
+    assert np.float64(got).tobytes() == np.float64(trace_distance(d2, d1)).tobytes()
+    want = trace_distance(np.diag(d1), np.diag(d2))
+    if 0 < np.max(np.abs(pair[0] - pair[1])) < LAPACK_RESCALES_BELOW:
+        assert math.isclose(got, want, rel_tol=1e-13)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # Independent of eigvalsh: half the exactly rounded sum of |d1 - d2|.
+    assert math.isclose(got, 0.5 * math.fsum(np.abs(pair[0] - pair[1])), rel_tol=1e-13)
+
+
+def test_trace_distance_pairs_a_diagonal_with_a_matrix_as_two_matrices():
+    rng = np.random.default_rng(26)
+    for dim in (1, 2, 8, 16):
+        d = rng.random(dim)
+        d /= d.sum()
+        diag = d.astype(np.complex128)
+        for m in (_pure(rng.normal(size=dim) + 1j * rng.normal(size=dim)),
+                  np.diag(rng.permutation(diag))):
+            want = trace_distance(np.diag(diag), m)
+            assert trace_distance(diag, m) == trace_distance(m, diag) == want
+    # A diagonal with an imaginary part is no diagonal state: it takes the
+    # matrix path, which reads the real diagonal within the Hermitian
+    # tolerance and refuses it beyond.
+    a, b = np.array([0.5, 0.5 + 1e-20j]), np.array([1.0, 0.0])
+    assert trace_distance(a, b) == trace_distance(np.diag(a), np.diag(b)) == 0.5
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_distance(np.array([0.5, 0.5 + 1e-3j]), b)
+
+
+def test_as_matrix_expands_only_a_diagonal():
+    d = np.array([0.25, 0.75], dtype=np.complex128)
+    m = as_matrix(d)
+    assert m.shape == (2, 2) and m.dtype == np.complex128
+    assert m.tobytes() == np.diag(d).tobytes()
+    assert np.signbit(m.real).sum() == np.signbit(m.imag).sum() == 0  # +0.0 elsewhere
+    rho = _pure([1, 1j])
+    assert as_matrix(rho) is rho
 
 
 def test_trace_distance_matches_brute_force():

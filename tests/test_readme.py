@@ -24,7 +24,7 @@ def _block(heading: str, language: str) -> str:
 
 def test_library_example_runs(capsys):
     exec(compile(_block("Library", "python"), "README.md", "exec"), {})
-    assert capsys.readouterr().out == "[4, 4, 4] (16, 16)\n"
+    assert capsys.readouterr().out == "[4, 4, 4] (16,) (16, 16)\n"
 
 
 def test_command_line_block_runs(tmp_path, monkeypatch):
