@@ -218,18 +218,14 @@ def impersonate_echo_stage(
     tag functions; Alice runs her honest side and applies her usual echo
     verdict. Returns Eve's guess, uniform as the tapped pass is
     independent of x, and the echo Alice measures; she accepts when the
-    echo equals x.
+    echo equals x. Bad input is refused before any draw, by the checks
+    every session makes: `check_session`, then `check_keys`.
     """
     if protocol not in proto.ECHOED:
         raise ValueError(f"echo impersonation targets {' or '.join(sorted(proto.ECHOED))}, "
                          f"not {protocol!r}")
-    # Refuse bad widths, messages and tag functions before any draw.
     proto.check_session(protocol, n, l, 0, qubit_cap, messages=(x,))
-    for attr in ("alice_tag", "bob_tag"):
-        fn = getattr(keys, attr, None)
-        if fn is None or (fn.n, fn.l) != (n, l):
-            raise proto.ProtocolError(f"{protocol} needs the tag function {attr} of shape {n}->{l}, "
-                                      f"got {'none' if fn is None else f'{fn.n}->{fn.l}'}")
+    proto.check_keys(protocol, n, l, 0, keys)
     root = make_rng(rng)
     stage1_rng, eve_rng, alice_rng = root.spawn(3)
 

@@ -240,13 +240,15 @@ def encode_matrix(rho: np.ndarray) -> dict:
 
 
 def decode_matrix(payload: dict) -> np.ndarray:
+    """The exact inverse of `encode_matrix`, every bit kept, as a writeable array."""
     dim = int(payload["dim"])
     raw = base64.b64decode(payload["data"])
-    flat = np.frombuffer(raw, dtype="<f8")
-    if flat.size != dim * dim * 2:
-        raise ValueError(f"payload holds {flat.size} doubles, expected {dim * dim * 2}")
-    m = flat[0::2] + 1j * flat[1::2]
-    return m.reshape(dim, dim)
+    if dim < 0:
+        raise ValueError(f"payload holds a matrix of dimension {dim}, expected one >= 0")
+    if len(raw) != 16 * dim * dim:
+        raise ValueError(f"payload holds {len(raw)} bytes, expected {dim * dim * 2} doubles "
+                         f"of 8 bytes")
+    return np.frombuffer(bytearray(raw), dtype="<c16").reshape(dim, dim)
 
 
 def _tail_root(k: int, n: int, tail: float) -> float:

@@ -29,9 +29,10 @@ and t in p6) and the tag functions used. One driver, _run_stages, runs
 every id: p3 and p5 send, echo back and send again, with accept
 verdicts; p6 sends message plus one-time MAC tag, then echoes the tag.
 PROTOCOL_IDS, ROUND_COUNTS, peak_live_width, sample_draws (one record
-per stage) and the averaging lookup all derive from STAGES, and so does
-check_session, the one session validator; each session's key bundle
-and draws are checked against it. A party is its name string, which
+per stage) and the averaging lookup all derive from STAGES, and so do
+check_session, the one session validator, and check_keys, the one key
+validator; each session's draws are checked against it too, and every
+session runs all its passes. A party is its name string, which
 also names the holder of each register it makes or receives.
 An exchange takes its parties as Party(name, rng, tags_with,
 strips_with) values, so an adversary can play a side with substitute
@@ -191,6 +192,25 @@ def check_session(protocol: str, n: int, l: int = 0, t: int = 0,
     return widest
 
 
+def check_keys(protocol: str, n: int, l: int, t: int, keys) -> None:
+    """The key validator, which every session and the echo-stage hijack
+    call after `check_session` and before any draw: p6's one-time MAC key
+    of width t, then stage by stage the tag function of each party that
+    tags a pass, Alice's first, of the stage's message width by l."""
+    mac_key = getattr(keys, "mac_key", None)
+    if protocol in AUTHENTICATED and getattr(mac_key, "t", None) != t:
+        raise ProtocolError(f"{protocol} needs a one-time authentication key of width t={t}, "
+                            f"got {'none' if mac_key is None else mac_key.t}")
+    for s in STAGES[protocol]:
+        tagged = range(s.exchange.passes if s.exchange.tagged else 0)
+        for attr in [f"{p}_tag{s.keys}" for p in (ALICE, BOB) if p in map(s.tag_owner, tagged)]:
+            fn, bits = getattr(keys, attr, None), s.bits(n, t)
+            if fn is None or (fn.n, fn.l) != (bits, l):
+                got = "none" if fn is None else f"{fn.n}->{fn.l}"
+                raise ProtocolError(f"{protocol} needs the tag function {attr} of shape "
+                                    f"{bits}->{l}, got {got}")
+
+
 @dataclass(frozen=True)
 class SharedKeys:
     """Everything the parties agreed on before the session.
@@ -267,13 +287,13 @@ class Transcript:
         return len(self.transmissions)
 
     def stored_snapshot(self, round_index: int) -> np.ndarray:
-        """A round's channel state as stored: a diagonal one as its diagonal."""
-        for tx in self.transmissions:
-            if tx.round_index == round_index:
-                if tx.snapshot is None:
-                    raise ValueError(f"round {round_index} was run without snapshots")
-                return tx.snapshot
-        raise ValueError(f"no transmission with round index {round_index}")
+        """Round r's channel state as stored, a diagonal one as its diagonal: transmission r's."""
+        if not 1 <= round_index <= len(self.transmissions):
+            raise ValueError(f"no transmission with round index {round_index}")
+        snapshot = self.transmissions[round_index - 1].snapshot
+        if snapshot is None:
+            raise ValueError(f"round {round_index} was run without snapshots")
+        return snapshot
 
     def snapshot(self, round_index: int) -> np.ndarray:
         """A round's channel density matrix, a stored diagonal expanded by `as_matrix`."""
@@ -331,12 +351,12 @@ class Channel(NamedTuple):
     qubit_cap: int
 
     def send(self, state: CompositeState, names: tuple[str, ...],
-             sender: Party, receiver: Party) -> CompositeState | None:
-        """Move registers across the channel, applying any interposition.
+             sender: Party, receiver: Party) -> CompositeState:
+        """Move registers across the channel, applying any interposition,
+        and return the state the receiver is handed.
 
-        Rounds are numbered in the order sent; the snapshot is of the state
-        after the adversary touched it. An attack that returns None keeps
-        the pass: it is logged with no snapshot, and send returns None.
+        Rounds are numbered 1, 2, ... in the order sent; the snapshot is
+        of the state after the adversary touched it.
         """
         tr = self.transcript
         round_index = len(tr.transmissions) + 1
@@ -344,11 +364,11 @@ class Channel(NamedTuple):
         if self.attack is not None:
             state = self.attack.on_transmission(state, round_index, names, self.eve_rng,
                                                 tr.attack_events)
-        snap = None if state is None or not self.snapshots else state.reduced_density_matrix(names)
+        snap = state.reduced_density_matrix(names) if self.snapshots else None
         tr.transmissions.append(
             Transmission(round_index, sender.name, receiver.name, regs, snap)
         )
-        return None if state is None else state.with_holder(names, receiver.name)
+        return state.with_holder(names, receiver.name)
 
     def measure(self, state: CompositeState, party: Party, name: str, *,
                 discard: bool = False):
@@ -397,9 +417,9 @@ class Exchange(NamedTuple):
         return Draws(*perms, pads)
 
     def run(self, channel: Channel, x: int, n: int, l: int, sender: Party,
-            receiver: Party, draws: Draws) -> int | None:
+            receiver: Party, draws: Draws) -> int:
         """Run the exchange on `draws` and return the value its receiver
-        decodes, or None when an attack intercepted a pass.
+        decodes.
 
         The opener (the sender, or the receiver when inverted) makes R1 as
         |x> (|0> when inverted) and applies a Hadamard. Then the party
@@ -446,8 +466,6 @@ class Exchange(NamedTuple):
                 state = state.extend(tag, l, party.name, pads[i],
                                      source="R1", table=party.tags_with.table)
             state = channel.send(state, names, party, sides[1 - side])
-            if state is None:
-                return None
         state = state.apply_hadamard("R1")
         outcome, _ = channel.measure(state, party, "R1")
         return outcome
@@ -529,26 +547,23 @@ def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict) -> tuple:
 
 
 def _run_stages(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit_cap):
-    """Check a session's parameters, keys and draws, run its stages and
-    set its verdicts.
+    """Check a session's parameters and keys before any draw, then its
+    draws; run every stage to its end and set its verdicts.
 
     Draws left as None come from `_sample_draws`, on the streams the
-    session measures with. Each stage's draw record, tag functions and
-    permutations, and p6's MAC key, must fit the stage; with no keys (p1)
-    the parties carry no tag functions. Each party tags with its own
-    function in whichever role it plays; permutations and pads are fresh
-    every stage. A single-stage id sends x once. An ECHOED id sends x,
-    echoes back what Bob decoded with the roles swapped, and sends x
-    again: Alice accepts when the echo matches what she sent, and Bob when
-    both of his receptions agree. An AUTHENTICATED id sends x with its
-    one-time MAC tag in the low t bits, and Bob checks the tag; then he
-    echoes the tag he received, and Alice accepts when it is hers.
+    session measures with, and each stage's record and permutations must
+    fit the stage. With no keys (p1) the parties carry no tag functions.
+    Each party tags with its own function in whichever role it plays;
+    permutations and pads are fresh every stage. A single-stage id sends
+    x once. An ECHOED id sends x, echoes back what Bob decoded with the
+    roles swapped, and sends x again: Alice accepts when the echo matches
+    what she sent, and Bob when both of his receptions agree. An
+    AUTHENTICATED id sends x with its one-time MAC tag in the low t bits,
+    and Bob checks the tag; then he echoes the tag he received, and Alice
+    accepts when it is hers.
     """
     check_session(protocol, n, l, t, qubit_cap, snapshots, (x,))
-    mac_key = getattr(keys, "mac_key", None)
-    if protocol in AUTHENTICATED and getattr(mac_key, "t", None) != t:
-        raise ProtocolError(f"{protocol} needs a one-time authentication key of width t={t}, "
-                            f"got {'none' if mac_key is None else mac_key.t}")
+    check_keys(protocol, n, l, t, keys)
     alice_rng, bob_rng, eve_rng = party_streams(rng, 3)
     rngs = {ALICE: alice_rng, BOB: bob_rng}
     if draws is None:
@@ -563,19 +578,11 @@ def _run_stages(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit
         raise ProtocolError(f"{protocol} draws are a tuple of one record per stage, Draws "
                             f"shaped (sender binds, receiver binds, pads) {want}, got {got}")
     for s, d in zip(stages, draws):
-        bits = s.bits(n, t)
         for name in ("sender_perm", "receiver_perm"):
             perm = getattr(d, name)
-            if perm is not None and perm.n != bits:
+            if perm is not None and perm.n != s.bits(n, t):
                 raise ProtocolError(f"{name} has width {perm.n}, but the "
-                                    f"stage's message register has {bits}")
-        for i in range(len(d.pads)):
-            attr = f"{s.tag_owner(i)}_tag{s.keys}"
-            fn = getattr(keys, attr, None)
-            if fn is None or (fn.n, fn.l) != (bits, l):
-                got = "none" if fn is None else f"{fn.n}->{fn.l}"
-                raise ProtocolError(f"{protocol} needs the tag function {attr} of shape "
-                                    f"{bits}->{l}, got {got}")
+                                    f"stage's message register has {s.bits(n, t)}")
     tr = Transcript(protocol, n, l, t, x, draws=draws)
     channel = Channel(tr, attack, eve_rng, snapshots, qubit_cap)
 
@@ -587,25 +594,18 @@ def _run_stages(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit
         return stages[i].exchange.run(channel, message, stages[i].bits(n, t), l,
                                       sender, receiver, draws[i])
 
-    # A stage returns None when an attack cut it: no later stage runs, and
-    # the decode and every verdict stay None.
     if protocol in AUTHENTICATED:
-        auth_tag = mac_tag(mac_key, x, n)
+        auth_tag = mac_tag(keys.mac_key, x, n)
         received = stage(0, (x << t) | auth_tag)
-        echoed = None if received is None else stage(1, received & ((1 << t) - 1))
-        if echoed is not None:
-            tr.recovered, got_tag = received >> t, received & ((1 << t) - 1)
-            tr.mac_accepts = tr.bob_accepts = mac_verify(mac_key, tr.recovered, n, got_tag)
-            tr.alice_accepts = echoed == auth_tag
+        tr.recovered, got_tag = received >> t, received & ((1 << t) - 1)
+        echoed = stage(1, got_tag)
+        tr.mac_accepts = tr.bob_accepts = mac_verify(keys.mac_key, tr.recovered, n, got_tag)
+        tr.alice_accepts = echoed == auth_tag
         return tr
-    recovered = stage(0, x)
-    if protocol in ECHOED and recovered is not None:
-        echoed = stage(1, recovered)
-        again = None if echoed is None else stage(2, x)
-        if again is None:
-            return tr
-        tr.alice_accepts, tr.bob_accepts = echoed == x, again == recovered
-    tr.recovered = recovered
+    tr.recovered = stage(0, x)
+    if protocol in ECHOED:
+        echoed, again = stage(1, tr.recovered), stage(2, x)
+        tr.alice_accepts, tr.bob_accepts = echoed == x, again == tr.recovered
     return tr
 
 
@@ -776,7 +776,8 @@ def eve_average_view(
     y -> y ^ f(m) ^ p ^ f0(m) ^ p0, where f0 and p0 are the rerun's own;
     the sum is taken in enumeration order. Every requested round is
     resolved before the rerun: an unknown round, or pads times functions
-    beyond `enum_limit` (refused with the count), runs nothing.
+    beyond `enum_limit` (refused with the count), runs nothing, and so
+    does asking for no round at all.
     """
     kinds = set(average_over)
     unknown = kinds - {"pads", "keys"}
@@ -784,8 +785,8 @@ def eve_average_view(
         raise ValueError(f"unknown averaging kinds {sorted(unknown)}")
     protocol = transcript.protocol
     wanted = range(1, ROUND_COUNTS[protocol] + 1) if rounds is None else tuple(rounds)
-    if not kinds:
-        # Identity average: nothing enumerated, the per-run snapshot is it.
+    if not kinds or not wanted:
+        # Identity average (the per-run snapshot is it), or no round: no rerun.
         return tuple(EveView(transcript.stored_snapshot(r), r, 1) for r in wanted)
     l = transcript.l
     plans = []

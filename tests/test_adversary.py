@@ -359,13 +359,17 @@ def test_hijack_cut_at_the_first_tap_equals_the_full_stage_one(protocol, monkeyp
     assert sessions == []
 
 
+class Tapped(Exception):
+    """Ends a session at the pass a TapRecorder kept."""
+
+
 class TapRecorder(Attack):
     """Keep the state of pass 1 and a copy of the stream it was handed,
-    then cut the session there."""
+    then end the session there by raising Tapped."""
 
     def on_transmission(self, state, round_index, names, rng, events):
         self.state, self.rng = state, copy.deepcopy(rng)
-        return None
+        raise Tapped
 
 
 @pytest.mark.parametrize("protocol", ["p3", "p5"])
@@ -383,7 +387,8 @@ def test_first_tap_weighs_r1_as_the_openers_lone_register(protocol):
             keys = sample_shared_keys(protocol, n, l, 0, rng)
             x = int(rng.integers(1 << n))
             tap = TapRecorder()
-            run_session(first, x, n, l, 0, keys, rng=[k, n], attack=tap, snapshots=False)
+            with pytest.raises(Tapped):
+                run_session(first, x, n, l, 0, keys, rng=[k, n], attack=tap, snapshots=False)
             opened = init_basis_state([Register("R1", n, stage.tag_owner(0))],
                                       {"R1": 0 if stage.exchange.inverted else x})
             opened = opened.apply_hadamard("R1")

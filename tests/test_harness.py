@@ -1,5 +1,6 @@
 """Experiment driver: configs, reports, reproduction, attack paths."""
 
+import base64
 import hashlib
 import json
 import os
@@ -162,13 +163,16 @@ def test_config_from_dict_checks_value_types():
 
 
 def test_matrix_payload_round_trip_is_exact():
+    # Bytes, not values: an equal value may differ in the sign of a zero.
     rng = make_rng(31)
-    for dim in (1, 2, 4, 8):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    signed = np.array([[complex(0.5, -0.0), complex(-0.0, -0.0)],
+                       [complex(1.0, np.inf), complex(-np.inf, 0.0)]])
+    for m in [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+              for dim in (1, 2, 4, 8)] + [signed]:
         out = decode_matrix(encode_matrix(m))
         assert type(out) is np.ndarray and out.dtype == np.complex128
-        assert out.shape == (dim, dim)
-        assert np.array_equal(out, m)
+        assert out.shape == m.shape and out.flags.writeable
+        assert out.tobytes() == m.tobytes()
 
 
 def test_matrix_payload_of_a_diagonal_is_its_matrix_payload():
@@ -181,6 +185,13 @@ def test_matrix_payload_size_checked():
     payload = encode_matrix(np.eye(2, dtype=np.complex128))
     payload["dim"] = 3
     with pytest.raises(ValueError, match="doubles"):
+        decode_matrix(payload)
+    # 64 bytes are 16*dim**2 at dim -2 as well as 2.
+    payload["dim"] = -2
+    with pytest.raises(ValueError, match="payload holds a matrix of dimension -2"):
+        decode_matrix(payload)
+    payload = {"dim": 1, "data": base64.b64encode(bytes(15)).decode("ascii")}
+    with pytest.raises(ValueError, match="payload holds 15 bytes, expected 2 doubles"):
         decode_matrix(payload)
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnokey import protocols
-from qnokey.adversary import Attack, PhaseAttack, parse_attack
+from qnokey.adversary import PhaseAttack, parse_attack
 from qnokey.oracles import (
     EnumerationLimitError,
     enumerate_functions,
@@ -27,8 +27,10 @@ from qnokey.oracles import (
 )
 from qnokey.protocols import (
     ALICE,
+    AUTHENTICATED,
     BOB,
     BROADCAST,
+    ECHOED,
     EVE,
     INVERTED_TWO_PASS,
     PROTOCOL_IDS,
@@ -77,14 +79,26 @@ def seeded_session(protocol, x, n, l=0, t=0, seed=0, **kw):
 
 @pytest.mark.parametrize("protocol", PROTOCOL_IDS)
 def test_honest_run_recovers_message_and_counts_rounds(protocol):
+    # Honest or under any in-transit attack, a session runs every pass,
+    # decodes a value and sets the verdicts its id has. Only an honest
+    # one is bound to decode the message.
     n, l, t = 2, 1, 2
-    for seed in range(3):
+    rounds = list(range(1, ROUND_COUNTS[protocol] + 1))
+    specs = ("none", "passive", "phase:x=1", "measure:passes=all")
+    for spec, snapshots, seed in itertools.product(specs, (True, False), range(3)):
         for x in range(1 << n):
-            tr, _ = seeded_session(protocol, x, n, l, t, seed=seed)
-            assert tr.recovered == x
-            assert tr.rounds == ROUND_COUNTS[protocol]
-            assert [tx.round_index for tx in tr.transmissions] == \
-                list(range(1, tr.rounds + 1))
+            tr, _ = seeded_session(protocol, x, n, l, t, seed=seed, attack=parse_attack(spec),
+                                   snapshots=snapshots)
+            where = (spec, snapshots, seed, x)
+            assert tr.rounds == ROUND_COUNTS[protocol], where
+            assert [tx.round_index for tx in tr.transmissions] == rounds, where
+            assert all((tx.snapshot is not None) == snapshots for tx in tr.transmissions), where
+            assert type(tr.recovered) is int and 0 <= tr.recovered < 1 << n, where
+            assert tr.recovered == x or spec != "none", where
+            echoed = protocol in ECHOED | AUTHENTICATED
+            for verdict, has in zip((tr.alice_accepts, tr.bob_accepts, tr.mac_accepts),
+                                    (echoed, echoed, protocol in AUTHENTICATED)):
+                assert type(verdict) is bool if has else verdict is None, where
 
 
 def test_round_count_table_matches_contract():
@@ -340,6 +354,10 @@ def test_snapshot_accessor_errors():
         tr.snapshot(1)
     with pytest.raises(ValueError, match="round index"):
         Transcript("p2", 2, 1, 0, 1).snapshot(4)
+    # Round r is transmission r: there is no round 0 or past the last.
+    for r in (0, tr.rounds + 1):
+        with pytest.raises(ValueError, match=f"no transmission with round index {r}"):
+            tr.stored_snapshot(r)
 
 
 # -- averaged channel views ---------------------------------------------------------
@@ -484,6 +502,9 @@ def test_average_view_refuses_every_round_before_running_a_session(monkeypatch):
         eve_average_view(tr, (1, 5), keys=keys)
     with pytest.raises(ValueError, match="rounds 1..4, got 0"):
         eve_average_view(tr, (0,), keys=keys)
+    # No round asked: no view, no session, and no keys needed.
+    assert eve_average_view(tr, (), keys=None, average_over=both) == ()
+    assert eve_average_view(tr, ()) == ()
     assert sessions == []
 
 
@@ -632,30 +653,6 @@ def test_exchange_sample_matches_the_reference_samplers():
             [int(g.integers(1 << 30)) for g in reference]
 
 
-class CutAt(Attack):
-    """Keep the pass of round `cut`; let every other pass through."""
-
-    def __init__(self, cut):
-        self.cut = cut
-
-    def on_transmission(self, state, round_index, names, rng, events):
-        return None if round_index == self.cut else state
-
-
-@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
-def test_a_cut_pass_ends_the_session_with_no_decode_or_verdict(protocol):
-    t = 1 if protocol == "p6" else 0
-    for cut in range(1, ROUND_COUNTS[protocol] + 1):
-        for snapshots in (False, True):
-            tr, _ = seeded_session(protocol, 1, 2, 1, t, seed=cut, attack=CutAt(cut),
-                                   snapshots=snapshots)
-            assert [tx.round_index for tx in tr.transmissions] == list(range(1, cut + 1))
-            assert tr.transmissions[-1].snapshot is None
-            assert all((tx.snapshot is not None) == snapshots for tx in tr.transmissions[:-1])
-            assert (tr.recovered, tr.alice_accepts, tr.bob_accepts, tr.mac_accepts) == \
-                (None, None, None, None), (cut, snapshots)
-
-
 @pytest.mark.parametrize("protocol", [p for p in PROTOCOL_IDS if p != "p1"])
 def test_keyed_session_without_keys_is_refused(protocol):
     t = 2 if protocol == "p6" else 0
@@ -663,7 +660,10 @@ def test_keyed_session_without_keys_is_refused(protocol):
         run_session(protocol, 1, 2, 1, t, None)
 
 
-def test_tag_function_shape_checked_against_the_stage():
+def test_tag_function_shape_checked_against_the_stage(monkeypatch):
+    # A bad key bundle is refused before the session splits its streams.
+    streams = []
+    monkeypatch.setattr(protocols, "party_streams", lambda *a: streams.append(a))
     keys = sample_shared_keys("nonint", 3, 1, 0, make_rng(0))
     with pytest.raises(ProtocolError, match=r"alice_tag of shape 2->1, got 3->1"):
         run_session("nonint", 1, 2, 1, 0, keys)
@@ -672,6 +672,7 @@ def test_tag_function_shape_checked_against_the_stage():
     with pytest.raises(ProtocolError, match="p6 needs the tag function bob_tag_echo of shape "
                                             "2->1, got none"):
         run_protocol6(1, 2, 1, 2, keys, rng=make_rng(0))
+    assert streams == []
 
 
 # -- the exchange runner against hand-written references ------------------------------
