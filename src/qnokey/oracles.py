@@ -101,13 +101,14 @@ class BooleanFunction:
 
 
 def sample_permutation(n: int, rng: np.random.Generator) -> BooleanPermutation:
-    """Uniform bijection on n-bit values by a Fisher-Yates shuffle."""
+    """Uniform bijection on n-bit values by a Fisher-Yates shuffle, its swap
+    indices drawn in one call that reads the stream as one draw per swap."""
     if not 1 <= n <= DEFAULT_TABLE_WIDTH_CAP:
         raise ValueError(f"permutation width {n} outside 1..{DEFAULT_TABLE_WIDTH_CAP}")
     size = 1 << n
     table = list(range(size))
-    for i in range(size - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    swaps = rng.integers(0, np.arange(size, 1, -1)).tolist()
+    for i, j in zip(range(size - 1, 0, -1), swaps):
         table[i], table[j] = table[j], table[i]
     return BooleanPermutation(n, tuple(table))
 

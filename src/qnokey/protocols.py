@@ -28,16 +28,17 @@ their stages: the exchange, the sending party, the message width (n+t
 and t in p6) and the tag functions used. One driver, _run_stages, runs
 every id: p3 and p5 send, echo back and send again, with accept
 verdicts; p6 sends message plus one-time MAC tag, then echoes the tag.
-PROTOCOL_IDS, ROUND_COUNTS, peak_live_width, sample_draws (one record
-per stage) and the averaging lookup all derive from STAGES, and so do
-check_session, the one session validator, and check_keys, the one key
-validator; each session's draws are checked against it too, and every
-session runs all its passes. A party is its name string, which
-also names the holder of each register it makes or receives.
-An exchange takes its parties as Party(name, rng, tags_with,
+Its signature alone states the session keywords (rng, draws, attack,
+snapshots, qubit_cap): each public run_* takes its id's widths and keys
+and forwards to it, and run_session looks that name up at each call.
+PROTOCOL_IDS, ROUND_COUNTS, peak_live_width, sample_draws, TAG_KEYS, the
+averaging lookup, check_session and check_keys (the one session and key
+validators) all derive from STAGES; each session's draws are checked
+against it, and every session runs all its passes. A party is its name
+string, which also names the holder of each register it makes or
+receives; an exchange takes its parties as Party(name, rng, tags_with,
 strips_with) values, so an adversary can play a side with substitute
-tables. run_session runs any protocol by id, looking its public run_*
-name up at each call.
+tables.
 
 Channel views: per-run snapshots are what an eavesdropper sees in one
 session; eve_average_view computes, for each requested round, the exact
@@ -193,22 +194,20 @@ def check_session(protocol: str, n: int, l: int = 0, t: int = 0,
 
 
 def check_keys(protocol: str, n: int, l: int, t: int, keys) -> None:
-    """The key validator, which every session and the echo-stage hijack
-    call after `check_session` and before any draw: p6's one-time MAC key
-    of width t, then stage by stage the tag function of each party that
-    tags a pass, Alice's first, of the stage's message width by l."""
+    """The key validator, which every session, the echo-stage hijack and
+    `eve_average_view` call after `check_session` and before any draw:
+    p6's one-time MAC key of width t, then each tag function in
+    `TAG_KEYS`, of its stage's message width by l."""
     mac_key = getattr(keys, "mac_key", None)
     if protocol in AUTHENTICATED and getattr(mac_key, "t", None) != t:
         raise ProtocolError(f"{protocol} needs a one-time authentication key of width t={t}, "
                             f"got {'none' if mac_key is None else mac_key.t}")
-    for s in STAGES[protocol]:
-        tagged = range(s.exchange.passes if s.exchange.tagged else 0)
-        for attr in [f"{p}_tag{s.keys}" for p in (ALICE, BOB) if p in map(s.tag_owner, tagged)]:
-            fn, bits = getattr(keys, attr, None), s.bits(n, t)
-            if fn is None or (fn.n, fn.l) != (bits, l):
-                got = "none" if fn is None else f"{fn.n}->{fn.l}"
-                raise ProtocolError(f"{protocol} needs the tag function {attr} of shape "
-                                    f"{bits}->{l}, got {got}")
+    for attr, s in TAG_KEYS[protocol]:
+        fn, bits = getattr(keys, attr, None), s.bits(n, t)
+        if fn is None or (fn.n, fn.l) != (bits, l):
+            got = "none" if fn is None else f"{fn.n}->{fn.l}"
+            raise ProtocolError(f"{protocol} needs the tag function {attr} of shape "
+                                f"{bits}->{l}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -529,6 +528,12 @@ UNTAGGED = frozenset(p for p, stages in STAGES.items() if not stages[0].exchange
 AUTHENTICATED = frozenset(p for p, stages in STAGES.items()
                           if any("t" in stage.width for stage in stages))
 ECHOED = frozenset(p for p, stages in STAGES.items() if len(stages) == 3)
+# Each id's tag functions once, stage by stage and Alice's first, each with
+# a stage that fixes its shape (stages sharing a key suffix share a width).
+TAG_KEYS = {protocol: tuple({f"{p}_tag{s.keys}": s for s in stages if s.exchange.tagged
+                             for p in (ALICE, BOB)
+                             if p in map(s.tag_owner, range(s.exchange.passes))}.items())
+            for protocol, stages in STAGES.items()}
 
 
 def round_widths(protocol: str, n: int, t: int = 0) -> tuple[int, ...]:
@@ -546,9 +551,14 @@ def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict) -> tuple:
                  for stage in STAGES[protocol])
 
 
-def _run_stages(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit_cap):
-    """Check a session's parameters and keys before any draw, then its
-    draws; run every stage to its end and set its verdicts.
+def _run_stages(protocol, x, n, l, t, keys, *, rng=None, draws=None, attack=None,
+                snapshots=True, qubit_cap=DEFAULT_QUBIT_CAP) -> Transcript:
+    """The driver every public runner forwards to, whose keywords are the
+    one statement of the session keywords: `rng` seeds the parties'
+    streams, `draws` replays a session, `attack` touches each pass,
+    `snapshots` stores each round's channel state, and `qubit_cap` bounds
+    the peak live width. Check a session's parameters and keys before any
+    draw, then its draws; run every stage to its end and set its verdicts.
 
     Draws left as None come from `_sample_draws`, on the streams the
     session measures with, and each stage's record and permutations must
@@ -609,63 +619,46 @@ def _run_stages(protocol, x, n, l, t, keys, rng, draws, attack, snapshots, qubit
     return tr
 
 
-def run_protocol1(
-    x: int,
-    n: int,
-    *,
-    rng=None,
-    draws: tuple | None = None,
-    attack=None,
-    snapshots: bool = True,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> Transcript:
+def run_protocol1(x: int, n: int, **kw) -> Transcript:
     """Three untagged passes from Alice to Bob, with no pre-shared secret."""
-    return _run_stages("p1", x, n, 0, 0, None, rng, draws, attack, snapshots, qubit_cap)
+    return _run_stages("p1", x, n, 0, 0, None, **kw)
 
 
-def _stage_runner(protocol: str, name: str, doc: str):
-    """The public runner `name` of a protocol that takes x, n, l and keys."""
-
-    def runner(x: int, n: int, l: int, keys: SharedKeys, *, rng=None, draws=None, attack=None,
-               snapshots: bool = True, qubit_cap: int = DEFAULT_QUBIT_CAP) -> Transcript:
-        return _run_stages(protocol, x, n, l, 0, keys, rng, draws, attack, snapshots, qubit_cap)
-
-    runner.__name__ = runner.__qualname__ = name
-    runner.__doc__ = doc
-    return runner
+def run_protocol2(x: int, n: int, l: int, keys: SharedKeys, **kw) -> Transcript:
+    """Single tagged three-pass exchange from Alice to Bob."""
+    return _run_stages("p2", x, n, l, 0, keys, **kw)
 
 
-run_protocol2 = _stage_runner("p2", "run_protocol2",
-                              "Single tagged three-pass exchange from Alice to Bob.")
-run_protocol3 = _stage_runner("p3", "run_protocol3",
-                              "Message, echo, message: three tagged exchanges with verdicts.")
-run_protocol4 = _stage_runner("p4", "run_protocol4",
-                              "Single receiver-initiated exchange from Alice to Bob.")
-run_protocol5 = _stage_runner("p5", "run_protocol5",
-                              "Message, echo, message over the receiver-initiated exchange.")
+def run_protocol3(x: int, n: int, l: int, keys: SharedKeys, **kw) -> Transcript:
+    """Message, echo, message: three tagged exchanges with verdicts."""
+    return _run_stages("p3", x, n, l, 0, keys, **kw)
+
+
+def run_protocol4(x: int, n: int, l: int, keys: SharedKeys, **kw) -> Transcript:
+    """Single receiver-initiated exchange from Alice to Bob."""
+    return _run_stages("p4", x, n, l, 0, keys, **kw)
+
+
+def run_protocol5(x: int, n: int, l: int, keys: SharedKeys, **kw) -> Transcript:
+    """Message, echo, message over the receiver-initiated exchange."""
+    return _run_stages("p5", x, n, l, 0, keys, **kw)
+
+
 # Identical machinery to p4, kept as its own id because on its own it
 # permits permanent key reuse, which the experiments certify separately.
-run_two_round = _stage_runner("two-round", "run_two_round",
-                              "The two-pass exchange standing alone as a complete protocol.")
+def run_two_round(x: int, n: int, l: int, keys: SharedKeys, **kw) -> Transcript:
+    """The two-pass exchange standing alone as a complete protocol."""
+    return _run_stages("two-round", x, n, l, 0, keys, **kw)
+
+
 # Exploratory: nothing here certifies the broadcast's security, and the
 # experiments treat its channel views purely as regression data.
-run_noninteractive = _stage_runner("nonint", "run_noninteractive",
-                                   "Single transmission of the phase-encoded message plus a tag.")
+def run_noninteractive(x: int, n: int, l: int, keys: SharedKeys, **kw) -> Transcript:
+    """Single transmission of the phase-encoded message plus a tag."""
+    return _run_stages("nonint", x, n, l, 0, keys, **kw)
 
 
-def run_protocol6(
-    x: int,
-    n: int,
-    l: int,
-    t: int,
-    keys: SharedKeys,
-    *,
-    rng=None,
-    draws: tuple | None = None,
-    attack=None,
-    snapshots: bool = True,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> Transcript:
+def run_protocol6(x: int, n: int, l: int, t: int, keys: SharedKeys, **kw) -> Transcript:
     """Authenticated two-stage run: message plus tag out, tag echoed back.
 
     Stage one sends the concatenation of the message (high bits) and
@@ -674,7 +667,7 @@ def run_protocol6(
     the one-time key. Stage two returns the tag he received through a
     second exchange; Alice accepts when it equals the tag she computed.
     """
-    return _run_stages("p6", x, n, l, t, keys, rng, draws, attack, snapshots, qubit_cap)
+    return _run_stages("p6", x, n, l, t, keys, **kw)
 
 
 def run_session(protocol: str, x: int, n: int, l: int, t: int, keys, **kw) -> Transcript:
@@ -774,10 +767,10 @@ def eve_average_view(
     function that put it on. So the round's snapshot under another
     (p, f) is the rerun's snapshot with rows and columns permuted by
     y -> y ^ f(m) ^ p ^ f0(m) ^ p0, where f0 and p0 are the rerun's own;
-    the sum is taken in enumeration order. Every requested round is
-    resolved before the rerun: an unknown round, or pads times functions
-    beyond `enum_limit` (refused with the count), runs nothing, and so
-    does asking for no round at all.
+    the sum is taken in enumeration order. The keys and every requested
+    round are checked before the rerun: a bundle `check_keys` refuses, an
+    unknown round, or pads times functions beyond `enum_limit` (refused
+    with the count), runs nothing, and so does asking for no round at all.
     """
     kinds = set(average_over)
     unknown = kinds - {"pads", "keys"}
@@ -789,11 +782,12 @@ def eve_average_view(
         # Identity average (the per-run snapshot is it), or no round: no rerun.
         return tuple(EveView(transcript.stored_snapshot(r), r, 1) for r in wanted)
     l = transcript.l
+    if keys is None and protocol not in UNTAGGED:
+        raise ValueError("keyed protocols need the session keys to average")
+    check_keys(protocol, transcript.n, l, transcript.t, keys)
     plans = []
     for r in wanted:
         stage, pad, tag_attr = _round_secrets(protocol, r)
-        if keys is None:
-            raise ValueError("keyed protocols need the session keys to average")
         base_fn: BooleanFunction = getattr(keys, tag_attr)
         check_enumeration(kinds, base_fn.n, l, enum_limit)
         plans.append((r, transcript.draws[stage].pads[pad], base_fn))

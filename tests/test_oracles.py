@@ -73,6 +73,29 @@ def test_sampling_is_seed_deterministic():
     assert sample_pad(5, make_rng(79)) == sample_pad(5, make_rng(79))
 
 
+def _fisher_yates_loop(n, rng):
+    """The oracle: one `integers(0, i + 1)` draw per swap, i from 2**n - 1 down to 1."""
+    table = list(range(1 << n))
+    for i in range((1 << n) - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        table[i], table[j] = table[j], table[i]
+    return tuple(table)
+
+
+def test_permutation_reads_the_stream_as_the_one_draw_per_swap_loop():
+    # Same table, same generator state and same next draw as the loop, on
+    # plain and spawned streams; the wide tables get fewer cases.
+    for n in range(1, 17):
+        for seed in range(6 if n < 12 else 1):
+            for spawned in (False, True):
+                mine, oracle = (make_rng(seed).spawn(1)[0] if spawned else make_rng(seed)
+                                for _ in range(2))
+                where = (n, seed, spawned)
+                assert sample_permutation(n, mine).table == _fisher_yates_loop(n, oracle), where
+                assert mine.bit_generator.state == oracle.bit_generator.state, where
+                assert mine.random() == oracle.random(), where
+
+
 def test_single_bit_permutations_appear_half_the_time():
     # n=1 has exactly two permutations; identity frequency 1/2 +- 3 sigma.
     rng = make_rng(2)

@@ -9,13 +9,14 @@ the identity.
 
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnokey import protocols
-from qnokey.adversary import PhaseAttack, parse_attack
+from qnokey.adversary import PassiveAttack, PhaseAttack, parse_attack
 from qnokey.oracles import (
     EnumerationLimitError,
     enumerate_functions,
@@ -48,8 +49,12 @@ from qnokey.protocols import (
     eve_average_view,
     noninteractive_view,
     peak_live_width,
+    run_noninteractive,
     run_protocol1,
     run_protocol2,
+    run_protocol3,
+    run_protocol4,
+    run_protocol5,
     run_protocol6,
     run_session,
     run_two_round,
@@ -77,6 +82,12 @@ def seeded_session(protocol, x, n, l=0, t=0, seed=0, **kw):
 # -- honest correctness and round counts ---------------------------------------
 
 
+# Each id's public runner.
+RUNNERS = {"p1": run_protocol1, "p2": run_protocol2, "p3": run_protocol3, "p4": run_protocol4,
+           "p5": run_protocol5, "p6": run_protocol6, "nonint": run_noninteractive,
+           "two-round": run_two_round}
+
+
 @pytest.mark.parametrize("protocol", PROTOCOL_IDS)
 def test_honest_run_recovers_message_and_counts_rounds(protocol):
     # Honest or under any in-transit attack, a session runs every pass,
@@ -99,6 +110,25 @@ def test_honest_run_recovers_message_and_counts_rounds(protocol):
             for verdict, has in zip((tr.alice_accepts, tr.bob_accepts, tr.mac_accepts),
                                     (echoed, echoed, protocol in AUTHENTICATED)):
                 assert type(verdict) is bool if has else verdict is None, where
+    # The id's public runner forwards each session keyword to the driver,
+    # which refuses an unknown one; the runner refuses an extra positional.
+    runner = RUNNERS[protocol]
+    keys = None if protocol == "p1" else sample_shared_keys(protocol, n, l, t, make_rng(7))
+    args = {"p1": (3, n), "p6": (3, n, l, t, keys)}.get(protocol, (3, n, l, keys))
+    first = runner(*args, rng=make_rng(8))
+    assert runner(*args, rng=make_rng(9)).draws != first.draws
+    replay = runner(*args, rng=make_rng(9), draws=first.draws)
+    assert replay.draws == first.draws and replay.measurements == first.measurements
+    assert all(tx.snapshot is None for tx in runner(*args, snapshots=False).transmissions)
+    events = runner(*args, attack=PassiveAttack()).attack_events
+    assert [event["round"] for event in events] == rounds
+    peak, _ = peak_live_width(protocol, n, l, t)
+    with pytest.raises(ProtocolError, match=f"cap is {peak - 1}"):
+        runner(*args, qubit_cap=peak - 1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'seed'"):
+        runner(*args, seed=1)
+    with pytest.raises(TypeError, match="positional argument"):
+        runner(*args, None)
 
 
 def test_round_count_table_matches_contract():
@@ -502,6 +532,16 @@ def test_average_view_refuses_every_round_before_running_a_session(monkeypatch):
         eve_average_view(tr, (1, 5), keys=keys)
     with pytest.raises(ValueError, match="rounds 1..4, got 0"):
         eve_average_view(tr, (0,), keys=keys)
+    # An incomplete bundle is refused as a session refuses it: a p6 one
+    # with no echo tag function, and a p2 one with no bob_tag at all.
+    with pytest.raises(ProtocolError, match="p6 needs the tag function bob_tag_echo of shape "
+                                            "2->1, got none"):
+        eve_average_view(tr, (4,), keys=replace(keys, bob_tag_echo=None), average_over=both)
+    p2_keys = sample_shared_keys("p2", 1, 1, 0, make_rng(52))
+    p2 = run_session("p2", 1, 1, 1, 0, p2_keys, rng=make_rng(53))
+    with pytest.raises(ProtocolError, match="p2 needs the tag function bob_tag of shape "
+                                            "1->1, got none"):
+        eve_average_view(p2, (2,), keys=SimpleNamespace(alice_tag=p2_keys.alice_tag))
     # No round asked: no view, no session, and no keys needed.
     assert eve_average_view(tr, (), keys=None, average_over=both) == ()
     assert eve_average_view(tr, ()) == ()
