@@ -9,7 +9,7 @@ an eavesdropper's channel snapshots do and do not reveal.
 from .adversary import (AttackSpecError, MeasureResendAttack, MimMarker,
                         PassiveAttack, PhaseAttack, echo_detection_experiment,
                         impersonate_echo_stage, mim_full_impersonation,
-                        parse_attack, passive_snapshot)
+                        parse_attack)
 from .auth import (REDUCTION_POLYS, MacKey, forgery_fraction, gf_add, gf_mul,
                    gf_pow, mac_keygen, mac_tag, mac_verify, message_blocks)
 from .harness import (REPORT_FORMAT_VERSION, ConfigError, ExperimentConfig,
@@ -50,7 +50,7 @@ __all__ = [
     "init_basis_state", "is_maximally_mixed", "load_table", "mac_keygen",
     "mac_tag", "mac_verify", "make_rng", "message_blocks",
     "mim_full_impersonation", "noninteractive_view", "parse_attack",
-    "party_streams", "passive_snapshot", "peak_live_width", "read_table",
+    "party_streams", "peak_live_width", "read_table",
     "run_experiment", "run_noninteractive", "run_protocol1", "run_protocol2",
     "run_protocol3", "run_protocol4", "run_protocol5", "run_protocol6",
     "run_session", "run_two_round", "sample_draws", "sample_function", "sample_pad",

@@ -15,14 +15,12 @@ in this module, nothing stronger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import protocols as proto
 from .oracles import make_rng, party_streams, sample_function
-from .qstate import (DEFAULT_QUBIT_CAP, CompositeState, Register, as_matrix, init_basis_state,
-                     trace_distance)
+from .qstate import DEFAULT_QUBIT_CAP, CompositeState, Register, init_basis_state
 
 
 class AttackSpecError(ValueError):
@@ -186,7 +184,9 @@ def mim_full_impersonation(
     her choice. Both halves are deterministic honest runs; only the
     pairing is dishonest. Returns the transcripts toward Eve (Alice's
     session) and toward Bob; their `recovered` are what each decodes.
+    Both messages are checked before either session runs.
     """
+    proto.check_session("p1", n, qubit_cap=qubit_cap, messages=(x, x_eve))
     eve_rng, session_rng = party_streams(rng, 2)
     toward_eve = proto.run_protocol1(x, n, rng=session_rng, snapshots=False,
                                      qubit_cap=qubit_cap)
@@ -279,54 +279,3 @@ def echo_detection_experiment(
                                          qubit_cap=qubit_cap)
         rejections += echo != x
     return rejections
-
-
-# ---------------------------------------------------------------------------
-# Passive observation
-# ---------------------------------------------------------------------------
-
-
-def passive_snapshot(
-    protocol: str,
-    messages: Sequence[int],
-    n: int,
-    l: int = 0,
-    keys: proto.SharedKeys | None = None,
-    *,
-    rng=None,
-    averaged: bool = False,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> tuple[dict, dict]:
-    """Observe sessions for several messages and compare the rounds.
-
-    With `averaged` the comparison uses the exact pad-averaged views
-    (the indistinguishability object); otherwise the per-run snapshots.
-    Draws are held identical across messages so the comparison isolates
-    the message dependence. Returns the views, message -> one density
-    matrix per round, and the distances, (x, y, round) -> trace distance
-    of the views as stored."""
-    if not messages:
-        raise ValueError("passive_snapshot needs at least one message")
-    t = keys.mac_key.t if (keys is not None and keys.mac_key is not None) else 0
-    proto.check_session(protocol, n, l, t, qubit_cap, snapshots=True, messages=messages)
-    draws = proto.sample_draws(protocol, n, l, t, rng)
-    views: dict[int, list[np.ndarray]] = {}
-    for x in messages:
-        if averaged:  # eve_average_view reruns the session honestly from its draws
-            seen = proto.Transcript(protocol, n, l, t, x, draws=draws)
-            views[x] = [v.rho for v in proto.eve_average_view(seen, keys=keys, qubit_cap=qubit_cap)]
-        else:
-            redo = proto.run_session(protocol, x, n, l, t, keys, draws=draws, attack=PassiveAttack(),
-                                     snapshots=True, qubit_cap=qubit_cap)
-            views[x] = [redo.stored_snapshot(r) for r in range(1, redo.rounds + 1)]
-    distances = {(x, y, r): d for x, y, r, d in pairwise_distances(messages, views)}
-    return {x: [as_matrix(rho) for rho in rhos] for x, rhos in views.items()}, distances
-
-
-def pairwise_distances(messages: Sequence[int], views: dict[int, Sequence[np.ndarray]]):
-    """Yield (x, y, round, trace distance) between the views of each pair
-    of messages, x before y in `messages`' order, then round by round."""
-    for i, x in enumerate(messages):
-        for y in messages[i + 1:]:
-            for r, (a, b) in enumerate(zip(views[x], views[y]), 1):
-                yield x, y, r, trace_distance(a, b)

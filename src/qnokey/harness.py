@@ -33,7 +33,7 @@ from .auth import MacKey
 from .oracles import DEFAULT_ENUM_LIMIT, BooleanPermutation, make_rng, read_table
 from .protocols import ConfigError
 from .qstate import (ATOL_DENSITY, ATOL_SCALAR, DEFAULT_QUBIT_CAP, as_matrix,
-                     hermitian_eigenvalues, is_maximally_mixed)
+                     hermitian_eigenvalues, is_maximally_mixed, trace_distance)
 
 REPORT_FORMAT_VERSION = 2
 
@@ -433,9 +433,10 @@ def _session_results(config: ExperimentConfig) -> dict:
                 False not in (tr.alice_accepts, tr.bob_accepts, tr.mac_accepts)
             runs.append(entry)
         if avg_kinds:
-            distance_rows += ({"trial": trial, "x": x, "y": y, "round": r, "distance": d}
-                              for x, y, r, d in adversary.pairwise_distances(messages,
-                                                                             trial_views))
+            distance_rows += ({"trial": trial, "x": x, "y": y, "round": r,
+                               "distance": trace_distance(a, b)}
+                              for x, y in itertools.combinations(messages, 2)
+                              for r, (a, b) in enumerate(zip(trial_views[x], trial_views[y]), 1))
 
     results: dict = {"runs": runs}
     assertions = []

@@ -179,8 +179,8 @@ def check_session(protocol: str, n: int, l: int = 0, t: int = 0,
             f"2*{k}={2 * k}-qubit state, cap is {qubit_cap}; "
             f"run with --no-snapshots and --average none"
         )
-    # A state stores its nonzero amplitudes only, but a Gram product (in a
-    # discard or a partial trace) builds all 2**w of 16 bytes each.
+    # A state stores its nonzero amplitudes only, but a partial trace that
+    # is not diagonal (also in a discard) builds all 2**w of 16 bytes each.
     width = max(peak, 2 * k) if snapshots else peak
     if 16 << width > HOST_MEMORY_BYTES:
         what = (f"{k}-qubit snapshots, as large as a 2*{k}={width}-qubit state" if width > peak
@@ -230,6 +230,8 @@ class SharedKeys:
 def sample_shared_keys(protocol: str, n: int, l: int, t: int,
                        rng) -> SharedKeys:
     """Draw a full key bundle of the right shape for one protocol."""
+    if protocol not in STAGES:
+        raise ProtocolError(f"unknown protocol {protocol!r}, expected one of {PROTOCOL_IDS}")
     gen = make_rng(rng)
     if protocol in AUTHENTICATED:
         return SharedKeys(

@@ -16,10 +16,10 @@ and the phase flip move entries by index arithmetic; the Hadamard runs
 the dense butterfly on one row per fiber of the other registers. A sum
 whose rounding depends on order (a Born weight, or the weight that
 renormalises a dropped register) is taken as numpy takes it over the
-dense row (see `_row_weight`). Only the Gram products, for the purity of
-a register spread over several rows and for a partial trace that is not
-diagonal (most channel states the protocols send give a diagonal one),
-build the full vector.
+dense row (see `_row_weight`). Only a partial trace that is not diagonal
+(most channel states the protocols send give a diagonal one) builds the
+full vector; the purity of a register spread over several rows is read
+from its partial trace.
 
 Density matrices are plain complex128 arrays; a diagonal one is kept as
 its 1-D diagonal (`as_matrix` expands it). Two diagonals' trace distance
@@ -218,8 +218,8 @@ class CompositeState:
         The register must factor out of the session (reduced purity
         within ATOL_DENSITY of 1), otherwise EntangledRegisterError.
         After an uncompute or a measurement it holds one value, and the
-        purity is that row's weight squared; otherwise it is taken from
-        the Gram product of the rows of nonzero weight.
+        purity is that row's weight squared; otherwise it is Tr rho**2 of
+        the register's partial trace.
 
         With a source and a table the register is uncomputed first, with
         the bits of apply_xor_oracle(source, name, table) then discard(name).
@@ -236,17 +236,16 @@ class CompositeState:
         rows = _field(self.index, shift, width)
         if rows.size and (rows == rows[0]).all():
             return self._drop_row(name, shift, width)
-        # Several rows: the purity of their dense Gram product.
-        view = self.amplitudes.reshape(-1, 1 << width, 1 << shift)
-        row_weights = _row_weights(view)
-        live = np.flatnonzero(row_weights)
-        mat = view[:, live, :].transpose(1, 0, 2).reshape(live.size, -1)
-        purity = float(np.sum(np.abs(mat @ mat.conj().T) ** 2).real)
+        # Several rows: the purity of the register's reduced state. A
+        # product state keeps its heaviest row, renormalised.
+        purity = float(np.sum(np.abs(self.reduced_density_matrix([name])) ** 2))
         if purity < 1.0 - ATOL_DENSITY:
             raise EntangledRegisterError(name, purity)
-        pick = int(np.argmax(row_weights))
-        return CompositeState(self._without(name),
-                              view[:, pick, :] / math.sqrt(row_weights[pick]), self.qubit_cap)
+        weights = self._born_weights(rows, shift, width)
+        pick = int(np.argmax(weights))
+        kept = rows == pick
+        return self._with(_drop_field(self.index[kept], shift, width),
+                          self.values[kept] / math.sqrt(weights[pick]), self._without(name))
 
     def _drop_row(self, name: str, shift: int, width: int) -> "CompositeState":
         """Drop a register that holds one value in every entry."""
@@ -373,14 +372,14 @@ class CompositeState:
 
     def _born_weights(self, rows: np.ndarray, shift: int, width: int) -> np.ndarray:
         """The weight of each value of a register whose value in each entry
-        is `rows`, with the bits `_row_weights` gives over the dense view.
+        is `rows`, with the bits of numpy's sum over the dense row.
 
         `np.add.at` adds each entry's weight to its row in index order.
         Weights are never negative, so adding a zero leaves a sum as it
         was: that running sum is the weight of a row with one entry, and
-        of every row of a last register (shift 0), which `_row_weights`
-        adds up in order. Numpy sums any other row pairwise, so a row with
-        several entries is weighed again by `_row_weight`.
+        of every row of a last register (shift 0), which numpy's sum over
+        the dense row adds up in order. Numpy sums any other row pairwise,
+        so a row with several entries is weighed again by `_row_weight`.
         """
         w = np.abs(self.values)
         np.square(w, out=w)
@@ -471,26 +470,16 @@ def _distinct(values: np.ndarray) -> bool:
     return len(set(values.tolist())) == values.size
 
 
-def _row_weights(view: np.ndarray) -> np.ndarray:
-    """Weight of each middle index of a (left, size, right) view.
-
-    The same bits as np.sum(np.abs(mat) ** 2, axis=1) over the
-    contiguous (size, left * right) partition, which `view` would copy
-    whole: here only the float magnitudes are rearranged.
-    """
-    w = np.abs(view)
-    np.square(w, out=w)
-    return w.transpose(1, 0, 2).reshape(view.shape[1], -1).sum(axis=1)
-
-
 def _row_weight(values: np.ndarray, rest: np.ndarray, right: int, size: int) -> np.float64:
-    """The weight `_row_weights` gives one row of a (left, 2**w, right)
-    view, with the same bits, from the entries at places `rest`
-    (ascending) among the row's left * right = `size` amplitudes.
+    """The weight numpy's sum over the dense row gives one row of a
+    (left, 2**w, right) view, with the same bits, from the entries at
+    places `rest` (ascending) among the row's left * right = `size`
+    amplitudes.
 
     Weights are never negative, so adding a zero leaves a sum as it was:
     a row with one entry, or a last register's row (right == 1), which
-    `_row_weights` adds up in order, is a running sum over the entries.
+    numpy's sum over the dense row adds up in order, is a running sum
+    over the entries.
     Numpy sums any other row pairwise, grouped by where each entry sits,
     so its weights are put back in their dense row.
     """

@@ -16,7 +16,6 @@ from qnokey.adversary import (
     PhaseAttack,
     echo_detection_experiment,
     mim_full_impersonation,
-    passive_snapshot,
 )
 from qnokey.auth import MacKey, forgery_fraction, mac_tag, mac_verify
 from qnokey.harness import (
@@ -27,6 +26,7 @@ from qnokey.harness import (
 )
 from qnokey.oracles import make_rng
 from qnokey.protocols import (
+    ROUND_COUNTS,
     eve_average_view,
     noninteractive_view,
     run_protocol1,
@@ -151,10 +151,13 @@ def test_c04_views_independent_of_message_and_key():
     n, l = 2, 2
     worst_msg = 0.0
     for protocol in ("p2", "p4"):
-        keys = sample_shared_keys(protocol, n, l, 0, make_rng((4, 0)))
-        _, distances = passive_snapshot(protocol, list(range(4)), n, l, keys,
-                                        rng=make_rng((4, 1)), averaged=True)
-        worst_msg = max(worst_msg, max(distances.values()))
+        # The session grid compares each pair of messages' pad-averaged
+        # views, round by round, on one key and draw record.
+        report = run_experiment(ExperimentConfig(protocol, n=n, l=l, seed=4, attack="passive",
+                                                 average="pads"))
+        rows = report.body["results"]["distance_tables"]["across_messages"]
+        assert len(rows) == 6 * ROUND_COUNTS[protocol]
+        worst_msg = max(worst_msg, max(row["distance"] for row in rows))
     # Across key draws: same message, independent tag functions.
     views = []
     for k in range(5):

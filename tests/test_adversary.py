@@ -1,6 +1,7 @@
 """Adversary strategies: parsing, attack algebra, detection statistics."""
 
 import copy
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from qnokey.adversary import (
     impersonate_echo_stage,
     mim_full_impersonation,
     parse_attack,
-    passive_snapshot,
 )
 from qnokey.auth import mac_tag, mac_verify
 from qnokey.oracles import make_rng, party_streams, sample_function
@@ -33,7 +33,6 @@ from qnokey.protocols import (
     Party,
     ProtocolError,
     Transcript,
-    eve_average_view,
     run_protocol1,
     run_protocol2,
     run_protocol3,
@@ -42,7 +41,7 @@ from qnokey.protocols import (
     sample_draws,
     sample_shared_keys,
 )
-from qnokey.qstate import DEFAULT_QUBIT_CAP, Register, _row_weights, as_matrix, init_basis_state
+from qnokey.qstate import DEFAULT_QUBIT_CAP, Register, init_basis_state, trace_distance
 
 
 def keys_for(protocol, n, l, t=0, seed=0):
@@ -285,6 +284,18 @@ def test_mim_splits_session_deterministically():
             assert toward_eve.protocol == toward_bob.protocol == "p1"
 
 
+def test_mim_checks_both_messages_before_either_session(monkeypatch):
+    def no_draws(*args, **kw):
+        raise AssertionError("drew before the session check")
+
+    monkeypatch.setattr(adversary, "party_streams", no_draws)
+    for x, x_eve in ((0, 4), (4, 0)):
+        with pytest.raises(ProtocolError, match="message 4 does not fit in 2 bits"):
+            mim_full_impersonation(x, x_eve, 2)
+    with pytest.raises(ProtocolError, match=r"p1 needs peak live width 3\*8=24 qubits"):
+        mim_full_impersonation(0, 0, 8)
+
+
 def test_mim_halves_are_honest_sessions():
     toward_eve, toward_bob = mim_full_impersonation(3, 0, 2, rng=make_rng(18))
     assert (toward_eve.message, toward_eve.recovered) == (3, 3)
@@ -372,6 +383,12 @@ class TapRecorder(Attack):
         raise Tapped
 
 
+def dense_first_weights(amps, n):
+    """The weight of each value of the first register, n qubits wide: a
+    dense row per value, summed by numpy."""
+    return np.sum(np.abs(amps.reshape(1 << n, -1)) ** 2, axis=1)
+
+
 @pytest.mark.parametrize("protocol", ["p3", "p5"])
 def test_first_tap_weighs_r1_as_the_openers_lone_register(protocol):
     # The invariant the hijack's guess rests on: at pass 1 the opener's
@@ -392,9 +409,8 @@ def test_first_tap_weighs_r1_as_the_openers_lone_register(protocol):
             opened = init_basis_state([Register("R1", n, stage.tag_owner(0))],
                                       {"R1": 0 if stage.exchange.inverted else x})
             opened = opened.apply_hadamard("R1")
-            # R1 is first in the layout: a (1, value of R1, rest) view.
-            tapped = _row_weights(tap.state.amplitudes.reshape(1, 1 << n, -1))
-            alone = _row_weights(opened.amplitudes.reshape(1, 1 << n, -1))
+            tapped = dense_first_weights(tap.state.amplitudes, n)
+            alone = dense_first_weights(opened.amplitudes, n)
             assert tapped.tobytes() == alone.tobytes(), (n, l, k)
             assert float(tapped.sum()).hex() == float(alone.sum()).hex()
             assert tap.state.measure("R1", tap.rng)[0] == \
@@ -451,71 +467,27 @@ def test_passive_attack_perturbs_nothing():
     assert len(watched.attack_events) == 3
 
 
+def per_run_distances_on_shared_draws(protocol, messages, l, keys):
+    # One draw record serves every message; returns the trace distance of
+    # each pair of messages' per-run snapshots, round by round.
+    draws = sample_draws(protocol, 2, l, 0, make_rng(25))
+    runs = [run_session(protocol, x, 2, l, 0, keys, draws=draws, attack=PassiveAttack(),
+                        snapshots=True) for x in messages]
+    distances = [trace_distance(a.stored_snapshot(r), b.stored_snapshot(r))
+                 for a, b in itertools.combinations(runs, 2) for r in (1, 2, 3)]
+    assert len(distances) == 3 * len(messages) * (len(messages) - 1) // 2
+    return distances
+
+
 def test_passive_snapshot_untagged_messages_indistinguishable():
-    views, distances = passive_snapshot("p1", [0, 1, 2, 3], 2)
-    assert list(views) == [0, 1, 2, 3]
-    assert len(distances) == 6 * 3
-    assert max(distances.values()) <= 1e-12
-
-
-def test_passive_snapshot_averaged_views_indistinguishable():
-    keys = keys_for("p2", 2, 1, seed=7)
-    _, distances = passive_snapshot("p2", [0, 3], 2, 1, keys, averaged=True)
-    assert set(distances) == {(0, 3, 1), (0, 3, 2), (0, 3, 3)}
-    assert max(distances.values()) <= 1e-9
-
-
-def test_passive_snapshot_single_message_has_no_distances():
-    views, distances = passive_snapshot("p1", [1], 2)
-    assert distances == {}
-    assert len(views[1]) == 3
-    with pytest.raises(ValueError, match="at least one message"):
-        passive_snapshot("p1", [], 2)
-
-
-def test_passive_snapshot_checks_the_session_before_drawing(monkeypatch):
-    # A keyed session without its tag width, or a message that does not
-    # fit, is refused by the session check before any draw is made.
-    def no_draws(*args, **kw):
-        raise AssertionError("drew before the session check")
-
-    monkeypatch.setattr(adversary.proto, "sample_draws", no_draws)
-    with pytest.raises(ProtocolError, match="p6 needs an authentication tag width t >= 1"):
-        passive_snapshot("p6", [0, 1], 2, 1, None)
-    with pytest.raises(ProtocolError, match="message 4 does not fit in 2 bits"):
-        passive_snapshot("p1", [0, 4], 2)
+    # With shared draws, p1's per-run snapshots are the same for all four
+    # messages.
+    assert max(per_run_distances_on_shared_draws("p1", range(4), 0, None)) <= 1e-12
 
 
 def test_passive_snapshot_separates_tag_graphs_per_run():
-    # Per-run snapshots depend on the tag functions; with identical
-    # draws across messages the graphs coincide, so even per-run the
-    # message never shows. This pins the draws-held-fixed contract.
+    # Per-run snapshots depend on the tag functions; with identical draws
+    # across messages the graphs coincide, so even per-run the message
+    # never shows. This pins the draws-held-fixed contract.
     keys = keys_for("p2", 2, 1, seed=8)
-    _, distances = passive_snapshot("p2", [0, 1], 2, 1, keys, averaged=False)
-    assert max(distances.values()) <= 1e-12
-
-
-@pytest.mark.parametrize("protocol", ["p1", "p2", "p3", "p6", "nonint"])
-def test_passive_snapshot_views_come_from_the_sampled_draws(protocol):
-    n, l, t = 2, 1, 2 if protocol == "p6" else 0
-    keys = None if protocol == "p1" else keys_for(protocol, n, l, t, seed=3)
-    draws = sample_draws(protocol, n, l, t, make_rng(5))
-    for averaged in (False, True) if keys is not None else (False,):
-        views, _ = passive_snapshot(protocol, [0, 3], n, l, keys, rng=make_rng(5),
-                                    averaged=averaged)
-        for x in (0, 3):
-            tr = run_session(protocol, x, n, l, t, keys, draws=draws, snapshots=True)
-            want = [as_matrix(view.rho) for view in eve_average_view(tr, keys=keys)] \
-                if averaged else [tr.snapshot(r) for r in range(1, tr.rounds + 1)]
-            assert all(v.ndim == 2 for v in views[x])  # one density matrix per round
-            assert [v.tobytes() for v in views[x]] == \
-                [v.tobytes() for v in want]
-
-
-def test_eve_average_view_matches_passive_averaged():
-    keys = keys_for("p2", 2, 1, seed=9)
-    views, _ = passive_snapshot("p2", [1], 2, 1, keys, rng=make_rng(24), averaged=True)
-    tr = run_protocol2(1, 2, 1, keys, rng=make_rng(24), attack=PassiveAttack())
-    view = eve_average_view(tr, (1,), keys=keys)[0]
-    assert views[1][0].shape == as_matrix(view.rho).shape == (8, 8)
-    assert np.allclose(views[1][0], as_matrix(view.rho), atol=1e-12)
+    assert max(per_run_distances_on_shared_draws("p2", (0, 1), 1, keys)) <= 1e-12

@@ -8,6 +8,7 @@ the identity.
 """
 
 import itertools
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -187,6 +188,13 @@ def test_params_reject_unknown_protocol():
         check_session("p7", 2)
 
 
+def test_key_sampling_refuses_an_unknown_protocol_before_any_draw():
+    rng = make_rng(0)
+    with pytest.raises(ProtocolError, match="unknown protocol 'p7'"):
+        sample_shared_keys("p7", 2, 1, 0, rng)
+    assert rng.random() == make_rng(0).random()
+
+
 def test_params_require_tag_width_for_keyed_protocols():
     with pytest.raises(ProtocolError, match="l >= 1"):
         check_session("p2", 2, 0)
@@ -325,6 +333,34 @@ def test_uncomputed_registers_are_dropped_without_the_xor_oracle(protocol, monke
             tr, _ = seeded_session(protocol, 1, 3, 2, 1, seed=seed, attack=parse_attack(spec))
             assert len(calls) == strips, (spec, seed, calls)
             assert len(tr.measurements) == strips + len(STAGES[protocol])
+
+
+def test_only_the_broadcasts_pure_snapshot_builds_the_dense_vector(monkeypatch):
+    # Every kernel reads the stored amplitudes; the dense vector is built
+    # only by a partial trace that is not diagonal. Honest and under each
+    # in-transit attack, that is the broadcast's snapshot alone: it keeps
+    # every register, so it is the pure state's projector.
+    dense = CompositeState.amplitudes
+    callers = []
+
+    def recorded(state):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return dense.fget(state)
+
+    monkeypatch.setattr(CompositeState, "amplitudes", property(recorded))
+    reads = []
+    for protocol in PROTOCOL_IDS:
+        t = 1 if protocol in AUTHENTICATED else 0
+        for spec in ("none", "passive", "phase:x=1", "measure:passes=all"):
+            callers.clear()
+            tr, _ = seeded_session(protocol, 1, 2, 1, t, attack=parse_attack(spec))
+            dense_snapshots = [tx.snapshot for tx in tr.transmissions if tx.snapshot.ndim == 2]
+            assert callers == ["reduced_density_matrix"] * len(dense_snapshots), (protocol, spec)
+            for rho in dense_snapshots:
+                assert abs(np.sum(np.abs(rho) ** 2) - 1.0) <= 1e-12  # Tr rho**2: pure
+                reads.append((protocol, spec))
+    # A measured broadcast is a basis state, whose snapshot is diagonal.
+    assert reads == [("nonint", "none"), ("nonint", "passive"), ("nonint", "phase:x=1")]
 
 
 def dense_gram(state, keep):

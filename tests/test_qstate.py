@@ -884,6 +884,30 @@ def test_kernels_match_index_vector_formulas_bit_for_bit(widths, data):
         lambda: copied.discard("Z", source=names[src], table=copy_table),
         lambda: copied.apply_xor_oracle(names[src], "Z", copy_table).discard("Z"))
 
+    # A register spread over several rows: a superposition, with some of
+    # its amplitudes zero, in a product with the state at any layout
+    # position, is dropped as the index formula drops it. A register of
+    # the random state is entangled, and is refused with the purity of
+    # the dense Gram product.
+    at = data.draw(st.integers(0, len(widths)), label="spread position")
+    spread = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    zeros = rng.permutation(spread.size)[2:]  # two rows always hold weight
+    spread[zeros[rng.random(zeros.size) < 0.5]] = 0.0
+    spread /= np.linalg.norm(spread)
+    regs = list(state.registers)
+    regs.insert(at, Register("S", width, A))
+    rows = np.multiply.outer(amps.reshape(-1, 1 << sum(widths[at:])), spread)
+    product = CompositeState(regs, rows.transpose(0, 2, 1))
+    dropped = product.discard("S")
+    assert same_bits(dropped.amplitudes,
+                     index_discard(product.amplitudes, widths[:at] + [width] + widths[at:], at))
+    assert dropped.names() == tuple(names)
+    with pytest.raises(EntangledRegisterError) as refused:
+        state.discard(names[pos])
+    mat = index_partition(amps, widths, pos)
+    gram_purity = float(np.sum(np.abs(mat @ mat.conj().T) ** 2))
+    assert abs(refused.value.purity - gram_purity) <= 1e-12
+
     assert state.amplitudes.tobytes() == before
 
 
