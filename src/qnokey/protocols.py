@@ -95,6 +95,12 @@ class ProtocolError(ConfigError):
     """Bad protocol parameters: widths, caps, key shapes."""
 
 
+def _check_protocol(protocol: str) -> None:
+    """The one refusal of an id that `STAGES` does not list."""
+    if protocol not in STAGES:
+        raise ProtocolError(f"unknown protocol {protocol!r}, expected one of {PROTOCOL_IDS}")
+
+
 def peak_live_width(protocol: str, n: int, l: int = 0, t: int = 0) -> tuple[int, str]:
     """Worst-case simultaneous qubit count of a session, with the formula.
 
@@ -102,8 +108,7 @@ def peak_live_width(protocol: str, n: int, l: int = 0, t: int = 0) -> tuple[int,
     moment they provably factor out, so the peak is reached just before
     the first uncompute of the widest stage's exchange.
     """
-    if protocol not in STAGES:
-        raise ProtocolError(f"unknown protocol {protocol!r}")
+    _check_protocol(protocol)
     stage = max(STAGES[protocol], key=lambda s: s.peak(n, l, t))
     peak = stage.peak(n, l, t)
     formula = stage.width.replace("n", str(n)).replace("t", str(t))
@@ -149,8 +154,7 @@ def check_session(protocol: str, n: int, l: int = 0, t: int = 0,
     Every session, `noninteractive_view` and `ExperimentConfig` call it,
     so each refusal is made in one place and before anything runs.
     """
-    if protocol not in STAGES:
-        raise ProtocolError(f"unknown protocol {protocol!r}, expected one of {PROTOCOL_IDS}")
+    _check_protocol(protocol)
     if n < 1:
         raise ProtocolError(f"message width must be >= 1, got {n}")
     if protocol not in UNTAGGED and l < 1:
@@ -170,8 +174,9 @@ def check_session(protocol: str, n: int, l: int = 0, t: int = 0,
     # A k-qubit snapshot is a 2**k x 2**k matrix, as many entries as a
     # 2k-qubit state; the widest carries the widest stage and its tag. A
     # diagonal one and its averaged views are kept as 2**k entries, but a
-    # dense Gram product (an attacked state's, or the broadcast's) and
-    # --include-matrices build the matrix, so both refusals budget it.
+    # Gram product that is not diagonal (an attacked state's, or the
+    # broadcast's) and --include-matrices build the matrix, so both
+    # refusals budget it.
     k = widest + l
     if snapshots and 2 * k > qubit_cap:
         raise ProtocolError(
@@ -179,8 +184,9 @@ def check_session(protocol: str, n: int, l: int = 0, t: int = 0,
             f"2*{k}={2 * k}-qubit state, cap is {qubit_cap}; "
             f"run with --no-snapshots and --average none"
         )
-    # A state stores its nonzero amplitudes only, but a partial trace that
-    # is not diagonal (also in a discard) builds all 2**w of 16 bytes each.
+    # A state stores its nonzero amplitudes only, and no kernel builds the
+    # 2**w dense vector; this refusal still counts that dense worst case,
+    # 16 bytes for each of 2**w amplitudes, not what a run allocates.
     width = max(peak, 2 * k) if snapshots else peak
     if 16 << width > HOST_MEMORY_BYTES:
         what = (f"{k}-qubit snapshots, as large as a 2*{k}={width}-qubit state" if width > peak
@@ -230,8 +236,7 @@ class SharedKeys:
 def sample_shared_keys(protocol: str, n: int, l: int, t: int,
                        rng) -> SharedKeys:
     """Draw a full key bundle of the right shape for one protocol."""
-    if protocol not in STAGES:
-        raise ProtocolError(f"unknown protocol {protocol!r}, expected one of {PROTOCOL_IDS}")
+    _check_protocol(protocol)
     gen = make_rng(rng)
     if protocol in AUTHENTICATED:
         return SharedKeys(
@@ -546,8 +551,7 @@ def round_widths(protocol: str, n: int, t: int = 0) -> tuple[int, ...]:
 
 def _sample_draws(protocol: str, n: int, l: int, t: int, rngs: dict) -> tuple:
     """Every random choice of a session, one record per stage, from the parties' streams."""
-    if protocol not in STAGES:
-        raise ProtocolError(f"unknown protocol {protocol!r}")
+    _check_protocol(protocol)
     return tuple(stage.exchange.sample(stage.bits(n, t), l, rngs[stage.sender],
                                        rngs[_PEER[stage.sender]])
                  for stage in STAGES[protocol])
@@ -678,8 +682,7 @@ def run_session(protocol: str, x: int, n: int, l: int, t: int, keys, **kw) -> Tr
     The runner is looked up by its public name on every call, so a
     rebound `run_*` name (a tracing wrapper, say) is the one that runs.
     """
-    if protocol not in PROTOCOL_IDS:
-        raise ProtocolError(f"unknown protocol {protocol!r}")
+    _check_protocol(protocol)
     special = {"nonint": "run_noninteractive", "two-round": "run_two_round"}
     run = globals()[special.get(protocol, f"run_protocol{protocol[1:]}")]
     if protocol in UNTAGGED:
@@ -779,6 +782,7 @@ def eve_average_view(
     if unknown:
         raise ValueError(f"unknown averaging kinds {sorted(unknown)}")
     protocol = transcript.protocol
+    _check_protocol(protocol)
     wanted = range(1, ROUND_COUNTS[protocol] + 1) if rounds is None else tuple(rounds)
     if not kinds or not wanted:
         # Identity average (the per-run snapshot is it), or no round: no rerun.

@@ -9,17 +9,19 @@ state and never mutate their input.
 A state stores only its nonzero amplitudes: their basis indices, sorted,
 and their values. Every register of a session but R1 is a Boolean
 function of R1 (a permutation copy or a tag), so a state holds at most
-2**n of its 2**width amplitudes, and a kernel's cost follows the stored
-amplitudes. Each nonzero float part has the bits the dense kernels give;
-a zero is not stored, so its sign is not kept. Extending, the XOR oracle
-and the phase flip move entries by index arithmetic; the Hadamard runs
-the dense butterfly on one row per fiber of the other registers. A sum
-whose rounding depends on order (a Born weight, or the weight that
-renormalises a dropped register) is taken as numpy takes it over the
-dense row (see `_row_weight`). Only a partial trace that is not diagonal
-(most channel states the protocols send give a diagonal one) builds the
-full vector; the purity of a register spread over several rows is read
-from its partial trace.
+2**n of its 2**width amplitudes, a kernel's cost follows the stored
+amplitudes, and no kernel builds an array of 2**width entries. A zero
+is not stored, so its sign is not kept. Extending, the XOR oracle and
+the phase flip move entries by index arithmetic, with the bits the dense
+kernels give; the Hadamard runs the dense butterfly on one row per fiber
+of the other registers. A Born weight, and the weight that renormalises
+a dropped register, is the exactly rounded sum (`math.fsum`) of its
+row's squared magnitudes: it has one answer whatever order the entries
+come in, so it does not depend on the layout. A partial trace that is
+not diagonal (most channel states the protocols send give a diagonal
+one) is the Gram product of the traced columns that hold an entry; the
+purity of a register spread over several rows is read from its partial
+trace.
 
 Density matrices are plain complex128 arrays; a diagonal one is kept as
 its 1-D diagonal (`as_matrix` expands it). Two diagonals' trace distance
@@ -87,7 +89,8 @@ class CompositeState:
     """Pure state of all live registers.
 
     `CompositeState(registers, amplitudes, qubit_cap)` takes a dense
-    vector of length 2**total_width, and `amplitudes` gives one back.
+    vector of length 2**total_width, and `amplitudes` gives one back:
+    they build and read arbitrary states, and no kernel calls either.
 
     Attributes
     ----------
@@ -218,8 +221,9 @@ class CompositeState:
         The register must factor out of the session (reduced purity
         within ATOL_DENSITY of 1), otherwise EntangledRegisterError.
         After an uncompute or a measurement it holds one value, and the
-        purity is that row's weight squared; otherwise it is Tr rho**2 of
-        the register's partial trace.
+        purity is that row's weight squared, its weight the math.fsum of
+        every entry's squared magnitude; otherwise it is Tr rho**2 of the
+        register's partial trace.
 
         With a source and a table the register is uncomputed first, with
         the bits of apply_xor_oracle(source, name, table) then discard(name).
@@ -241,20 +245,21 @@ class CompositeState:
         purity = float(np.sum(np.abs(self.reduced_density_matrix([name])) ** 2))
         if purity < 1.0 - ATOL_DENSITY:
             raise EntangledRegisterError(name, purity)
-        weights = self._born_weights(rows, shift, width)
+        weights = _weights(self.values, rows, 1 << width)
         pick = int(np.argmax(weights))
         kept = rows == pick
         return self._with(_drop_field(self.index[kept], shift, width),
                           self.values[kept] / math.sqrt(weights[pick]), self._without(name))
 
     def _drop_row(self, name: str, shift: int, width: int) -> "CompositeState":
-        """Drop a register that holds one value in every entry."""
-        rest = _drop_field(self.index, shift, width)
-        weight = _row_weight(self.values, rest, 1 << shift, self.dim >> width)
-        purity = float(weight) ** 2
+        """Drop a register that holds one value in every entry: its one row
+        weighs the exactly rounded sum of every entry's squared magnitude."""
+        weight = math.fsum(memoryview(_squares(self.values)))
+        purity = weight ** 2
         if purity < 1.0 - ATOL_DENSITY:
             raise EntangledRegisterError(name, purity)
-        return self._with(rest, self.values / math.sqrt(weight), self._without(name))
+        return self._with(_drop_field(self.index, shift, width), self.values / math.sqrt(weight),
+                          self._without(name))
 
     def _without(self, name: str) -> tuple[Register, ...]:
         return tuple(r for r in self.registers if r.name != name)
@@ -350,7 +355,7 @@ class CompositeState:
         if discard and len(self.registers) == 1:
             raise RegisterError("cannot discard the last register")
         rows = _field(self.index, shift, width)
-        probs = self._born_weights(rows, shift, width)
+        probs = _weights(self.values, rows, 1 << width)
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise RegisterError(f"probabilities sum to {total!r}; state is not normalised")
@@ -370,28 +375,6 @@ class CompositeState:
         # purity is its renormalised weight squared, 1 to rounding.
         return outcome, state._drop_row(name, shift, width) if discard else state
 
-    def _born_weights(self, rows: np.ndarray, shift: int, width: int) -> np.ndarray:
-        """The weight of each value of a register whose value in each entry
-        is `rows`, with the bits of numpy's sum over the dense row.
-
-        `np.add.at` adds each entry's weight to its row in index order.
-        Weights are never negative, so adding a zero leaves a sum as it
-        was: that running sum is the weight of a row with one entry, and
-        of every row of a last register (shift 0), which numpy's sum over
-        the dense row adds up in order. Numpy sums any other row pairwise,
-        so a row with several entries is weighed again by `_row_weight`.
-        """
-        w = np.abs(self.values)
-        np.square(w, out=w)
-        probs = np.zeros(1 << width)
-        np.add.at(probs, rows, w)
-        if shift:
-            for row in np.flatnonzero(np.bincount(rows) > 1).tolist():
-                at = rows == row
-                probs[row] = _row_weight(self.values[at], _drop_field(self.index[at], shift, width),
-                                         1 << shift, self.dim >> width)
-        return probs
-
     # -- density matrices -----------------------------------------------
 
     def reduced_density_matrix(self, keep: Iterable[str]) -> np.ndarray:
@@ -407,7 +390,8 @@ class CompositeState:
         product is diagonal and each entry is the square of one float: it
         is returned as its 1-D diagonal, written from the stored entries
         with the bits the product gives (it gives +0.0 elsewhere). Any
-        other state takes the dense product, a 2-D matrix.
+        other state takes the product of the columns of M that hold an
+        entry (the others add only zeros), a 2-D matrix.
         """
         wanted = set(keep)
         names = self.names()
@@ -434,9 +418,11 @@ class CompositeState:
             diag = np.zeros(keep_dim, dtype=np.complex128)
             diag[rows] = v * v
             return diag
-        order = sorted(range(len(names)), key=lambda i: names[i] not in wanted)
-        mat = self.amplitudes.reshape([1 << r.width for r in self.registers])
-        mat = mat.transpose(order).reshape(keep_dim, -1)
+        # The kept x (occupied traced columns) matrix: a traced column with
+        # no stored entry adds only zeros to the product.
+        occupied, at = np.unique(cols, return_inverse=True)
+        mat = np.zeros((keep_dim, occupied.size), dtype=np.complex128)
+        mat[rows, at] = self.values
         return mat @ mat.conj().T
 
 
@@ -470,24 +456,22 @@ def _distinct(values: np.ndarray) -> bool:
     return len(set(values.tolist())) == values.size
 
 
-def _row_weight(values: np.ndarray, rest: np.ndarray, right: int, size: int) -> np.float64:
-    """The weight numpy's sum over the dense row gives one row of a
-    (left, 2**w, right) view, with the same bits, from the entries at
-    places `rest` (ascending) among the row's left * right = `size`
-    amplitudes.
-
-    Weights are never negative, so adding a zero leaves a sum as it was:
-    a row with one entry, or a last register's row (right == 1), which
-    numpy's sum over the dense row adds up in order, is a running sum
-    over the entries.
-    Numpy sums any other row pairwise, grouped by where each entry sits,
-    so its weights are put back in their dense row.
-    """
+def _squares(values: np.ndarray) -> np.ndarray:
     w = np.abs(values)
-    np.square(w, out=w)
-    if w.size == 1 or right == 1:
-        return np.add.accumulate(w)[-1]
-    return np.bincount(rest, w, size).sum()
+    return np.square(w, out=w)
+
+
+def _weights(values: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """The weight of each of a register's `size` values, where `rows` is
+    the value it holds in each entry: the exactly rounded sum (`math.fsum`)
+    of the squared magnitudes of the row's entries, which is one number
+    whatever order they come in. A row with one entry weighs its square.
+    """
+    w = _squares(values)
+    probs = np.bincount(rows, w, size)  # exact where a row has one entry: +0.0 plus its square
+    for row in (np.bincount(rows) > 1).nonzero()[0].tolist():
+        probs[row] = math.fsum(memoryview(w[rows == row]))
+    return probs
 
 
 def init_basis_state(

@@ -8,7 +8,9 @@ the identity.
 """
 
 import itertools
+import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -195,6 +197,20 @@ def test_key_sampling_refuses_an_unknown_protocol_before_any_draw():
     assert rng.random() == make_rng(0).random()
 
 
+def test_every_entry_point_refuses_an_unknown_protocol_with_one_message(monkeypatch):
+    # A transcript of an unknown id is refused before any session runs.
+    monkeypatch.setattr(protocols, "run_session", lambda *a, **kw: pytest.fail("a session ran"))
+    message = re.escape(f"unknown protocol 'p7', expected one of {PROTOCOL_IDS}")
+    calls = (lambda: eve_average_view(Transcript("p7", 2, 1, 0, 1)),
+             lambda: check_session("p7", 2), lambda: peak_live_width("p7", 2),
+             lambda: sample_shared_keys("p7", 2, 1, 0, make_rng(0)),
+             lambda: sample_draws("p7", 2, 1, 0, make_rng(0)),
+             lambda: run_session("p7", 1, 2, 1, 0, None, rng=make_rng(0)))
+    for call in calls:
+        with pytest.raises(ProtocolError, match=message):
+            call()
+
+
 def test_params_require_tag_width_for_keyed_protocols():
     with pytest.raises(ProtocolError, match="l >= 1"):
         check_session("p2", 2, 0)
@@ -224,6 +240,29 @@ def test_runs_at_exactly_the_cap():
     keys = sample_shared_keys("p2", 3, 3, 0, make_rng(1))
     tr = run_protocol2(6, 3, 3, keys, rng=make_rng(1), qubit_cap=12)
     assert tr.recovered == 6
+
+
+def test_a_42_qubit_session_allocates_no_dense_array(monkeypatch):
+    # p1 at n=14 holds 3*14=42 qubits at its peak but stores at most 2**14
+    # amplitudes, so with the qubit cap and the host-memory refusal lifted
+    # it runs in a few MiB. A kernel that built a dense row or vector would
+    # need GiBs here; it already needs over 100 MiB at n=12, which runs
+    # first, so such a kernel fails there, before the 42-qubit session.
+    monkeypatch.setattr(protocols, "HOST_MEMORY_BYTES", 1 << 62)
+    assert peak_live_width("p1", 14)[0] == 42
+    tracemalloc.start()
+    try:
+        for n, x in ((12, 2741), (14, 9806)):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            tr = run_protocol1(x, n, rng=make_rng(n), qubit_cap=62)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            assert peak < 16 << 20, f"p1 n={n}: peak {peak} B"
+            assert tr.recovered == x
+            for r in range(1, tr.rounds + 1):
+                assert is_maximally_mixed(tr.stored_snapshot(r))[0], (n, r)
+    finally:
+        tracemalloc.stop()
 
 
 def test_states_past_the_host_memory_are_refused_with_the_arithmetic(monkeypatch):
@@ -335,32 +374,30 @@ def test_uncomputed_registers_are_dropped_without_the_xor_oracle(protocol, monke
             assert len(tr.measurements) == strips + len(STAGES[protocol])
 
 
-def test_only_the_broadcasts_pure_snapshot_builds_the_dense_vector(monkeypatch):
-    # Every kernel reads the stored amplitudes; the dense vector is built
-    # only by a partial trace that is not diagonal. Honest and under each
-    # in-transit attack, that is the broadcast's snapshot alone: it keeps
-    # every register, so it is the pure state's projector.
-    dense = CompositeState.amplitudes
-    callers = []
+def test_no_session_reads_the_dense_vector(monkeypatch):
+    # Every kernel, the partial trace included, reads the stored
+    # amplitudes only: no code builds the 2**width vector, honest or under
+    # any in-transit attack, for a diagonal snapshot or a matrix one (the
+    # broadcast's pure snapshot, unless it is measured).
+    dense, reads = CompositeState.amplitudes, []
 
     def recorded(state):
-        callers.append(sys._getframe(1).f_code.co_name)
+        reads.append(sys._getframe(1).f_code.co_name)
         return dense.fget(state)
 
     monkeypatch.setattr(CompositeState, "amplitudes", property(recorded))
-    reads = []
+    matrices = []
     for protocol in PROTOCOL_IDS:
         t = 1 if protocol in AUTHENTICATED else 0
         for spec in ("none", "passive", "phase:x=1", "measure:passes=all"):
-            callers.clear()
             tr, _ = seeded_session(protocol, 1, 2, 1, t, attack=parse_attack(spec))
-            dense_snapshots = [tx.snapshot for tx in tr.transmissions if tx.snapshot.ndim == 2]
-            assert callers == ["reduced_density_matrix"] * len(dense_snapshots), (protocol, spec)
-            for rho in dense_snapshots:
-                assert abs(np.sum(np.abs(rho) ** 2) - 1.0) <= 1e-12  # Tr rho**2: pure
-                reads.append((protocol, spec))
+            assert reads == [], (protocol, spec)
+            for tx in tr.transmissions:
+                if tx.snapshot.ndim == 2:
+                    assert abs(np.sum(np.abs(tx.snapshot) ** 2) - 1.0) <= 1e-12  # Tr rho**2: pure
+                    matrices.append((protocol, spec))
     # A measured broadcast is a basis state, whose snapshot is diagonal.
-    assert reads == [("nonint", "none"), ("nonint", "passive"), ("nonint", "phase:x=1")]
+    assert matrices == [("nonint", "none"), ("nonint", "passive"), ("nonint", "phase:x=1")]
 
 
 def dense_gram(state, keep):

@@ -23,6 +23,7 @@ from qnokey.qstate import (
     EntangledRegisterError,
     Register,
     RegisterError,
+    _weights,
     as_matrix,
     hermitian_eigenvalues,
     init_basis_state,
@@ -472,7 +473,7 @@ def test_partial_trace_reads_float_and_strided_amplitudes():
         state = CompositeState(regs, amps)
         got = state.reduced_density_matrix(["R2"])
         assert got.ndim == 1 and np.array_equal(got, [0, 1])
-        assert same_trace(got, dense_gram(state, ["R2"]))
+        assert same_trace(got, compact_gram(state, ["R2"]))
 
 
 def test_empty_keep_set_rejected():
@@ -720,7 +721,8 @@ def test_unitary_operations_preserve_norm():
 #
 # The formulas below are the earlier implementations, which built an int64
 # register value for every basis index. They are kept here as oracles:
-# every kernel must reproduce their bytes exactly.
+# every kernel must reproduce their bytes exactly. A Born weight is the
+# exactly rounded sum (math.fsum) of a row's squares, a rule with one answer.
 
 
 def index_values(widths, pos):
@@ -749,8 +751,15 @@ def index_partition(amps, widths, pos):
     return arr.reshape(1 << widths[pos], -1)
 
 
+def index_weights(amps, widths, pos):
+    """Each value's weight: the exactly rounded sum of its dense row's
+    squared magnitudes, zeros included, so the order of the sum is moot."""
+    squares = np.abs(index_partition(amps, widths, pos)) ** 2
+    return np.array([math.fsum(row) for row in squares.tolist()])
+
+
 def index_measure(amps, widths, pos, rng):
-    probs = np.sum(np.abs(index_partition(amps, widths, pos)) ** 2, axis=1)
+    probs = index_weights(amps, widths, pos)
     u = rng.random() * float(probs.sum())
     acc = 0.0
     outcome = int(np.argwhere(probs > 0.0).max())
@@ -765,7 +774,7 @@ def index_measure(amps, widths, pos, rng):
 
 def index_discard(amps, widths, pos):
     mat = index_partition(amps, widths, pos)
-    weights = np.sum(np.abs(mat) ** 2, axis=1)
+    weights = index_weights(amps, widths, pos)
     pick = int(np.argmax(weights))
     return np.ascontiguousarray(mat[pick, :] / math.sqrt(weights[pick]))
 
@@ -911,16 +920,78 @@ def test_kernels_match_index_vector_formulas_bit_for_bit(widths, data):
     assert state.amplitudes.tobytes() == before
 
 
+def relaid(amps, widths, order, registers):
+    """The same entries with the registers laid out in `order`."""
+    moved = amps.reshape([1 << w for w in widths]).transpose(order)
+    return CompositeState([registers[i] for i in order], moved.ravel())
+
+
+def layout_free_bytes(state, names):
+    """A state's dense bytes with its registers put in the order `names`."""
+    order = [state.names().index(name) for name in names]
+    shape = [1 << r.width for r in state.registers]
+    return state.amplitudes.reshape(shape).transpose(order).tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4).filter(lambda w: sum(w) <= 9),
+       st.data())
+def test_weights_do_not_depend_on_the_layout(widths, data):
+    # The same entries laid out with the registers in another order give
+    # each register the same Born weights, bit for bit, and so the same
+    # measurement from the same stream position; a register holding one
+    # value is dropped with the same weight (the refusal of a half-norm
+    # copy reports its square). A sum taken in the order of a dense row
+    # changes in its last bits when the layout moves the row's entries.
+    names = [f"Q{i}" for i in range(len(widths))] + ["Z"]
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << sum(widths)) + 1j * rng.normal(size=1 << sum(widths))
+    zeros = rng.random(amps.size) < 0.3
+    zeros[rng.integers(amps.size)] = False
+    amps[zeros] = 0.0
+    amps /= np.linalg.norm(amps)
+    value = data.draw(st.integers(0, 1), label="value")
+    # Z holds `value` in every entry: a product with |value>.
+    amps = np.multiply.outer(amps, np.eye(2)[value]).ravel()
+    widths = widths + [1]
+    registers = [Register(name, width, A) for name, width in zip(names, widths)]
+    order = data.draw(st.permutations(range(len(names))), label="layout")
+    states = (relaid(amps, widths, range(len(names)), registers),
+              relaid(amps, widths, order, registers))
+
+    name = data.draw(st.sampled_from(names[:-1]), label="register")
+    weights, measured = [], []
+    for state in states:
+        shift, width = state.shift(name), state.register(name).width
+        rows = (state.index >> shift) & ((1 << width) - 1)
+        weights.append(_weights(state.values, rows, 1 << width).tobytes())
+        outcome, collapsed = state.measure(name, np.random.default_rng(seed))
+        measured.append((outcome, layout_free_bytes(collapsed, names)))
+    assert weights[0] == weights[1]
+    assert measured[0] == measured[1]
+
+    kept = [n for n in names if n != "Z"]
+    dropped = [layout_free_bytes(state.discard("Z"), kept) for state in states]
+    assert dropped[0] == dropped[1]
+    purities = []
+    for state in states:
+        with pytest.raises(EntangledRegisterError) as refused:
+            CompositeState(state.registers, 0.5 * state.amplitudes).discard("Z")
+        purities.append(refused.value.purity)
+    assert purities[0] == purities[1]
+
+
 def test_kernels_allocate_at_most_one_and_a_half_states():
     # A state stores each nonzero amplitude as an int64 index and a
     # complex128 value, 24 bytes. On a random 20-qubit state, where every
     # amplitude is stored, the XOR oracle (which sorts its entries again)
     # and the phase flip may allocate 1.5 stored states (they take 1.33
     # and 1.05). A measurement reads each entry's row and weight, 16 of
-    # its 24 bytes: 0.67 stored states for the last register, and 0.75
-    # for another, whose rows are summed again one by one, each marked by
-    # a byte per entry. Dropping the register in the same call adds only
-    # the kept row, at most 1/64 of the state.
+    # its 24 bytes, and sums each row that holds several entries again
+    # with math.fsum, its entries marked by a byte each: 0.75 stored
+    # states. Dropping the register in the same call adds only the kept
+    # row, at most 1/64 of the state.
     rng = np.random.default_rng(89)
     state = random_state(rng, [("R1", 7), ("R2", 7), ("R3", 6)])
     stored = 24 * state.index.size
@@ -991,7 +1062,7 @@ def test_kernels_allocate_at_most_one_and_a_half_states():
     assert functional.total_width == 22 and functional.index.size == 128
 
 
-# -- the partial trace against the dense Gram product ---------------------------
+# -- the partial trace against the Gram product of the occupied columns ----------
 
 
 def kept_by_traced(state, keep):
@@ -1003,14 +1074,16 @@ def kept_by_traced(state, keep):
     return mat.reshape(math.prod(shape[i] for i in kept), -1)
 
 
-def dense_gram(state, keep):
-    """The dense formula: the kept x traced matrix times its adjoint."""
+def compact_gram(state, keep):
+    """The kept x traced matrix, less its all-zero columns, times its
+    adjoint: the Gram product of the columns that hold an amplitude."""
     mat = kept_by_traced(state, keep)
+    mat = mat[:, (mat != 0).any(axis=0)]
     return mat @ mat.conj().T
 
 
 def same_trace(got, gram):
-    """A 2-D partial trace is the dense Gram product, bit for bit. A 1-D
+    """A 2-D partial trace is the compact Gram product, bit for bit. A 1-D
     one is the product's diagonal, bit for bit, and every other entry of
     the product is exactly +0.0, the zeros `Transcript.snapshot` writes."""
     if got.ndim == 2:
@@ -1033,7 +1106,7 @@ def test_reduced_density_matrix_matches_dense_gram_bit_for_bit(widths, data):
     # The real states are made by the package's own kernels, so their
     # signed zeros are the ones real sessions carry. Two complex ones check
     # the guard: imaginary amplitudes take the closed form, and amplitudes
-    # with both parts nonzero must take the dense product.
+    # with both parts nonzero must take the matrix product.
     names = [f"Q{i}" for i in range(len(widths))]
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
@@ -1072,7 +1145,7 @@ def test_reduced_density_matrix_matches_dense_gram_bit_for_bit(widths, data):
         for count in range(1, len(regs) + 1):
             for keep in itertools.combinations(regs, count):
                 got = candidate.reduced_density_matrix(keep)
-                assert same_trace(got, dense_gram(candidate, keep)), (regs, keep)
+                assert same_trace(got, compact_gram(candidate, keep)), (regs, keep)
                 branches.add((is_partial_permutation(candidate, keep), got.ndim))
     # The dense vector is never a partial permutation, and its trace is a
     # matrix; the collapsed basis state always is one, traced to a diagonal.
