@@ -393,9 +393,17 @@ def _session_results(config: ExperimentConfig) -> dict:
                       proto.sample_draws(config.protocol, config.n, config.l, config.t, draw_rng))
         trial_views: dict[int, list[np.ndarray]] = {}
         for x in messages:
-            tr = proto.run_session(config.protocol, x, config.n, config.l, config.t, keys,
-                                   rng=run_rng, draws=draws, attack=attack,
-                                   snapshots=config.snapshots, qubit_cap=config.qubit_cap)
+            views = proto.eve_average_view(
+                proto.Transcript(config.protocol, config.n, config.l, config.t, x, draws=draws),
+                keys=keys, average_over=avg_kinds,
+                enum_limit=config.enum_limit, qubit_cap=config.qubit_cap,
+            ) if avg_kinds else ()
+            if views and attack is None:
+                tr = views[0].session  # an honest record does not depend on the stream
+            else:
+                tr = proto.run_session(config.protocol, x, config.n, config.l, config.t, keys,
+                                       rng=run_rng, draws=draws, attack=attack,
+                                       snapshots=config.snapshots, qubit_cap=config.qubit_cap)
             entry = {
                 "trial": trial, "message": x, "recovered": tr.recovered,
                 "alice_accepts": tr.alice_accepts, "bob_accepts": tr.bob_accepts,
@@ -414,10 +422,6 @@ def _session_results(config: ExperimentConfig) -> dict:
                 if config.include_matrices:
                     entry["snapshots"] = [encode_matrix(tr.snapshot(r)) for r in rounds]
             if avg_kinds:
-                views = proto.eve_average_view(
-                    tr, keys=keys, average_over=avg_kinds,
-                    enum_limit=config.enum_limit, qubit_cap=config.qubit_cap,
-                )
                 for view in views:
                     record = averaged.setdefault(view.round_index, {
                         "deviation_from_mixed": 0.0, "runs": view.runs})

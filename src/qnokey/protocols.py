@@ -32,13 +32,12 @@ Its signature alone states the session keywords (rng, draws, attack,
 snapshots, qubit_cap): each public run_* takes its id's widths and keys
 and forwards to it, and run_session looks that name up at each call.
 PROTOCOL_IDS, ROUND_COUNTS, peak_live_width, sample_draws, TAG_KEYS, the
-averaging lookup, check_session and check_keys (the one session and key
-validators) all derive from STAGES; each session's draws are checked
-against it, and every session runs all its passes. A party is its name
-string, which also names the holder of each register it makes or
-receives; an exchange takes its parties as Party(name, rng, tags_with,
-strips_with) values, so an adversary can play a side with substitute
-tables.
+averaging lookup, check_session, check_keys and check_draws (the one
+session, key and draw validators) all derive from STAGES, and every
+session runs all its passes. A party is its name string, which also
+names the holder of each register it makes or receives; an exchange
+takes its parties as Party(name, rng, tags_with, strips_with) values, so
+an adversary can play a side with substitute tables.
 
 Channel views: per-run snapshots are what an eavesdropper sees in one
 session; eve_average_view computes, for each requested round, the exact
@@ -49,7 +48,9 @@ snapshots of the tagged protocols are not maximally mixed. One call
 re-runs the honest session once for all its rounds, and gets every
 enumerated secret's snapshot of a round by permuting the tag index of
 that rerun's snapshot of the round; noninteractive_view is the same
-average over the broadcast's single round.
+average over the broadcast's single round. Each view carries the honest
+session it was read from, whose record is the one any honest run on the
+same keys and draws makes, so a caller that wants both runs it once.
 """
 
 from __future__ import annotations
@@ -214,6 +215,28 @@ def check_keys(protocol: str, n: int, l: int, t: int, keys) -> None:
             got = "none" if fn is None else f"{fn.n}->{fn.l}"
             raise ProtocolError(f"{protocol} needs the tag function {attr} of shape "
                                 f"{bits}->{l}, got {got}")
+
+
+def check_draws(protocol: str, n: int, t: int, draws) -> None:
+    """The draw validator, which every session and `eve_average_view` call
+    before a draw is read: one Draws record per stage, each binding a
+    permutation on the sides its exchange binds and carrying one pad per
+    tagged pass, and each permutation as wide as its stage's message."""
+    stages = STAGES[protocol]
+    # A record's shape: whether each side binds a permutation, and its pad count.
+    want = [(*s.exchange.binds, s.exchange.passes if s.exchange.tagged else 0) for s in stages]
+    got = [(d.sender_perm is not None, d.receiver_perm is not None, len(d.pads))
+           if isinstance(d, Draws) else type(d).__name__ for d in draws] \
+        if isinstance(draws, tuple) else type(draws).__name__
+    if got != want:
+        raise ProtocolError(f"{protocol} draws are a tuple of one record per stage, Draws "
+                            f"shaped (sender binds, receiver binds, pads) {want}, got {got}")
+    for s, d in zip(stages, draws):
+        for name in ("sender_perm", "receiver_perm"):
+            perm = getattr(d, name)
+            if perm is not None and perm.n != s.bits(n, t):
+                raise ProtocolError(f"{name} has width {perm.n}, but the "
+                                    f"stage's message register has {s.bits(n, t)}")
 
 
 @dataclass(frozen=True)
@@ -584,21 +607,8 @@ def _run_stages(protocol, x, n, l, t, keys, *, rng=None, draws=None, attack=None
     rngs = {ALICE: alice_rng, BOB: bob_rng}
     if draws is None:
         draws = _sample_draws(protocol, n, l, t, rngs)
+    check_draws(protocol, n, t, draws)
     stages = STAGES[protocol]
-    # A record's shape: whether each side binds a permutation, and its pad count.
-    want = [(*s.exchange.binds, s.exchange.passes if s.exchange.tagged else 0) for s in stages]
-    got = [(d.sender_perm is not None, d.receiver_perm is not None, len(d.pads))
-           if isinstance(d, Draws) else type(d).__name__ for d in draws] \
-        if isinstance(draws, tuple) else type(draws).__name__
-    if got != want:
-        raise ProtocolError(f"{protocol} draws are a tuple of one record per stage, Draws "
-                            f"shaped (sender binds, receiver binds, pads) {want}, got {got}")
-    for s, d in zip(stages, draws):
-        for name in ("sender_perm", "receiver_perm"):
-            perm = getattr(d, name)
-            if perm is not None and perm.n != s.bits(n, t):
-                raise ProtocolError(f"{name} has width {perm.n}, but the "
-                                    f"stage's message register has {s.bits(n, t)}")
     tr = Transcript(protocol, n, l, t, x, draws=draws)
     channel = Channel(tr, attack, eve_rng, snapshots, qubit_cap)
 
@@ -721,11 +731,13 @@ def noninteractive_view(
 
 @dataclass
 class EveView:
-    """Channel state at one round, averaged over enumerated secrets; 1-D if diagonal."""
+    """Channel state at one round, averaged over enumerated secrets; 1-D if
+    diagonal. `session` is the honest run it was read from."""
 
     rho: np.ndarray
     round_index: int
     runs: int
+    session: Transcript
 
 
 def _round_secrets(protocol: str, round_index: int):
@@ -772,10 +784,17 @@ def eve_average_view(
     function that put it on. So the round's snapshot under another
     (p, f) is the rerun's snapshot with rows and columns permuted by
     y -> y ^ f(m) ^ p ^ f0(m) ^ p0, where f0 and p0 are the rerun's own;
-    the sum is taken in enumeration order. The keys and every requested
-    round are checked before the rerun: a bundle `check_keys` refuses, an
-    unknown round, or pads times functions beyond `enum_limit` (refused
-    with the count), runs nothing, and so does asking for no round at all.
+    the sum is taken in enumeration order. The keys, the transcript's
+    draws and every requested round are checked before the rerun: a
+    bundle `check_keys` refuses, draws `check_draws` refuses, an unknown
+    round, or pads times functions beyond `enum_limit` (refused with the
+    count), runs nothing, and so does asking for no round at all.
+
+    Each view's `session` is the rerun (the given transcript for the
+    identity average). With the keys and draws fixed, every measurement
+    of an honest session has one outcome, so the rerun's record is the
+    one an honest session on them makes under any `rng`; the transcript
+    itself needs only its id, widths, message and draws.
     """
     kinds = set(average_over)
     unknown = kinds - {"pads", "keys"}
@@ -786,11 +805,12 @@ def eve_average_view(
     wanted = range(1, ROUND_COUNTS[protocol] + 1) if rounds is None else tuple(rounds)
     if not kinds or not wanted:
         # Identity average (the per-run snapshot is it), or no round: no rerun.
-        return tuple(EveView(transcript.stored_snapshot(r), r, 1) for r in wanted)
+        return tuple(EveView(transcript.stored_snapshot(r), r, 1, transcript) for r in wanted)
     l = transcript.l
     if keys is None and protocol not in UNTAGGED:
         raise ValueError("keyed protocols need the session keys to average")
     check_keys(protocol, transcript.n, l, transcript.t, keys)
+    check_draws(protocol, transcript.n, transcript.t, transcript.draws)
     plans = []
     for r in wanted:
         stage, pad, tag_attr = _round_secrets(protocol, r)
@@ -820,5 +840,5 @@ def eve_average_view(
             snap = rho[sigma] if rho.ndim == 1 else rho[np.ix_(sigma, sigma)]
             rho_sum = snap if rho_sum is None else rho_sum + snap
         runs = len(pad_values) * len(fn_values)
-        views.append(EveView(rho_sum / runs, r, runs))
+        views.append(EveView(rho_sum / runs, r, runs, redo))
     return tuple(views)

@@ -573,6 +573,60 @@ def test_fast_shipped_experiment_bodies_are_pinned():
     assert digests == SHIPPED_BODY_SHA256
 
 
+# sha256 of the body bytes of averaged session grids that no shipped
+# experiment runs, all at seed=21 and trials=2: attacked grids, which run
+# their own sessions beside the averaging reruns; honest ones of the ids
+# no shipped experiment averages, with their snapshot matrices; and a grid
+# with snapshots off. Keys: (protocol, n, l, t, attack, average, include
+# matrices, snapshots).
+GRID_BODY_SHA256 = {
+    ("p2", 2, 1, 0, "passive", "pads", False, True):
+        "7115cd9d7b84ee82549a97a092b692c0771e9d04ce29c446f359e86c9267d096",
+    ("p2", 2, 1, 0, "phase:x=1,passes=1", "pads", False, True):
+        "10cd9a098c161fc553f435947fd83c9b9c14b32ff13ac63337ef6dde2d1b906e",
+    ("p2", 2, 1, 0, "measure:passes=2", "pads", False, True):
+        "7590e8ac7a0f27548d9247c0eb9a9f037ec1e723e808edd72f1b8be0b45e934a",
+    ("p5", 1, 1, 0, "measure:passes=all", "pads+keys", False, True):
+        "f8000f720d0f248926f8c7f84193566aaa7c8f08c3c3c9ef4c7bae318ce3a09f",
+    ("p6", 1, 1, 1, "measure:passes=1", "pads", False, True):
+        "10c71d26d289f111e4d31edfe1107ccff2bfbdbb36fda7b9f8cfca3c588ca4de",
+    ("p3", 2, 1, 0, None, "pads", True, True):
+        "76caa2e28b8ff37019457569bb02f698217d871008c74e7c423dfa4b29e4f6e7",
+    ("p5", 2, 1, 0, None, "pads", True, True):
+        "68ede5aba2a486dc19e66e02a310da3335a2cd1c0c3e64130e8cdaa1799b7386",
+    ("p6", 1, 1, 1, None, "pads+keys", True, True):
+        "2bbceedca12169e2c18e6a8314728c966ebcbd052d19d580c35c22b01a7f78ab",
+    ("p2", 2, 1, 0, None, "pads", False, False):
+        "446798ea401351879a6819cb26815bb17542e0b32af56c3f9c21e7c661c3db49",
+}
+
+
+def test_averaged_grid_bodies_are_pinned():
+    digests = {}
+    for key in GRID_BODY_SHA256:
+        protocol, n, l, t, attack, average, include_matrices, snapshots = key
+        config = ExperimentConfig(protocol, n=n, l=l, t=t, seed=21, trials=2, attack=attack,
+                                  average=average, include_matrices=include_matrices,
+                                  snapshots=snapshots)
+        digests[key] = hashlib.sha256(run_experiment(config).body_bytes()).hexdigest()
+    assert digests == GRID_BODY_SHA256
+
+
+@pytest.mark.parametrize("attack", [None, "passive", "measure:passes=2"])
+def test_an_averaged_grid_runs_each_honest_message_once(monkeypatch, attack):
+    # An unattacked message's record is its averaging rerun's; an attacked
+    # one, `passive` included, runs its own session beside that rerun.
+    import qnokey.protocols as protocols
+
+    sessions = []
+    real = protocols.run_session
+    monkeypatch.setattr(protocols, "run_session",
+                        lambda *a, **kw: sessions.append(kw["attack"]) or real(*a, **kw))
+    run_experiment(ExperimentConfig("p2", n=2, l=1, trials=2, attack=attack, average="pads"))
+    honest = sum(a is None for a in sessions)
+    assert (honest, len(sessions) - honest) == (8, 0 if attack is None else 8)
+
+
 # sha256 of the body bytes of one-message sessions at peak widths 17 to
 # 21, with snapshots, pinned from the dense state-vector kernels: the
 # stored-amplitude kernels must give the same mixedness floats and

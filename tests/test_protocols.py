@@ -510,6 +510,7 @@ def test_empty_average_returns_per_run_snapshot():
     assert view.rho.tobytes() == tr.stored_snapshot(1).tobytes()
     assert view.rho.ndim == 1
     assert as_matrix(view.rho).tobytes() == tr.snapshot(1).tobytes()
+    assert view.session is tr
 
 
 def test_average_rejects_unknown_kind_and_limits():
@@ -619,6 +620,62 @@ def test_average_view_refuses_every_round_before_running_a_session(monkeypatch):
     assert eve_average_view(tr, (), keys=None, average_over=both) == ()
     assert eve_average_view(tr, ()) == ()
     assert sessions == []
+
+
+def test_average_view_refuses_missing_or_misshaped_draws_before_any_session(monkeypatch):
+    # The plans read each round's pad from the transcript's draws, so
+    # draws of another shape, or none, are refused before they are read.
+    keys = sample_shared_keys("p2", 2, 1, 0, make_rng(54))
+    monkeypatch.setattr(protocols, "run_session", lambda *a, **kw: pytest.fail("a session ran"))
+    for draws, got in ((None, "got NoneType"), (sample_draws("p4", 2, 1, 0, make_rng(55)),
+                                                 r"got \[\(False, True, 2\)\]")):
+        with pytest.raises(ProtocolError, match=f"p2 draws are a tuple of one record.*{got}"):
+            eve_average_view(Transcript("p2", 2, 1, 0, 1, draws=draws), keys=keys)
+    narrow = sample_draws("p2", 1, 1, 0, make_rng(56))
+    with pytest.raises(ProtocolError, match="sender_perm has width 1"):
+        eve_average_view(Transcript("p2", 2, 1, 0, 1, draws=narrow), keys=keys)
+
+
+@pytest.mark.parametrize("protocol", [p for p in PROTOCOL_IDS if p != "p1"])
+def test_a_draws_only_transcript_averages_as_its_session_does(protocol):
+    # Every view carries the one honest rerun it was read from, and a
+    # transcript holding only the draws gives that session's views.
+    n, l, t = 2, 1, 1 if protocol == "p6" else 0
+    keys = sample_shared_keys(protocol, n, l, t, make_rng(57))
+    tr = run_session(protocol, 3, n, l, t, keys, rng=make_rng(58))
+    bare = Transcript(protocol, n, l, t, 3, draws=tr.draws)
+    views, bare_views = (eve_average_view(s, keys=keys) for s in (tr, bare))
+    session = views[0].session
+    assert all(view.session is session for view in views)
+    assert session.draws == tr.draws and session.measurements == tr.measurements
+    assert [view.rho.tobytes() for view in views] == \
+        [view.rho.tobytes() for view in bare_views]
+
+
+def _observed_record(tr):
+    """What an honest session leaves in a report: its measurement records,
+    verdicts, decoded value, and each round's snapshot bytes."""
+    return ([(m.owner, m.register, m.width, m.outcome) for m in tr.measurements],
+            (tr.recovered, tr.alice_accepts, tr.bob_accepts, tr.mac_accepts),
+            [tx.snapshot.tobytes() for tx in tr.transmissions])
+
+
+def test_an_honest_record_does_not_depend_on_the_stream():
+    # With the keys and draws fixed every measurement of an honest
+    # session holds one row, so the session grid may read a message's
+    # record from the averaging rerun (rng=0) in place of its own run.
+    for protocol in PROTOCOL_IDS:
+        widths = [(n, l, t) for n in (1, 2) for l in ((0,) if protocol == "p1" else (1, 2))
+                  for t in ((1, 2) if protocol in AUTHENTICATED else (0,))]
+        for (n, l, t), seed in itertools.product(widths, range(5)):
+            keys = sample_shared_keys(protocol, n, l, t, make_rng(seed)) \
+                if protocol != "p1" else None
+            draws = sample_draws(protocol, n, l, t, make_rng(100 + seed))
+            for x in range(1 << n):
+                a, b = (_observed_record(run_session(protocol, x, n, l, t, keys, rng=rng,
+                                                     draws=draws))
+                        for rng in (0, make_rng(200 + seed)))
+                assert a == b, (protocol, n, l, t, seed, x)
 
 
 def test_averaged_views_identical_under_key_reuse():
